@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import ThetaContext, h, nome_of_zeta, w, zeta_of_nome
+from .elliptic import h, w, zeta_of_nome
 from .errors import (
     ConfigurationError,
     DomainError,
     InvariantViolation,
     PoleError,
 )
-from .spinchain import build_sector_basis
+from .spinchain import _rank
 from .supercharge import build_supercharges, susy_sector
 
 
@@ -186,6 +186,8 @@ def path_state_vector(p, ctx, inhomogeneities=None):
 
 def path_matrix(n, ctx, inhomogeneities=None):
     """(states, matrix) with one column per admissible path."""
+    if n < 2:
+        raise DomainError(f"the path basis needs n >= 2, got {n}")
     states = path_states(n)
     M = np.column_stack(
         [path_state_vector(p, ctx, inhomogeneities) for p in states]
@@ -195,8 +197,7 @@ def path_matrix(n, ctx, inhomogeneities=None):
 
 def path_rank(n, ctx, inhomogeneities=None, threshold=1e-10):
     _, M = path_matrix(n, ctx, inhomogeneities)
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > threshold * s[0]))
+    return _rank(np.linalg.svd(M, compute_uv=False), threshold)
 
 
 def path_complement(n, ctx, inhomogeneities=None, threshold=1e-10):
@@ -205,8 +206,7 @@ def path_complement(n, ctx, inhomogeneities=None, threshold=1e-10):
         raise DomainError("the path span has a complement only for odd n")
     _, M = path_matrix(n, ctx, inhomogeneities)
     u, s, _ = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > threshold * s[0]))
-    comp = u[:, rank:]
+    comp = u[:, _rank(s, threshold):]
     if comp.shape[1] != 2:
         raise InvariantViolation(
             f"path complement at n={n} has dimension {comp.shape[1]}, expected 2"

@@ -19,7 +19,15 @@ import numpy as np
 
 from .elliptic import w
 from .errors import ConfigurationError, DomainError, InvariantViolation
-from .spinchain import build_sector_basis, spectrum, xyz_hamiltonian, CouplingLine
+from .spinchain import (
+    CouplingLine,
+    _eigh_checked,
+    _group_levels,
+    build_sector_basis,
+    common_levels,
+    spectrum,
+    xyz_hamiltonian,
+)
 
 
 @dataclass(frozen=True)
@@ -260,18 +268,7 @@ def fermion_spectrum(n_f, y, m, boundary, sigma):
         t3_sector=sigma,
     )
     H = fermion_hamiltonian(model)
-    scale = max(1.0, np.linalg.norm(H))
-    if np.linalg.norm(H - H.conj().T) > 1e-12 * scale:
-        raise InvariantViolation("fermion sector Hamiltonian is not Hermitian")
-    return np.linalg.eigvalsh((H + H.conj().T) / 2.0)
-
-
-def _unique_levels(values, tol):
-    out = []
-    for v in sorted(values):
-        if not out or abs(v - out[-1]) > max(tol, tol * abs(v)):
-            out.append(float(v))
-    return out
+    return _eigh_checked(H, herm_tol=1e-12, error=InvariantViolation)[0]
 
 
 def spectral_comparison(m, zeta, variant, tol=1e-8):
@@ -298,24 +295,12 @@ def spectral_comparison(m, zeta, variant, tol=1e-8):
     xyz = spectrum(xyz_hamiltonian(n, CouplingLine(zeta), sector))
     ferm = 4.0 * fermion_spectrum(n_f, y, m, boundary, sigma)
 
-    xyz_u = _unique_levels(xyz, tol)
-    ferm_u = _unique_levels(ferm, tol)
-    matched, xyz_only, ferm_only = [], [], []
-    i = j = 0
-    while i < len(xyz_u) and j < len(ferm_u):
-        a, b = xyz_u[i], ferm_u[j]
-        if abs(a - b) < max(tol, tol * abs(a)):
-            matched.append(a)
-            i += 1
-            j += 1
-        elif a < b:
-            xyz_only.append(a)
-            i += 1
-        else:
-            ferm_only.append(b)
-            j += 1
-    xyz_only.extend(xyz_u[i:])
-    ferm_only.extend(ferm_u[j:])
+    pairs, xyz_only, ferm_only = common_levels(
+        [float(xyz[g[0]]) for g in _group_levels(xyz, tol)],
+        [float(ferm[g[0]]) for g in _group_levels(ferm, tol)],
+        tol,
+    )
+    matched = [a for a, _ in pairs]
     if variant == "ramond_vs_kpi":
         # the conjecture excludes E=0 from the XYZ side
         ferm_only = [v for v in ferm_only if abs(v) > tol]

@@ -10,25 +10,13 @@ sparse full-space operator through that embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, DomainError
-
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """A basis configuration: n sites, bit j-1 = 1 encodes spin - at site j."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if not (0 <= self.bits < (1 << self.n)):
-            raise DomainError(f"bits {self.bits} out of range for n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -63,14 +51,6 @@ class SectorBasis:
     dim: int
     embedding: np.ndarray = field(repr=False, compare=False)
 
-    def label(self):
-        parts = [f"n={self.n}", f"t={self.t_eigenvalue:+.3g}"]
-        if self.parity_eigenvalue is not None:
-            parts.append(f"p={self.parity_eigenvalue:+d}")
-        if self.spin_parity is not None:
-            parts.append(f"s={self.spin_parity:+d}")
-        return ",".join(parts)
-
 
 @dataclass(frozen=True)
 class SectorOperator:
@@ -86,12 +66,6 @@ class SectorOperator:
                 f"matrix shape {self.matrix.shape} does not match bases "
                 f"({self.codomain.dim}, {self.domain.dim})"
             )
-
-    @property
-    def is_square(self):
-        return self.domain is self.codomain or (
-            self.domain.n == self.codomain.n and self.domain.dim == self.codomain.dim
-        )
 
 
 def rotate_left(bits, n):
@@ -191,19 +165,9 @@ def build_sector_basis(n, t_eigenvalue, parity=None, spin_parity=None):
 def _refine_parity(basis, parity):
     P = symmetry_operator("parity", basis.n)
     B = basis.embedding
-    Ps = B.conj().T @ (P @ B)
-    evals, evecs = np.linalg.eigh((Ps + Ps.conj().T) / 2.0)
+    evals, evecs = _eigh_checked(B.conj().T @ (P @ B))
     keep = np.where(np.abs(evals - parity) < 1e-8)[0]
-    newB = B @ evecs[:, keep]
-    return SectorBasis(
-        n=basis.n,
-        t_eigenvalue=basis.t_eigenvalue,
-        parity_eigenvalue=parity,
-        spin_parity=basis.spin_parity,
-        orbit_reps=basis.orbit_reps,
-        dim=len(keep),
-        embedding=newB,
-    )
+    return replace(basis, parity_eigenvalue=parity, dim=len(keep), embedding=B @ evecs[:, keep])
 
 
 def project(full_op, domain, codomain=None):
@@ -254,20 +218,25 @@ def xyz_hamiltonian(n, coupling, sector):
     return project(xyz_hamiltonian_full(n, coupling), sector)
 
 
-def spectrum(op, herm_tol=1e-10, check_residual=True):
-    """Ascending eigenvalues of a Hermitian square sector operator."""
-    if op.matrix.shape[0] != op.matrix.shape[1]:
-        raise ContractError("spectrum requires a square operator (domain = codomain)")
-    M = op.matrix
+def _eigh_checked(M, herm_tol=1e-10, check_residual=True, error=ContractError):
+    """Ascending eigenpairs of the symmetrised M; raises `error` if M is not
+    Hermitian to herm_tol * scale or a residual exceeds 1e-9 * scale."""
     scale = max(1.0, np.linalg.norm(M))
     if np.linalg.norm(M - M.conj().T) > herm_tol * scale:
-        raise ContractError("operator is not Hermitian within tolerance")
+        raise error("operator is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh((M + M.conj().T) / 2.0)
     if check_residual:
         resid = np.linalg.norm(M @ evecs - evecs * evals, axis=0)
         if np.any(resid > 1e-9 * scale):
-            raise ContractError("eigenpair reconstruction residual too large")
-    return evals
+            raise error("eigenpair reconstruction residual too large")
+    return evals, evecs
+
+
+def spectrum(op, herm_tol=1e-10, check_residual=True):
+    """Ascending eigenvalues of a Hermitian square sector operator."""
+    if op.matrix.shape[0] != op.matrix.shape[1]:
+        raise ContractError("spectrum requires a square operator (domain = codomain)")
+    return _eigh_checked(op.matrix, herm_tol, check_residual)[0]
 
 
 def rescaled_spectrum(n, zeta, sector):
@@ -279,8 +248,8 @@ def rescaled_spectrum(n, zeta, sector):
 def common_levels(e1, e2, tol=1e-8):
     """Greedy multiset matching of two sorted eigenvalue lists.
 
-    Two values match when |E - E'| < max(tol, tol*|E|). Returns
-    (matched_pairs, only_in_first, only_in_second).
+    Two values match when |E - E'| < max(tol, tol*|E|), E from e1; ties at
+    the bound do not match. Returns (matched_pairs, only_in_first, only_in_second).
     """
     e1 = sorted(e1)
     e2 = sorted(e2)
@@ -301,6 +270,23 @@ def common_levels(e1, e2, tol=1e-8):
     only1.extend(e1[i:])
     only2.extend(e2[j:])
     return matched, only1, only2
+
+
+def _group_levels(values, tol):
+    """Indices of ascending values grouped into levels: v joins the current
+    group iff |v - first| < max(tol, tol*|v|); a tie at the bound starts a new one."""
+    groups = []
+    for i, v in enumerate(values):
+        if groups and abs(v - values[groups[-1][0]]) < max(tol, tol * abs(v)):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def _rank(s, threshold):
+    """Numerical rank: singular values (descending) above threshold times the largest."""
+    return int(np.sum(s > threshold * s[0])) if len(s) else 0
 
 
 def spectrum_csv_rows(zeta, n, sector, energies):

@@ -22,9 +22,12 @@ import scipy.sparse as sp
 from .errors import DomainError, InvariantViolation
 from .spinchain import (
     CouplingLine,
-    SectorBasis,
     SectorOperator,
+    _eigh_checked,
+    _group_levels,
+    _rank,
     build_sector_basis,
+    common_levels,
     project,
     spectrum,
     symmetry_operator,
@@ -107,10 +110,6 @@ def build_supercharges(n, zeta):
     )
 
 
-def _op_norm(M):
-    return np.linalg.norm(M)
-
-
 def verify_anticommutator(n, zeta, tilde=False):
     """Residual of H_N = Q_{N-1} Q_{N-1}^dag + Q_N^dag Q_N on the sector."""
     sector = susy_sector(n)
@@ -122,7 +121,7 @@ def verify_anticommutator(n, zeta, tilde=False):
         pair_dn = build_supercharges(n - 1, zeta)
         B = pair_dn.q_tilde.matrix if tilde else pair_dn.q_plain.matrix
         rhs = rhs + B @ B.conj().T
-    return _op_norm(H - rhs)
+    return np.linalg.norm(H - rhs)
 
 
 def verify_algebra(n, zeta):
@@ -131,17 +130,19 @@ def verify_algebra(n, zeta):
     Returns a list of {relation, n, zeta, residual, pass} dicts; the adjoint
     halves of each relation are exact transposes and are not repeated.
     """
+    if n < 2:
+        raise DomainError("the algebra check needs n >= 2")
     up = build_supercharges(n, zeta)
     dn = build_supercharges(n - 1, zeta)
     Q, Qt = up.q_plain.matrix, up.q_tilde.matrix
     q, qt = dn.q_plain.matrix, dn.q_tilde.matrix
-    scale = max(1.0, _op_norm(Q) ** 2, _op_norm(Qt) ** 2)
+    scale = max(1.0, np.linalg.norm(Q) ** 2, np.linalg.norm(Qt) ** 2)
     checks = [
-        ("nilpotency_plain", _op_norm(Q @ q)),
-        ("nilpotency_tilde", _op_norm(Qt @ qt)),
-        ("cross_charge_left", _op_norm(Qt.conj().T @ Q + q @ qt.conj().T)),
-        ("cross_charge_right", _op_norm(Q.conj().T @ Qt + qt @ q.conj().T)),
-        ("mixed_nilpotency", _op_norm(Qt @ q + Q @ qt)),
+        ("nilpotency_plain", np.linalg.norm(Q @ q)),
+        ("nilpotency_tilde", np.linalg.norm(Qt @ qt)),
+        ("cross_charge_left", np.linalg.norm(Qt.conj().T @ Q + q @ qt.conj().T)),
+        ("cross_charge_right", np.linalg.norm(Q.conj().T @ Qt + qt @ q.conj().T)),
+        ("mixed_nilpotency", np.linalg.norm(Qt @ q + Q @ qt)),
         ("hamiltonian_plain", verify_anticommutator(n, zeta, tilde=False)),
         ("hamiltonian_tilde", verify_anticommutator(n, zeta, tilde=True)),
     ]
@@ -169,11 +170,8 @@ def conserved_charge_C(n, zeta):
 
 def _rank_with_warning(M, context, threshold=1e-10):
     """SVD rank with an honesty check: warn when singular values straddle the cut."""
-    if M.size == 0:
-        return 0
     s = np.linalg.svd(M, compute_uv=False)
-    cut = threshold * s[0] if s[0] > 0 else threshold
-    rank = int(np.sum(s > cut))
+    rank = _rank(s, threshold)
     if 0 < rank < len(s):
         gap = s[rank - 1] / max(s[rank], np.finfo(float).tiny)
         if gap < 10.0:
@@ -233,20 +231,9 @@ def _sector_id(n, index):
 def _eigen_data(n, zeta, zero_tol_scale=1e-9):
     sector = susy_sector(n)
     H = xyz_hamiltonian(n, CouplingLine(zeta), sector).matrix
-    evals, evecs = np.linalg.eigh((H + H.conj().T) / 2.0)
+    evals, evecs = _eigh_checked(H)
     zero_tol = zero_tol_scale * max(1.0, np.linalg.norm(H))
     return sector, evals, evecs, zero_tol
-
-
-def _group_levels(evals, tol):
-    """Indices of (nearly) degenerate eigenvalues grouped together."""
-    groups = []
-    for i, e in enumerate(evals):
-        if groups and abs(e - evals[groups[-1][0]]) < max(tol, tol * abs(e)):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
 
 
 def _base_subspace(n, zeta, eigvecs, tol):
@@ -356,13 +343,13 @@ def parity_covariance_check(n, zeta, tol=1e-8):
     P_dom = project(symmetry_operator("parity", n), dom).matrix
     P_cod = project(symmetry_operator("parity", n + 1), cod).matrix
     Q = pair.q_plain.matrix
-    resid = _op_norm(P_cod @ Q - (-1.0) ** (n + 1) * Q @ P_dom)
+    resid = np.linalg.norm(P_cod @ Q - (-1.0) ** (n + 1) * Q @ P_dom)
     report = {
         "relation": "parity_covariance",
         "n": n,
         "zeta": zeta,
         "residual": float(resid),
-        "pass": bool(resid < 1e-10 * max(1.0, _op_norm(Q))),
+        "pass": bool(resid < 1e-10 * max(1.0, np.linalg.norm(Q))),
     }
     if n % 2 == 0:
         return [report]
@@ -373,18 +360,7 @@ def parity_covariance_check(n, zeta, tol=1e-8):
     ev_even = spectrum(
         xyz_hamiltonian(n, CouplingLine(zeta), build_sector_basis(n, 1.0, parity=+1))
     )
-    leftovers = list(ev_even)
-    missing = 0
-    for e in ev_odd:
-        hit = None
-        for i, f in enumerate(leftovers):
-            if abs(e - f) < max(tol, tol * abs(e)):
-                hit = i
-                break
-        if hit is None:
-            missing += 1
-        else:
-            leftovers.pop(hit)
+    missing = len(common_levels(ev_odd, ev_even, tol)[1])
     report2 = {
         "relation": "odd_parity_spectrum_containment",
         "n": n,

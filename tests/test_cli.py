@@ -1,7 +1,10 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from susyxyz import cli
 from susyxyz.cli import main, parse_grid, parse_n_range, parse_zeta_list, thread_cap
 from susyxyz.errors import ConfigurationError, DomainError
 
@@ -55,11 +58,45 @@ def test_spectrum_usage_error_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("pathbasis", "--n", "1"),  # a single site has no height paths
+    ("check", "algebra", "--n", "1"),  # Q_0 does not exist
+])
+def test_n1_usage_error_exit_codes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_spectrum_deterministic(capsys):
     args = ("spectrum", "--n", "4,5", "--zeta", "0,0.3,1")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+    # pinned CSV bytes; even n only, since odd-n zero modes print as rounding noise
+    _, out, _ = run(capsys, "spectrum", "--n", "2,4,6", "--zeta", "0,0.3,2.5")
+    assert len(out.splitlines()) == 1 + 45
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "717a2e6ced727b4eb4a4565dcbaf2f62ca7b1aafe4a5a92353115de9d52a1a9a"
+    )
+
+
+@pytest.mark.parametrize("even, residual", [
+    ([0.5, 2.0], float("inf")),  # no even level left for the second 2.0
+    ([0.5, 2.0, 7.0], 5.0),  # the leftover even level is 5 away
+])
+def test_conjectures_unmatched_odd_level_fails(capsys, monkeypatch, even, residual):
+    # a doubled odd level has only one even partner: the inclusion must fail
+    levels = {-1: np.array([0.5, 2.0, 2.0]), 1: np.array(even)}
+    monkeypatch.setattr(cli, "spectrum", lambda op: levels[op.domain.parity_eigenvalue])
+    code, out, _ = run(capsys, "check", "conjectures", "--n", "3", "--zeta", "0.5",
+                       "--nomes", "0.1")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["relation"] == "parity_spectral_inclusion"
+    assert check["pass"] is False
+    assert check["residual"] == residual
 
 
 def test_fig1_csv_shape(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from susyxyz.errors import ContractError, DomainError
 from susyxyz.spinchain import (
     CouplingLine,
+    _group_levels,
     build_sector_basis,
     common_levels,
     project,
@@ -118,16 +119,45 @@ def test_rescaled_spectrum_scaling():
     assert np.any(np.abs(eps - 4.0) < 1e-10)
 
 
+def _first_fit_missing(odd, even, tol):
+    """O(n^2) reference: each ascending odd level takes the first leftover even
+    level within tol; returns how many odd levels found none."""
+    leftovers = sorted(even)
+    missing = 0
+    for e in sorted(odd):
+        hit = None
+        for i, f in enumerate(leftovers):
+            if abs(e - f) < max(tol, tol * abs(e)):
+                hit = i
+                break
+        if hit is None:
+            missing += 1
+        else:
+            leftovers.pop(hit)
+    return missing
+
+
 @given(
     st.lists(st.floats(-5, 5), min_size=0, max_size=8),
     st.lists(st.floats(-5, 5), min_size=0, max_size=8),
+    st.sampled_from((1e-9, 0.3)),
 )
 @settings(max_examples=50, deadline=None)
-def test_common_levels_partition(e1, e2):
-    matched, only1, only2 = common_levels(e1, e2, tol=1e-9)
+def test_common_levels_partition(e1, e2, tol):
+    matched, only1, only2 = common_levels(e1, e2, tol=tol)
     assert len(matched) + len(only1) == len(e1)
     assert len(matched) + len(only2) == len(e2)
     assert sorted(only1 + [a for a, _ in matched]) == pytest.approx(sorted(e1))
+    # the two-pointer walk misses exactly as many levels as first-fit matching
+    assert len(only1) == _first_fit_missing(e1, e2, tol)
+    # the level grouper partitions the indices; members lie within tol of the
+    # group's first value
+    values = sorted(e1)
+    groups = _group_levels(values, tol)
+    assert [i for g in groups for i in g] == list(range(len(values)))
+    for g in groups:
+        first = values[g[0]]
+        assert all(abs(values[i] - first) < max(tol, tol * abs(values[i])) for i in g)
 
 
 def test_common_levels_matching():
