@@ -17,9 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .eightvertex import (
+    _path_rank_complement,
     appendixB_decomposition,
     hamiltonian_from_transfer,
-    path_complement,
     path_rank,
     path_states,
     transfer_matrix,
@@ -243,13 +243,12 @@ def check_conjectures(args):
             checks.append({"relation": "path_count", "n": n, "zeta": zeta,
                            "residual": float(abs(count - expected)),
                            "pass": count == expected})
-            rank = path_rank(n, ctx)
+            rank, comp = _path_rank_complement(n, ctx, complement=n % 2 == 1)
             exp_rank = 2 ** n if n % 2 == 0 else 2 ** n - 2
             checks.append({"relation": "path_rank", "n": n, "zeta": zeta,
                            "residual": float(abs(rank - exp_rank)),
                            "pass": rank == exp_rank})
             if n % 2 == 1:
-                comp = path_complement(n, ctx)
                 # the complement lives in the full space; act with the full H
                 Hfull = xyz_hamiltonian_full(n, CouplingLine(zeta)).toarray()
                 r_energy = np.linalg.norm(Hfull @ comp)

@@ -195,23 +195,36 @@ def path_matrix(n, ctx, inhomogeneities=None):
     return states, M
 
 
-def path_rank(n, ctx, inhomogeneities=None, threshold=1e-10):
-    _, M = path_matrix(n, ctx, inhomogeneities)
-    return _rank(np.linalg.svd(M, compute_uv=False), threshold)
+def _path_rank_complement(n, ctx, inhomogeneities=None, threshold=1e-10, complement=True):
+    """(rank, complement) of the path matrix from one build and one SVD.
 
-
-def path_complement(n, ctx, inhomogeneities=None, threshold=1e-10):
-    """Orthonormal basis of the orthogonal complement of the path span."""
-    if n % 2 == 0:
+    With complement=False only the singular values are computed and the
+    complement is None. The complement is the orthonormal basis of the
+    orthogonal complement of the path span; it exists only for odd n, where
+    it must have dimension 2.
+    """
+    if complement and n % 2 == 0:
         raise DomainError("the path span has a complement only for odd n")
     _, M = path_matrix(n, ctx, inhomogeneities)
+    if not complement:
+        return _rank(np.linalg.svd(M, compute_uv=False), threshold), None
     u, s, _ = np.linalg.svd(M, full_matrices=True)
-    comp = u[:, _rank(s, threshold):]
+    rank = _rank(s, threshold)
+    comp = u[:, rank:]
     if comp.shape[1] != 2:
         raise InvariantViolation(
             f"path complement at n={n} has dimension {comp.shape[1]}, expected 2"
         )
-    return comp
+    return rank, comp
+
+
+def path_rank(n, ctx, inhomogeneities=None, threshold=1e-10):
+    return _path_rank_complement(n, ctx, inhomogeneities, threshold, complement=False)[0]
+
+
+def path_complement(n, ctx, inhomogeneities=None, threshold=1e-10):
+    """Orthonormal basis of the orthogonal complement of the path span."""
+    return _path_rank_complement(n, ctx, inhomogeneities, threshold)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +280,11 @@ def intertwining_residual(n, u, ctx, charge="Q"):
         raise DomainError("intertwining check needs n >= 3")
     dom = susy_sector(n - 1)
     cod = susy_sector(n)
-    Tn = cod.embedding.conj().T @ transfer_matrix(n, u, ctx) @ cod.embedding
-    Tdn = dom.embedding.conj().T @ transfer_matrix(n - 1, u, ctx) @ dom.embedding
+    Bc, Bd = cod.embedding, dom.embedding
+    Tn = Bc.conj().T @ (transfer_matrix(n, u, ctx) @ Bc)
+    Tdn = Bd.conj().T @ (transfer_matrix(n - 1, u, ctx) @ Bd)
     if charge == "hatQ":
-        X = cod.embedding.conj().T @ hatQ_spin(n, ctx) @ dom.embedding
+        X = Bc.conj().T @ (hatQ_spin(n, ctx) @ Bd)
     elif charge in ("Q", "Qtilde"):
         pair = build_supercharges(n - 1, zeta_of_nome(ctx.nome))
         X = pair.q_plain.matrix if charge == "Q" else pair.q_tilde.matrix

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,8 +64,10 @@ def hardcore_count(n_f, m):
     return n_f * math.comb(n_f - m, m) // (n_f - m)
 
 
+@lru_cache(maxsize=None)
 def hardcore_basis(n_f, m):
-    """All m-particle hard-core states on the ring, lexicographically ordered."""
+    """All m-particle hard-core states on the ring, lexicographically ordered
+    (a cached tuple)."""
     if not (0 <= m <= n_f // 2):
         raise DomainError(f"need 0 <= m <= n_f/2, got m={m}, n_f={n_f}")
     states = []
@@ -78,7 +81,7 @@ def hardcore_basis(n_f, m):
             f"hard-core count mismatch at n_f={n_f}, m={m}: "
             f"{len(states)} != {hardcore_count(n_f, m)}"
         )
-    return states
+    return tuple(states)
 
 
 @dataclass(frozen=True)

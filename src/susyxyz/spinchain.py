@@ -2,14 +2,16 @@
 
 Basis states are bitmasks: bit j-1 set means spin "-" at site j (site 1 is the
 least significant bit), so the translation operator is a cyclic bit rotation.
-Sector bases carry an explicit orthonormal embedding matrix into the full
-2^n-dimensional space; every sector operator is obtained by projecting a
-sparse full-space operator through that embedding.
+A momentum sector is built from translation orbits: each basis vector is the
+phased orbit sum of a representative state, so its embedding into the full
+2^n-dimensional space is a sparse CSC matrix with at most n nonzeros per
+column (Lin, PRB 42, 6561 (1990); Sandvik, arXiv:1101.3281). Every sector
+operator is obtained by projecting a sparse full-space operator through that
+embedding; only the small dim x dim result is dense.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -41,7 +43,14 @@ class CouplingLine:
 @dataclass(frozen=True)
 class SectorBasis:
     """Orthonormal symmetry-adapted basis of a momentum (and optionally
-    parity / spin-parity) sector, with its embedding into the full space."""
+    parity / spin-parity) sector.
+
+    `embedding` is the sparse 2^n x dim CSC matrix whose columns are the basis
+    vectors in the full space; `orbit_reps` holds the (representative, period)
+    of every admitted translation orbit. Without a parity refinement column i
+    is the orbit sum of orbit_reps[i], so nnz equals the number of states in
+    the admitted orbits; a parity refinement mixes these orbit sums.
+    """
 
     n: int
     t_eigenvalue: complex
@@ -49,7 +58,7 @@ class SectorBasis:
     spin_parity: int | None
     orbit_reps: tuple
     dim: int
-    embedding: np.ndarray = field(repr=False, compare=False)
+    embedding: sp.csc_matrix = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -74,27 +83,34 @@ def rotate_left(bits, n):
 
 
 def reverse_bits(bits, n):
+    """Parity: site j -> n+1-j; works on an int or an integer array."""
     out = 0
     for j in range(n):
-        if bits >> j & 1:
-            out |= 1 << (n - 1 - j)
+        out = out | (((bits >> j) & 1) << (n - 1 - j))
     return out
 
 
+def _spin_parity(bits, n):
+    """(-1)^(number of down spins), of an int or elementwise of an integer array."""
+    odd = 0
+    for j in range(n):
+        odd = odd ^ ((bits >> j) & 1)
+    return 1 - 2 * odd
+
+
 def _orbits(n):
-    """Yield (representative, period) for every translation orbit."""
-    seen = bytearray(1 << n)
-    for s in range(1 << n):
-        if seen[s]:
-            continue
-        orbit = [s]
-        t = rotate_left(s, n)
-        while t != s:
-            orbit.append(t)
-            t = rotate_left(t, n)
-        for x in orbit:
-            seen[x] = 1
-        yield min(orbit), len(orbit)
+    """(representatives, periods) of every translation orbit, ascending by
+    representative, the smallest state of its orbit."""
+    states = np.arange(1 << n)
+    rep = states.copy()
+    period = np.zeros(1 << n, dtype=np.int64)
+    x = states
+    for j in range(1, n + 1):
+        x = rotate_left(x, n)
+        np.minimum(rep, x, out=rep)
+        period[(period == 0) & (x == states)] = j
+    reps = np.flatnonzero(rep == states)
+    return reps, period[reps]
 
 
 def symmetry_operator(kind, n):
@@ -102,17 +118,14 @@ def symmetry_operator(kind, n):
     dim = 1 << n
     states = np.arange(dim)
     if kind == "translation":
-        rows = np.array([rotate_left(s, n) for s in range(dim)])
-        return sp.csr_matrix((np.ones(dim), (rows, states)), shape=(dim, dim))
+        return sp.csr_matrix((np.ones(dim), (rotate_left(states, n), states)), shape=(dim, dim))
     if kind == "parity":
-        rows = np.array([reverse_bits(s, n) for s in range(dim)])
-        return sp.csr_matrix((np.ones(dim), (rows, states)), shape=(dim, dim))
+        return sp.csr_matrix((np.ones(dim), (reverse_bits(states, n), states)), shape=(dim, dim))
     if kind == "spin_reversal":
         rows = states ^ (dim - 1)
         return sp.csr_matrix((np.ones(dim), (rows, states)), shape=(dim, dim))
     if kind == "spin_parity":
-        signs = np.array([(-1.0) ** bin(s).count("1") for s in range(dim)])
-        return sp.diags(signs).tocsr()
+        return sp.diags(_spin_parity(states, n).astype(float)).tocsr()
     raise DomainError(f"unknown symmetry operator kind {kind!r}")
 
 
@@ -129,31 +142,36 @@ def build_sector_basis(n, t_eigenvalue, parity=None, spin_parity=None):
     if parity is not None and abs(t.imag) > 1e-12:
         raise DomainError("parity sectors require a real translation eigenvalue")
 
-    reps = []
-    for rep, period in _orbits(n):
-        if abs(t ** period - 1.0) > 1e-9:
-            continue
-        if spin_parity is not None and (-1) ** bin(rep).count("1") != spin_parity:
-            continue
-        reps.append((rep, period))
+    reps, periods = _orbits(n)
+    admitted = [p for p in np.unique(periods).tolist() if abs(t ** p - 1.0) <= 1e-9]
+    keep = np.isin(periods, admitted)
+    if spin_parity is not None:
+        keep &= _spin_parity(reps, n) == spin_parity
+    reps, periods = reps[keep], periods[keep]
 
-    dim = 1 << n
-    B = np.zeros((dim, len(reps)), dtype=complex)
+    # column i is the orbit sum sum_{j<p} conj(t)^j T^j |rep_i> / sqrt(p)
+    rows, cols, vals = [], [], []
+    index = np.arange(len(reps))
+    state = reps
     tbar = np.conj(t)
-    for i, (rep, period) in enumerate(reps):
-        # v = sqrt(p)/n * sum_j t^j T^{-j}|rep> = sqrt(p)/n * sum_j conj(t)^j T^j|rep>
-        state = rep
-        for j in range(n):
-            B[state, i] += tbar ** j
-            state = rotate_left(state, n)
-        B[:, i] *= math.sqrt(period) / n
+    for j in range(n):
+        live = j < periods
+        rows.append(state[live])
+        cols.append(index[live])
+        vals.append(tbar ** j / np.sqrt(periods[live]))
+        state = rotate_left(state, n)
+    B = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(1 << n, len(reps)),
+        dtype=complex,
+    )
 
     basis = SectorBasis(
         n=n,
         t_eigenvalue=t,
         parity_eigenvalue=None,
         spin_parity=spin_parity,
-        orbit_reps=tuple(reps),
+        orbit_reps=tuple(zip(reps.tolist(), periods.tolist())),
         dim=len(reps),
         embedding=B,
     )
@@ -165,18 +183,20 @@ def build_sector_basis(n, t_eigenvalue, parity=None, spin_parity=None):
 def _refine_parity(basis, parity):
     P = symmetry_operator("parity", basis.n)
     B = basis.embedding
-    evals, evecs = _eigh_checked(B.conj().T @ (P @ B))
+    evals, evecs = _eigh_checked((B.conj().T @ (P @ B)).toarray())
     keep = np.where(np.abs(evals - parity) < 1e-8)[0]
-    return replace(basis, parity_eigenvalue=parity, dim=len(keep), embedding=B @ evecs[:, keep])
+    refined = B @ sp.csc_matrix(evecs[:, keep])
+    return replace(basis, parity_eigenvalue=parity, dim=len(keep), embedding=refined)
 
 
 def project(full_op, domain, codomain=None):
-    """Restrict a full-space operator to sector coordinates."""
+    """Restrict a sparse full-space operator to sector coordinates,
+    B_cod^H (A B_dom), densifying only the dim x dim result."""
     codomain = codomain if codomain is not None else domain
     return SectorOperator(
         domain=domain,
         codomain=codomain,
-        matrix=np.asarray(codomain.embedding.conj().T @ (full_op @ domain.embedding)),
+        matrix=(codomain.embedding.conj().T @ (full_op @ domain.embedding)).toarray(),
     )
 
 

@@ -48,34 +48,21 @@ def local_q(j, n, zeta):
     """
     if not (0 <= j <= n):
         raise DomainError(f"local charge index must satisfy 0 <= j <= n, got {j}")
-    rows, cols, vals = [], [], []
+    states = np.arange(1 << n)
     if j == 0:
+        b = states[(states >> (n - 1)) & 1 == 1]
+        base = (b & ((1 << (n - 1)) - 1)) << 1
+        pair = 1 | (1 << n)  # pair on sites (n+1, 1)
         sign = -1.0
-        for b in range(1 << n):
-            if not (b >> (n - 1)) & 1:
-                continue
-            body = (b & ((1 << (n - 1)) - 1)) << 1
-            rows.append(body)
-            vals.append(sign)
-            cols.append(b)
-            rows.append(body | 1 | (1 << n))
-            vals.append(-zeta * sign)
-            cols.append(b)
     else:
-        string = (-1.0) ** (j - 1)
-        low_mask = (1 << (j - 1)) - 1
-        for b in range(1 << n):
-            if not (b >> (j - 1)) & 1:
-                continue
-            low = b & low_mask
-            rest = b >> j
-            base = low | (rest << (j + 1))
-            rows.append(base)  # pair ++ at sites (j, j+1)
-            vals.append(string)
-            cols.append(b)
-            rows.append(base | (0b11 << (j - 1)))  # pair -- at sites (j, j+1)
-            vals.append(-zeta * string)
-            cols.append(b)
+        b = states[(states >> (j - 1)) & 1 == 1]
+        base = (b & ((1 << (j - 1)) - 1)) | ((b >> j) << (j + 1))
+        pair = 0b11 << (j - 1)  # pair on sites (j, j+1)
+        sign = (-1.0) ** (j - 1)
+    # per state b: the ++ pair (weight sign), then the -- pair (weight -zeta*sign)
+    rows = np.column_stack([base, base | pair]).ravel()
+    cols = np.repeat(b, 2)
+    vals = np.tile([sign, -zeta * sign], len(b))
     return sp.csr_matrix((vals, (rows, cols)), shape=(1 << (n + 1), 1 << n))
 
 

@@ -8,10 +8,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from susyxyz.eightvertex import (
-    BetheRoots,
     appendixB_decomposition,
     bethe_residual,
     extend_by_pi,
@@ -27,7 +25,6 @@ from susyxyz.eightvertex import (
     translation_eigenvalue,
 )
 from susyxyz.elliptic import ThetaContext, h, zeta_of_nome
-from susyxyz.errors import DomainError
 from susyxyz.fermion import (
     fermion_spectrum,
     hardcore_count,

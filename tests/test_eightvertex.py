@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from susyxyz.eightvertex import (
     BetheRoots,
+    _path_rank_complement,
     PathState,
     appendixB_decomposition,
     bethe_amplitudes,
@@ -21,7 +22,6 @@ from susyxyz.eightvertex import (
     path_complement,
     path_matrix,
     path_rank,
-    path_state_vector,
     path_states,
     scattering_ratio,
     theta_triple_product,
@@ -178,6 +178,26 @@ def test_complement_inhomogeneous_variant():
 def test_complement_requires_odd_size():
     with pytest.raises(DomainError):
         path_complement(4, CTX)
+    with pytest.raises(DomainError):
+        _path_rank_complement(4, CTX)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rank_and_complement_from_one_svd(n):
+    rank, comp = _path_rank_complement(n, CTX, complement=n % 2 == 1)
+    assert rank == path_rank(n, CTX)
+    if n % 2 == 0:
+        assert comp is None
+    else:
+        # the complement is unique up to a unitary rotation of its 2 columns
+        ref = path_complement(n, CTX)
+        assert np.allclose(comp @ comp.conj().T, ref @ ref.conj().T, atol=1e-12)
+
+
+def test_complement_dimension_is_checked():
+    # a cut above every singular value leaves the whole space as "complement"
+    with pytest.raises(InvariantViolation):
+        path_complement(3, CTX, threshold=2.0)
 
 
 # ---------------------------------------------------------------------------

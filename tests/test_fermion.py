@@ -10,7 +10,6 @@ from susyxyz.errors import ConfigurationError, DomainError
 from susyxyz.fermion import (
     FermionModel,
     HardcoreState,
-    creation_matrix,
     fermion_hamiltonian,
     fermion_spectrum,
     hardcore_basis,
@@ -35,6 +34,14 @@ def test_hardcore_state_validation():
         HardcoreState(n_f=6, occupied=(1, 6))  # adjacent across the seam
     with pytest.raises(DomainError):
         HardcoreState(n_f=6, occupied=(3, 1))
+
+
+def test_hardcore_basis_is_cached_tuple():
+    first = hardcore_basis(12, 4)
+    assert isinstance(first, tuple)
+    assert hardcore_basis(12, 4) is first
+    for n_f, m in ((12, 4), (18, 6), (7, 3)):
+        assert len(hardcore_basis(n_f, m)) == hardcore_count(n_f, m)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,27 @@
+"""Every imported name in src/ and tests/ is referenced somewhere in its file."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert files
+    assert [hit for path in files for hit in _unused_imports(path)] == []

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from susyxyz.errors import ContractError, DomainError
 from susyxyz.spinchain import (
     CouplingLine,
+    SectorOperator,
     _group_levels,
     build_sector_basis,
     common_levels,
@@ -18,6 +22,7 @@ from susyxyz.spinchain import (
     xyz_hamiltonian,
     xyz_hamiltonian_full,
 )
+from susyxyz.supercharge import build_supercharges, supercharge_full, susy_sector
 
 
 def test_coupling_line_identity():
@@ -176,3 +181,110 @@ def test_bad_sector_size():
     sector = build_sector_basis(3, 1.0)
     with pytest.raises(DomainError):
         xyz_hamiltonian(4, CouplingLine(0.2), sector)
+
+
+def _orbits_loop(n):
+    """Reference: (representative, period) of every translation orbit."""
+    seen = bytearray(1 << n)
+    for s in range(1 << n):
+        if seen[s]:
+            continue
+        orbit = [s]
+        t = rotate_left(s, n)
+        while t != s:
+            orbit.append(t)
+            t = rotate_left(t, n)
+        for x in orbit:
+            seen[x] = 1
+        yield min(orbit), len(orbit)
+
+
+def _dense_embedding(n, t):
+    """Reference: the dense 2^n x dim momentum-sector embedding, built by
+    summing conj(t)^j T^j |rep> over all n translations."""
+    reps = [(r, p) for r, p in _orbits_loop(n) if abs(t ** p - 1.0) <= 1e-9]
+    B = np.zeros((1 << n, len(reps)), dtype=complex)
+    tbar = np.conj(t)
+    for i, (rep, period) in enumerate(reps):
+        state = rep
+        for j in range(n):
+            B[state, i] += tbar ** j
+            state = rotate_left(state, n)
+        B[:, i] *= math.sqrt(period) / n
+    return reps, B
+
+
+def _roots_of_unity(n):
+    return [complex(np.exp(2j * np.pi * k / n)) for k in range(n)]
+
+
+def _all_sectors(n):
+    for t in _roots_of_unity(n):
+        for parity in (None, 1, -1) if abs(t.imag) < 1e-12 else (None,):
+            for spin_parity in (None, 1, -1):
+                yield build_sector_basis(n, t, parity=parity, spin_parity=spin_parity)
+
+
+def _max_abs(M):
+    return np.abs(M.toarray() if sp.issparse(M) else M).max(initial=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sector_embeddings_sparse_orthonormal_and_translation_covariant(n):
+    T = symmetry_operator("translation", n)
+    P = symmetry_operator("parity", n)
+    S = symmetry_operator("spin_parity", n)
+    for basis in _all_sectors(n):
+        B = basis.embedding
+        assert sp.issparse(B) and B.format == "csc"
+        assert B.shape == (1 << n, basis.dim)
+        assert _max_abs(B.conj().T @ B - sp.eye(basis.dim)) <= 1e-12
+        assert _max_abs(T @ B - basis.t_eigenvalue * B) <= 1e-12
+        if basis.parity_eigenvalue is not None:
+            assert _max_abs(P @ B - basis.parity_eigenvalue * B) <= 1e-12
+        if basis.spin_parity is not None:
+            assert _max_abs(S @ B - basis.spin_parity * B) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_unrefined_embedding_nnz_counts_orbit_states(n):
+    for t in _roots_of_unity(n):
+        for spin_parity in (None, 1, -1):
+            basis = build_sector_basis(n, t, spin_parity=spin_parity)
+            states = sum(period for _, period in basis.orbit_reps)
+            assert basis.embedding.nnz == states <= 2 ** n
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sparse_embedding_matches_dense_reference(n):
+    for t in _roots_of_unity(n):
+        reps, dense = _dense_embedding(n, t)
+        basis = build_sector_basis(n, t)
+        assert basis.orbit_reps == tuple(reps)
+        assert _max_abs(basis.embedding.toarray() - dense) <= 1e-14
+
+
+def _dense_projection(full_op, dom, cod):
+    """Reference B_cod^H A B_dom through dense embeddings; dom, cod = (n, t)."""
+    _, Bd = _dense_embedding(*dom)
+    _, Bc = _dense_embedding(*cod)
+    return Bc.conj().T @ (full_op @ Bd)
+
+
+def _assert_close(op, ref):
+    assert isinstance(op, SectorOperator) and isinstance(op.matrix, np.ndarray)
+    assert _max_abs(op.matrix - ref) <= 1e-12 * max(1.0, _max_abs(ref))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sector_operators_match_dense_projection(n):
+    zeta = 0.7
+    t = float((-1) ** (n + 1))
+    ref = _dense_projection(xyz_hamiltonian_full(n, CouplingLine(zeta)), (n, t), (n, t))
+    _assert_close(xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n)), ref)
+    pair = build_supercharges(n, zeta)
+    Q = supercharge_full(n, zeta)
+    R_out = symmetry_operator("spin_reversal", n + 1)
+    R_in = symmetry_operator("spin_reversal", n)
+    _assert_close(pair.q_plain, _dense_projection(Q, (n, t), (n + 1, -t)))
+    _assert_close(pair.q_tilde, _dense_projection(R_out @ Q @ R_in, (n, t), (n + 1, -t)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from susyxyz.errors import DomainError
 from susyxyz.spinchain import CouplingLine, spectrum, xyz_hamiltonian
@@ -7,6 +8,7 @@ from susyxyz.supercharge import (
     build_supercharges,
     cohomology_dimension,
     conserved_charge_C,
+    local_q,
     multiplet_report,
     parity_covariance_check,
     susy_sector,
@@ -113,3 +115,47 @@ def test_domain_errors():
         cohomology_dimension(1, 0.5)
     with pytest.raises(DomainError):
         multiplet_report(2, 0.5)
+
+
+def _local_q_loop(j, n, zeta):
+    """Reference: q_j built state by state."""
+    rows, cols, vals = [], [], []
+    if j == 0:
+        sign = -1.0
+        for b in range(1 << n):
+            if not (b >> (n - 1)) & 1:
+                continue
+            body = (b & ((1 << (n - 1)) - 1)) << 1
+            rows.append(body)
+            vals.append(sign)
+            cols.append(b)
+            rows.append(body | 1 | (1 << n))
+            vals.append(-zeta * sign)
+            cols.append(b)
+    else:
+        string = (-1.0) ** (j - 1)
+        low_mask = (1 << (j - 1)) - 1
+        for b in range(1 << n):
+            if not (b >> (j - 1)) & 1:
+                continue
+            low = b & low_mask
+            rest = b >> j
+            base = low | (rest << (j + 1))
+            rows.append(base)  # pair ++ at sites (j, j+1)
+            vals.append(string)
+            cols.append(b)
+            rows.append(base | (0b11 << (j - 1)))  # pair -- at sites (j, j+1)
+            vals.append(-zeta * string)
+            cols.append(b)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(1 << (n + 1), 1 << n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("zeta", [0.0, 1.3])
+def test_local_q_equals_loop_reference(n, zeta):
+    for j in range(n + 1):
+        got, ref = local_q(j, n, zeta), _local_q_loop(j, n, zeta)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
