@@ -30,7 +30,6 @@ from .fermion import spectral_comparison
 from .spinchain import (
     CouplingLine,
     build_sector_basis,
-    common_levels,
     rescaled_spectrum,
     spectrum,
     spectrum_csv_rows,
@@ -38,7 +37,12 @@ from .spinchain import (
     xyz_hamiltonian,
     xyz_hamiltonian_full,
 )
-from .supercharge import cohomology_dimension, susy_sector, verify_algebra
+from .supercharge import (
+    cohomology_dimension,
+    parity_spectral_inclusion,
+    susy_sector,
+    verify_algebra,
+)
 
 DEFAULT_ZETAS = (0.0, 0.3, 1.0, 2.5)
 DEFAULT_SPECTRAL_TOL = 1e-8
@@ -209,20 +213,6 @@ def check_cohomology(args):
     return {"suite": "cohomology", "zetas": list(zetas), "dims": dims, "pass": ok}
 
 
-def _spectral_inclusion(n, zeta, tol):
-    """Odd-parity spectrum contained in even-parity spectrum at momentum 0.
-
-    Returns (residual, ok): ok iff every odd level has an even partner of its
-    own; residual is the largest distance from an unmatched odd level to the
-    unmatched even levels (inf if there are none), 0.0 when ok.
-    """
-    odd = spectrum(xyz_hamiltonian(n, CouplingLine(zeta), build_sector_basis(n, 1.0, parity=-1)))
-    even = spectrum(xyz_hamiltonian(n, CouplingLine(zeta), build_sector_basis(n, 1.0, parity=1)))
-    _, odd_only, even_only = common_levels(odd, even, tol)
-    gaps = [min((abs(f - e) for f in even_only), default=np.inf) for e in odd_only]
-    return max(gaps, default=0.0), not odd_only
-
-
 def check_conjectures(args):
     zetas = _resolve_zetas(args)
     tol = args.tol if args.tol is not None else DEFAULT_SPECTRAL_TOL
@@ -231,7 +221,7 @@ def check_conjectures(args):
         if n % 2 == 0:
             continue
         for z in zetas:
-            r, ok = _spectral_inclusion(n, z, tol)
+            r, ok = parity_spectral_inclusion(n, z, tol)
             checks.append({"relation": "parity_spectral_inclusion", "n": n,
                            "zeta": z, "residual": float(r), "pass": ok})
     for nome in args.nomes:

@@ -2,11 +2,18 @@
 
 Spinless fermions on a ring with nearest-neighbour exclusion, built from the
 supercharge Q = sum_j lambda_j d_j^dag with d_j = (1-n_{j-1}) c_j (1-n_{j+1}).
-With period-3 staggered couplings the Hamiltonian commutes with translation
-by three sites; the spectral-coincidence harness compares its sectors against
-the XYZ chain at momentum 0 or pi under the change of variables
-zeta^2 = 1 + 8 y^2. A combinatorial map sends height paths to hard-particle
-configurations and motivates theta-function couplings.
+A hard-core state is an n_f-bit mask (site y is bit y-1), so one-site
+translation is a bit rotation and the exclusion rule is x & rotate_left(x) == 0;
+each particle-number basis is the ascending tuple of such masks, and every
+operator on it is assembled with vectorised bit operations. With period-3
+staggered couplings the Hamiltonian commutes with translation by three sites.
+T^3 is a signed permutation of the masks (a particle crossing the seam picks
+up the boundary sign), so its eigenspaces come from the same orbit-sum builder
+as the spin chain's momentum sectors, as sparse embeddings. The
+spectral-coincidence harness compares these sectors against the XYZ chain at
+momentum 0 or pi under the change of variables zeta^2 = 1 + 8 y^2. A
+combinatorial map sends height paths to hard-particle configurations and
+motivates theta-function couplings.
 """
 
 from __future__ import annotations
@@ -17,15 +24,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
+from .eightvertex import PathState
 from .elliptic import w
 from .errors import ConfigurationError, DomainError, InvariantViolation
 from .spinchain import (
     CouplingLine,
     _eigh_checked,
     _group_levels,
+    _orbit_embedding,
+    _spin_parity,
     build_sector_basis,
     common_levels,
+    rotate_left,
     spectrum,
     xyz_hamiltonian,
 )
@@ -33,7 +45,8 @@ from .spinchain import (
 
 @dataclass(frozen=True)
 class HardcoreState:
-    """Occupied positions (1-based, increasing) with cyclic non-adjacency."""
+    """Occupied positions (1-based, increasing) with cyclic non-adjacency: the
+    validated image of `path_to_hardcore` (the bases themselves are masks)."""
 
     n_f: int
     occupied: tuple
@@ -66,22 +79,23 @@ def hardcore_count(n_f, m):
 
 @lru_cache(maxsize=None)
 def hardcore_basis(n_f, m):
-    """All m-particle hard-core states on the ring, lexicographically ordered
-    (a cached tuple)."""
+    """All m-particle hard-core states on the ring as ascending n_f-bit masks
+    (a cached tuple of ints)."""
     if not (0 <= m <= n_f // 2):
         raise DomainError(f"need 0 <= m <= n_f/2, got m={m}, n_f={n_f}")
-    states = []
-    for occ in itertools.combinations(range(1, n_f + 1), m):
-        try:
-            states.append(HardcoreState(n_f=n_f, occupied=occ))
-        except DomainError:
-            continue
-    if len(states) != hardcore_count(n_f, m):
+    sites = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n_f), m)),
+        dtype=np.int64,
+        count=math.comb(n_f, m) * m,
+    ).reshape(math.comb(n_f, m), m)
+    masks = np.bitwise_or.reduce(1 << sites, axis=1)
+    masks = np.sort(masks[(masks & rotate_left(masks, n_f)) == 0])
+    if len(masks) != hardcore_count(n_f, m):
         raise InvariantViolation(
             f"hard-core count mismatch at n_f={n_f}, m={m}: "
-            f"{len(states)} != {hardcore_count(n_f, m)}"
+            f"{len(masks)} != {hardcore_count(n_f, m)}"
         )
-    return tuple(states)
+    return tuple(masks.tolist())
 
 
 @dataclass(frozen=True)
@@ -123,26 +137,28 @@ def y_of_zeta(zeta):
     return math.sqrt((zeta ** 2 - 1.0) / 8.0)
 
 
-def _index_map(states):
-    return {s.occupied: i for i, s in enumerate(states)}
+def _seam_sign(boundary, m):
+    """Sign of the particle crossing the seam N_f -> 1: it passes the other m-1
+    fermions and picks up the boundary phase (antiperiodic for Neveu-Schwarz)."""
+    return (1.0 if boundary == "ramond" else -1.0) * (-1.0) ** (m - 1)
+
+
+def _translate(x, n_f, seam):
+    """One-site translation of masks, site y -> y+1: (image, sign), the sign
+    being `seam` where site n_f is occupied."""
+    return rotate_left(x, n_f), np.where((x >> (n_f - 1)) & 1, seam, 1.0)
 
 
 def creation_matrix(n_f, j, m):
     """Matrix of d_j^dag from the m-particle to the (m+1)-particle basis,
     with the Jordan-Wigner string sign (-1)^(number occupied left of j)."""
-    src = hardcore_basis(n_f, m)
-    dst = hardcore_basis(n_f, m + 1)
-    idx = _index_map(dst)
+    src = np.array(hardcore_basis(n_f, m))
+    dst = np.array(hardcore_basis(n_f, m + 1))
+    site = 1 << (j - 1)
+    near = site | (1 << (j - 2) % n_f) | (1 << j % n_f)  # j and its neighbours
+    cols = np.flatnonzero((src & near) == 0)
     D = np.zeros((len(dst), len(src)))
-    left = (j - 2) % n_f + 1
-    right = j % n_f + 1
-    for col, s in enumerate(src):
-        occ = set(s.occupied)
-        if j in occ or left in occ or right in occ:
-            continue
-        new = tuple(sorted(occ | {j}))
-        string = sum(1 for y in s.occupied if y < j)
-        D[idx[new], col] = (-1.0) ** string
+    D[np.searchsorted(dst, src[cols] | site), cols] = _spin_parity(src[cols] & (site - 1), n_f)
     return D
 
 
@@ -160,106 +176,72 @@ def fermion_hamiltonian(model):
     Ramond: H = {Q, Q^dag}; the hop across the seam then carries the string
     sign (-1)^(m-1). Neveu-Schwarz flips the sign of the seam hop term,
     equivalently multiplies its matrix elements by -1 relative to the written
-    periodic form, i.e. the seam hop carries (-1)^m.
+    periodic form, i.e. the seam hop carries (-1)^m. H is assembled sparse; a
+    T^3 sector matrix B^H (H B) is densified only at its own dimension.
     """
     n_f, m, lam = model.n_f, model.m, model.couplings
-    states = hardcore_basis(n_f, m)
-    idx = _index_map(states)
-    dim = len(states)
-    H = np.zeros((dim, dim))
-    bc = 1.0 if model.boundary == "ramond" else -1.0
-    for col, s in enumerate(states):
-        occ = set(s.occupied)
+    states = np.array(hardcore_basis(n_f, m))
+    index = np.arange(len(states))
+    seam = _seam_sign(model.boundary, m)
+    diag = np.zeros(len(states))
+    rows, cols, vals = [], [], []
+    for j in range(n_f):  # site j+1
+        left, right, beyond = (j - 1) % n_f, (j + 1) % n_f, (j + 2) % n_f
         # chemical potential / repulsion: sum_j lambda_j^2 (1-n_{j-1})(1-n_{j+1})
-        diag = 0.0
-        for j in range(1, n_f + 1):
-            left = (j - 2) % n_f + 1
-            right = j % n_f + 1
-            if left not in occ and right not in occ:
-                diag += lam[j - 1] ** 2
-        H[col, col] += diag
-        # hops j -> j+1 (cyclic); allowed when j occupied, j+1 and j+2 empty
-        for j in range(1, n_f + 1):
-            nxt = j % n_f + 1
-            beyond = nxt % n_f + 1
-            if j not in occ or nxt in occ or beyond in occ:
-                continue
-            new = tuple(sorted((occ - {j}) | {nxt}))
-            sign = 1.0
-            if j == n_f:  # seam hop N_f -> 1
-                sign = bc * (-1.0) ** (m - 1)
-            amp = lam[j - 1] * lam[nxt - 1] * sign
-            H[idx[new], col] += amp
-            H[col, idx[new]] += amp
+        diag += lam[j] ** 2 * (((states >> left) | (states >> right)) & 1 == 0)
+        # hop j -> j+1 (cyclic); allowed when j occupied, j+1 and j+2 empty
+        occupied = (states >> j) & 1 == 1
+        blocked = ((states >> right) | (states >> beyond)) & 1 == 1
+        hop = index[occupied & ~blocked]
+        new = np.searchsorted(states, states[hop] ^ ((1 << j) | (1 << right)))
+        amp = lam[j] * lam[right] * (seam if j == n_f - 1 else 1.0)
+        rows += [new, hop]
+        cols += [hop, new]
+        vals.append(np.full(2 * len(hop), amp))
+    rows.append(index)
+    cols.append(index)
+    vals.append(diag)
+    H = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(states), len(states)),
+    )
     if model.t3_sector is None:
-        return H
+        return H.toarray()
     B = t3_sector_basis(n_f, m, model.t3_sector, model.boundary)
-    return B.conj().T @ H @ B
+    return (B.conj().T @ (H @ B)).toarray()
 
 
 def translation_matrix(n_f, m, boundary="ramond"):
-    """One-site translation on the m-particle basis.
-
-    Moving the particle at site n_f to site 1 reorders it past the other
-    m-1 fermions and picks up the boundary phase (antiperiodic for
-    Neveu-Schwarz), giving the seam sign (+-1)(-1)^(m-1).
-    """
-    states = hardcore_basis(n_f, m)
-    idx = _index_map(states)
+    """One-site translation on the m-particle basis, with the seam sign
+    (+-1)(-1)^(m-1) of `_seam_sign`."""
+    states = np.array(hardcore_basis(n_f, m))
+    image, sign = _translate(states, n_f, _seam_sign(boundary, m))
     T = np.zeros((len(states), len(states)))
-    bc = 1.0 if boundary == "ramond" else -1.0
-    for col, s in enumerate(states):
-        new = tuple(sorted(y % n_f + 1 for y in s.occupied))
-        sign = bc * (-1.0) ** (m - 1) if n_f in s.occupied else 1.0
-        T[idx[new], col] = sign
+    T[np.searchsorted(states, image), np.arange(len(states))] = sign
     return T
 
 
 def t3_sector_basis(n_f, m, sigma, boundary="ramond"):
-    """Orthonormal basis of the T^3 eigenspace with eigenvalue sigma = +-1.
+    """Orthonormal basis of the T^3 eigenspace with eigenvalue sigma = +-1, as
+    a sparse CSC matrix over the m-particle basis.
 
-    T^3 is a signed permutation of the hard-core basis; the eigenvectors are
-    built exactly from its orbits (a state contributes iff the accumulated
-    sign around its orbit matches sigma^length).
+    T^3 is a signed permutation of the hard-core masks; each basis vector is
+    the phased orbit sum of `spinchain._orbit_embedding`, and an orbit
+    contributes iff the accumulated sign around it equals sigma^length.
     """
     if n_f % 3 != 0:
         raise DomainError("T^3 sectors need n_f to be a multiple of 3")
-    T = translation_matrix(n_f, m, boundary)
-    T3 = T @ T @ T
-    states = hardcore_basis(n_f, m)
-    dim = len(states)
-    # signed permutation data
-    target = np.argmax(np.abs(T3), axis=0)
-    sign = T3[target, np.arange(dim)]
-    cols = []
-    seen = np.zeros(dim, dtype=bool)
-    for start in range(dim):
-        if seen[start]:
-            continue
-        orbit = [start]
-        signs = [1.0]
-        cur = start
-        while True:
-            nxt = int(target[cur])
-            s = signs[-1] * sign[cur]
-            if nxt == start:
-                loop_sign = s
-                break
-            orbit.append(nxt)
-            signs.append(s)
-            cur = nxt
-        for i in orbit:
-            seen[i] = True
-        L = len(orbit)
-        if abs(sigma ** L - loop_sign) > 1e-12:
-            continue
-        v = np.zeros(dim)
-        for k, (i, s) in enumerate(zip(orbit, signs)):
-            v[i] = s * sigma ** (-k)
-        cols.append(v / np.linalg.norm(v))
-    if not cols:
-        return np.zeros((dim, 0))
-    return np.column_stack(cols)
+    states = np.array(hardcore_basis(n_f, m))
+    seam = _seam_sign(boundary, m)
+
+    def step(x):
+        x1, s1 = _translate(x, n_f, seam)
+        x2, s2 = _translate(x1, n_f, seam)
+        x3, s3 = _translate(x2, n_f, seam)
+        return x3, s1 * s2 * s3
+
+    B = _orbit_embedding(states, n_f, step, float(sigma))[2]
+    return B[states]
 
 
 def fermion_spectrum(n_f, y, m, boundary, sigma):
@@ -352,8 +334,6 @@ def path_translate(p):
     {0, 1, 2}, which is a shift by -1 (last step up) or +1 (last step down)
     modulo 3.
     """
-    from .eightvertex import PathState
-
     if p.n in p.positions:
         new_pos = (1,) + tuple(x + 1 for x in p.positions if x != p.n)
         new_ell = (p.ell + 1) % 3

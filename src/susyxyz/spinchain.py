@@ -5,9 +5,11 @@ least significant bit), so the translation operator is a cyclic bit rotation.
 A momentum sector is built from translation orbits: each basis vector is the
 phased orbit sum of a representative state, so its embedding into the full
 2^n-dimensional space is a sparse CSC matrix with at most n nonzeros per
-column (Lin, PRB 42, 6561 (1990); Sandvik, arXiv:1101.3281). Every sector
-operator is obtained by projecting a sparse full-space operator through that
-embedding; only the small dim x dim result is dense.
+column (Lin, PRB 42, 6561 (1990); Sandvik, arXiv:1101.3281); the same
+orbit-sum builder, for any signed permutation of bitmask states, gives the
+hard-core fermion ring its T^3 sectors. Every sector operator is obtained by
+projecting a sparse full-space operator through that embedding; only the
+small dim x dim result is dense.
 """
 
 from __future__ import annotations
@@ -98,19 +100,50 @@ def _spin_parity(bits, n):
     return 1 - 2 * odd
 
 
-def _orbits(n):
-    """(representatives, periods) of every translation orbit, ascending by
-    representative, the smallest state of its orbit."""
-    states = np.arange(1 << n)
+def _orbit_embedding(states, n, step, t):
+    """Orbit-sum embedding of the eigenvalue-t sector of a signed permutation.
+
+    `states` is an ascending integer array of n-bit states closed under `step`;
+    step(x) returns (image, sign) elementwise. The smallest state of each orbit
+    is its representative, and an orbit of period p is admitted iff t^p equals
+    the product of the signs around it. Column i is the orbit sum
+    sum_{k<p} conj(t)^k s_k |step^k(rep_i)> / sqrt(p), where s_k is the sign
+    accumulated over the first k steps, stored as a 2^n-row CSC matrix.
+    Returns (reps, periods, embedding), ascending by representative.
+    """
     rep = states.copy()
-    period = np.zeros(1 << n, dtype=np.int64)
-    x = states
-    for j in range(1, n + 1):
-        x = rotate_left(x, n)
+    period = np.zeros(len(states), dtype=np.int64)
+    loop_sign = np.ones(len(states))
+    x, acc = states, np.ones(len(states))
+    walked = 0
+    while not period.all():
+        walked += 1
+        x, sign = step(x)
+        acc = acc * sign
         np.minimum(rep, x, out=rep)
-        period[(period == 0) & (x == states)] = j
-    reps = np.flatnonzero(rep == states)
-    return reps, period[reps]
+        closed = (period == 0) & (x == states)
+        period[closed] = walked
+        loop_sign[closed] = acc[closed]
+    is_rep = rep == states
+    keep = np.abs(t ** period[is_rep] - loop_sign[is_rep]) <= 1e-9
+    reps, periods = states[is_rep][keep], period[is_rep][keep]
+
+    rows, cols, vals = [], [], []
+    index = np.arange(len(reps))
+    x, acc = reps, np.ones(len(reps))
+    tbar = np.conj(t)
+    for k in range(walked):
+        live = k < periods
+        rows.append(x[live])
+        cols.append(index[live])
+        vals.append(tbar ** k * acc[live] / np.sqrt(periods[live]))
+        x, sign = step(x)
+        acc = acc * sign
+    B = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(1 << n, len(reps)),
+    )
+    return reps, periods, B
 
 
 def symmetry_operator(kind, n):
@@ -142,29 +175,11 @@ def build_sector_basis(n, t_eigenvalue, parity=None, spin_parity=None):
     if parity is not None and abs(t.imag) > 1e-12:
         raise DomainError("parity sectors require a real translation eigenvalue")
 
-    reps, periods = _orbits(n)
-    admitted = [p for p in np.unique(periods).tolist() if abs(t ** p - 1.0) <= 1e-9]
-    keep = np.isin(periods, admitted)
+    states = np.arange(1 << n)
     if spin_parity is not None:
-        keep &= _spin_parity(reps, n) == spin_parity
-    reps, periods = reps[keep], periods[keep]
-
-    # column i is the orbit sum sum_{j<p} conj(t)^j T^j |rep_i> / sqrt(p)
-    rows, cols, vals = [], [], []
-    index = np.arange(len(reps))
-    state = reps
-    tbar = np.conj(t)
-    for j in range(n):
-        live = j < periods
-        rows.append(state[live])
-        cols.append(index[live])
-        vals.append(tbar ** j / np.sqrt(periods[live]))
-        state = rotate_left(state, n)
-    B = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(1 << n, len(reps)),
-        dtype=complex,
-    )
+        # S_N commutes with T, so the orbits of one spin parity close
+        states = states[_spin_parity(states, n) == spin_parity]
+    reps, periods, B = _orbit_embedding(states, n, lambda x: (rotate_left(x, n), 1.0), t)
 
     basis = SectorBasis(
         n=n,

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from susyxyz import cli
+from susyxyz import supercharge
 from susyxyz.cli import main, parse_grid, parse_n_range, parse_zeta_list, thread_cap
 from susyxyz.errors import ConfigurationError, DomainError
 
@@ -89,7 +89,7 @@ def test_spectrum_deterministic(capsys):
 def test_conjectures_unmatched_odd_level_fails(capsys, monkeypatch, even, residual):
     # a doubled odd level has only one even partner: the inclusion must fail
     levels = {-1: np.array([0.5, 2.0, 2.0]), 1: np.array(even)}
-    monkeypatch.setattr(cli, "spectrum", lambda op: levels[op.domain.parity_eigenvalue])
+    monkeypatch.setattr(supercharge, "spectrum", lambda op: levels[op.domain.parity_eigenvalue])
     code, out, _ = run(capsys, "check", "conjectures", "--n", "3", "--zeta", "0.5",
                        "--nomes", "0.1")
     assert code == 1

@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -103,6 +105,160 @@ def test_t3_sector_bases_are_orthonormal_eigenbases():
                 continue
             assert np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])) < 1e-12
             assert np.linalg.norm(T3 @ B - sigma * B) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# references: the per-state loops over occupied-site tuples that the bitmask
+# code replaced; an operator on them is compared after reordering to masks
+
+
+@lru_cache(maxsize=None)
+def _basis_loop(n_f, m):
+    """Reference: occupied-site tuples, lexicographic, filtered by validation."""
+    states = []
+    for occ in itertools.combinations(range(1, n_f + 1), m):
+        try:
+            states.append(HardcoreState(n_f=n_f, occupied=occ).occupied)
+        except DomainError:
+            continue
+    return tuple(states)
+
+
+def _creation_loop(n_f, j, m):
+    src, dst = _basis_loop(n_f, m), _basis_loop(n_f, m + 1)
+    idx = {occ: i for i, occ in enumerate(dst)}
+    D = np.zeros((len(dst), len(src)))
+    left, right = (j - 2) % n_f + 1, j % n_f + 1
+    for col, occ in enumerate(src):
+        if j in occ or left in occ or right in occ:
+            continue
+        D[idx[tuple(sorted(occ + (j,)))], col] = (-1.0) ** sum(1 for y in occ if y < j)
+    return D
+
+
+def _hamiltonian_loop(n_f, m, lam, boundary):
+    states = _basis_loop(n_f, m)
+    idx = {occ: i for i, occ in enumerate(states)}
+    H = np.zeros((len(states), len(states)))
+    bc = 1.0 if boundary == "ramond" else -1.0
+    for col, occ in enumerate(states):
+        occ = set(occ)
+        for j in range(1, n_f + 1):
+            left, right = (j - 2) % n_f + 1, j % n_f + 1
+            if left not in occ and right not in occ:
+                H[col, col] += lam[j - 1] ** 2
+        for j in range(1, n_f + 1):
+            nxt = j % n_f + 1
+            beyond = nxt % n_f + 1
+            if j not in occ or nxt in occ or beyond in occ:
+                continue
+            new = idx[tuple(sorted((occ - {j}) | {nxt}))]
+            sign = bc * (-1.0) ** (m - 1) if j == n_f else 1.0
+            H[new, col] += lam[j - 1] * lam[nxt - 1] * sign
+            H[col, new] += lam[j - 1] * lam[nxt - 1] * sign
+    return H
+
+
+def _translation_loop(n_f, m, boundary):
+    states = _basis_loop(n_f, m)
+    idx = {occ: i for i, occ in enumerate(states)}
+    T = np.zeros((len(states), len(states)))
+    bc = 1.0 if boundary == "ramond" else -1.0
+    for col, occ in enumerate(states):
+        new = tuple(sorted(y % n_f + 1 for y in occ))
+        T[idx[new], col] = bc * (-1.0) ** (m - 1) if n_f in occ else 1.0
+    return T
+
+
+def _t3_basis_loop(n_f, m, sigma, boundary):
+    """Reference: the T^3 eigenbasis from a Python walk over the orbits of
+    the dense T^3 = T T T."""
+    T = _translation_loop(n_f, m, boundary)
+    T3 = T @ T @ T
+    dim = len(T3)
+    target = np.argmax(np.abs(T3), axis=0)
+    sign = T3[target, np.arange(dim)]
+    cols, seen = [], np.zeros(dim, dtype=bool)
+    for start in range(dim):
+        if seen[start]:
+            continue
+        orbit, signs, cur = [start], [1.0], start
+        while True:
+            nxt = int(target[cur])
+            s = signs[-1] * sign[cur]
+            if nxt == start:
+                break
+            orbit.append(nxt)
+            signs.append(s)
+            cur = nxt
+        seen[orbit] = True
+        if abs(sigma ** len(orbit) - s) > 1e-12:
+            continue
+        v = np.zeros(dim)
+        for k, (i, sk) in enumerate(zip(orbit, signs)):
+            v[i] = sk * sigma ** (-k)
+        cols.append(v / np.linalg.norm(v))
+    return np.column_stack(cols) if cols else np.zeros((dim, 0))
+
+
+def _to_masks(n_f, m):
+    """Position in hardcore_basis(n_f, m) of each reference tuple state."""
+    masks = [sum(1 << (y - 1) for y in occ) for occ in _basis_loop(n_f, m)]
+    return np.searchsorted(np.array(hardcore_basis(n_f, m)), masks)
+
+
+def _reorder(A, rows, cols):
+    """A reference operator moved into the mask ordering."""
+    out = np.zeros_like(A)
+    out[np.ix_(rows, cols)] = A
+    return out
+
+
+REFERENCE_SIZES = (6, 9, 12, 15)
+
+
+@pytest.mark.parametrize("n_f", REFERENCE_SIZES)
+def test_masks_and_operators_match_loop_references(n_f):
+    rng = np.random.default_rng(n_f)
+    lam = tuple(rng.uniform(0.3, 1.7, n_f))
+    for m in range(n_f // 2 + 1):
+        perm = _to_masks(n_f, m)
+        assert sorted(perm.tolist()) == list(range(len(hardcore_basis(n_f, m))))
+        for boundary in ("ramond", "neveu-schwarz"):
+            H = fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m))
+            ref = _reorder(_hamiltonian_loop(n_f, m, lam, boundary), perm, perm)
+            assert np.abs(H - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+            T = _reorder(_translation_loop(n_f, m, boundary), perm, perm)
+            assert np.array_equal(translation_matrix(n_f, m, boundary), T)
+        if m < n_f // 2:
+            up = _to_masks(n_f, m + 1)
+            ref = sum(lam[j - 1] * _creation_loop(n_f, j, m) for j in range(1, n_f + 1))
+            Q = supercharge_matrix(n_f, lam, m)
+            assert np.abs(Q - _reorder(ref, up, perm)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_f", REFERENCE_SIZES)
+def test_t3_sectors_match_loop_reference(n_f):
+    lam = staggered_couplings(n_f, 0.73)
+    for m in range(n_f // 2 + 1):
+        perm = _to_masks(n_f, m)
+        for boundary in ("ramond", "neveu-schwarz"):
+            T = _translation_loop(n_f, m, boundary)
+            T3 = _reorder(T @ T @ T, perm, perm)
+            H_ref = _hamiltonian_loop(n_f, m, lam, boundary)
+            for sigma in (1, -1):
+                B = t3_sector_basis(n_f, m, sigma, boundary)
+                B_ref = _t3_basis_loop(n_f, m, sigma, boundary)
+                assert B.shape == B_ref.shape
+                dense = B.toarray()
+                assert np.abs(dense.T @ dense - np.eye(B.shape[1])).max(initial=0.0) <= 1e-12
+                assert np.abs(T3 @ dense - sigma * dense).max(initial=0.0) <= 1e-12
+                model = FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m,
+                                     t3_sector=sigma)
+                ev = np.linalg.eigvalsh(fermion_hamiltonian(model))
+                ev_ref = np.linalg.eigvalsh(B_ref.T @ H_ref @ B_ref)
+                assert np.abs(ev - ev_ref).max(initial=0.0) <= 1e-12 * max(
+                    1.0, np.abs(ev_ref).max(initial=0.0))
 
 
 @pytest.mark.parametrize("y", [0.37, 0.8, 1.3])

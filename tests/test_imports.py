@@ -1,4 +1,5 @@
-"""Every imported name in src/ and tests/ is referenced somewhere in its file."""
+"""Every imported name in src/ and tests/ is referenced somewhere in its file,
+and every import in src/ sits at module level."""
 
 import ast
 from pathlib import Path
@@ -25,3 +26,20 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert files
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def _function_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({
+        f"{path.relative_to(ROOT)}:{node.lineno}: in {fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_imports_inside_functions():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    assert [hit for path in files for hit in _function_imports(path)] == []
