@@ -10,6 +10,7 @@ extension u_{m+1} = pi which lowers the chain length by one site.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -163,9 +164,36 @@ def path_states(n):
     return states
 
 
+@functools.lru_cache(maxsize=256)
+def _require_independent(ctx):
+    """ctx.require_independent_local_vectors(), run once per context."""
+    ctx.require_independent_local_vectors()
+
+
+@functools.lru_cache(maxsize=1024)
+def _local_vector_table(ctx, n, shift):
+    """Read-only local vectors of the sites of an n-site path with the given
+    inhomogeneity, for every height -n <= lower <= n + 2.
+
+    table[0, lower + n] is the up-step vector at argument
+    s + (2 lower + 1) eta + shift, table[1, lower + n] the down-step vector at
+    t + (2 lower + 1) eta - shift; each is (theta_1, theta_4) at nome q^2.
+    """
+    lowers = range(-n, n + 3)
+    args = np.array(
+        [
+            [ctx.s + (2 * lower + 1) * ctx.eta + shift for lower in lowers],
+            [ctx.t + (2 * lower + 1) * ctx.eta - shift for lower in lowers],
+        ]
+    )
+    table = np.stack([ctx.theta_sq(1, args), ctx.theta_sq(4, args)], axis=-1)
+    table.flags.writeable = False
+    return table
+
+
 def path_state_vector(p, ctx, inhomogeneities=None):
     """Tensor product of local two-component vectors (site 1 = lowest bit)."""
-    ctx.require_independent_local_vectors()
+    _require_independent(ctx)
     if inhomogeneities is not None and len(inhomogeneities) != p.n:
         raise DomainError("need one inhomogeneity per site")
     hs = p.heights()
@@ -173,13 +201,11 @@ def path_state_vector(p, ctx, inhomogeneities=None):
     vec = np.ones(1)
     for j in range(1, p.n + 1):
         shift = inhomogeneities[j - 1] if inhomogeneities is not None else 0.0
+        table = _local_vector_table(ctx, p.n, shift)
         if j in down:
-            lower = hs[j]  # height after the down step
-            arg = ctx.t + (2 * lower + 1) * ctx.eta - shift
+            comp = table[1, hs[j] + p.n]  # height after the down step
         else:
-            lower = hs[j - 1]
-            arg = ctx.s + (2 * lower + 1) * ctx.eta + shift
-        comp = np.array([ctx.theta_sq(1, arg), ctx.theta_sq(4, arg)])
+            comp = table[0, hs[j - 1] + p.n]
         vec = np.outer(comp, vec).ravel()
     return vec
 
@@ -398,6 +424,48 @@ def _bethe_entire(U, n, omega, ctx):
     return left + omega ** 2 * right
 
 
+def _newton_polish(U, n, omega, ctx, imag_window, tol):
+    """Newton iteration of the entire Bethe system on the rows of U (K, m).
+
+    Only the live rows (not converged, not frozen) are evaluated; a finished
+    row is never updated again. Frozen (diverged) rows end as NaN.
+    """
+    m = U.shape[1]
+    U = U.copy()
+    eps = 1e-7
+    live = np.arange(len(U))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(60):
+            V = U[live]
+            F = _bethe_entire(V, n, omega, ctx)
+            keep = np.all(np.isfinite(F), axis=1) & (np.max(np.abs(F), axis=1) >= tol)
+            if not np.any(keep):
+                break
+            live, V, F = live[keep], V[keep], F[keep]
+            J = np.empty(V.shape + (m,), dtype=complex)
+            for k in range(m):
+                dV = np.zeros_like(V)
+                dV[:, k] = eps
+                J[:, :, k] = (_bethe_entire(V + dV, n, omega, ctx) - F) / eps
+            if m == 1:
+                step = F / np.where(J[:, :, 0] == 0, np.nan, J[:, :, 0])
+            else:
+                det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+                det = np.where(np.abs(det) < 1e-30, np.nan, det)
+                step = np.empty_like(V)
+                step[:, 0] = (J[:, 1, 1] * F[:, 0] - J[:, 0, 1] * F[:, 1]) / det
+                step[:, 1] = (J[:, 0, 0] * F[:, 1] - J[:, 1, 0] * F[:, 0]) / det
+            # freeze diverging trajectories instead of chasing them: a step
+            # longer than 5, or a root more than one such step outside the
+            # strip |Im u| <= imag_window + 0.2 that the caller keeps (further
+            # out the theta series would soon exceed its term limit)
+            step = np.where(np.abs(step) > 5.0, np.nan, step)
+            V = V - step
+            V[np.any(np.abs(V.imag) > imag_window + 5.2, axis=1)] = np.nan
+            U[live] = V
+    return U
+
+
 def find_bethe_roots(n, m, omega, ctx, grid=13, imag_window=1.2, tol=1e-11):
     """Grid scan plus batched Newton polishing of the Bethe equations, m <= 2.
 
@@ -421,30 +489,7 @@ def find_bethe_roots(n, m, omega, ctx, grid=13, imag_window=1.2, tol=1e-11):
     else:
         U = np.array([[s1, s2] for s1, s2 in itertools.combinations(starts, 2)])
 
-    eps = 1e-7
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-      for _ in range(60):
-        F = _bethe_entire(U, n, omega, ctx)
-        done = ~np.all(np.isfinite(F), axis=1) | (np.max(np.abs(F), axis=1) < tol)
-        if np.all(done):
-            break
-        J = np.empty(U.shape + (m,), dtype=complex)
-        for k in range(m):
-            dU = np.zeros_like(U)
-            dU[:, k] = eps
-            J[:, :, k] = (_bethe_entire(U + dU, n, omega, ctx) - F) / eps
-        if m == 1:
-            step = (F / np.where(J[:, :, 0] == 0, np.nan, J[:, :, 0]))
-        else:
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            det = np.where(np.abs(det) < 1e-30, np.nan, det)
-            step = np.empty_like(U)
-            step[:, 0] = (J[:, 1, 1] * F[:, 0] - J[:, 0, 1] * F[:, 1]) / det
-            step[:, 1] = (J[:, 0, 0] * F[:, 1] - J[:, 1, 0] * F[:, 0]) / det
-        # freeze diverging trajectories instead of chasing them
-        step = np.where(np.abs(step) > 5.0, np.nan, step)
-        active = (np.max(np.abs(F), axis=1) >= tol)[:, None]
-        U = U - np.where(active, step, 0.0)
+    U = _newton_polish(U, n, omega, ctx, imag_window, tol)
 
     found = []
 
@@ -597,7 +642,7 @@ def appendixB_decomposition(ctx):
     entries of A (and hence the ratio) carrying the opposite sign. Both
     ratios are reported.
     """
-    ctx.require_independent_local_vectors()
+    _require_independent(ctx)
     zeta = zeta_of_nome(ctx.nome)
     s, t = ctx.s, ctx.t
     f1s, f4s = theta_triple_product(1, s, ctx), theta_triple_product(4, s, ctx)

@@ -1,14 +1,21 @@
 """Jacobi theta functions and derived scalar quantities.
 
 All theta functions follow the Whittaker-Watson conventions and are evaluated
-by the plain q-series, truncated once the next term drops below a tolerance.
-The crossing parameter eta = pi/3 is the root-of-unity point where the lattice
-supersymmetry lives; everything downstream (vertex weights, path-basis local
-vectors, fermion couplings) is built from the quantities defined here.
+by the plain q-series. The coefficients of a series depend only on (kind,
+nome) and are cached together with the bound on each next term. The term
+count is fixed once per call from those bounds and the largest finite |Im z|;
+no truncated sum is ever returned: when no count up to `_MAX_TERMS` meets the
+tolerance (nome too close to 1, or |Im z| too large) `theta` raises
+RangeError. The crossing parameter eta = pi/3 is the root-of-unity point
+where the lattice supersymmetry lives; everything downstream (vertex weights,
+path-basis local vectors, fermion couplings) is built from the quantities
+defined here.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,44 +28,100 @@ ETA_SUSY = math.pi / 3
 _MAX_TERMS = 64
 
 
-def theta(kind, z, nome, trunc_tol=1e-16):
-    """Jacobi theta function theta_kind(z, q) via the truncated q-series.
+@functools.lru_cache(maxsize=256)
+def _series(kind, nome, trunc_tol):
+    """Coefficients, frequencies and next-term bounds of the q-series of
+    theta_kind, one entry per term n < _MAX_TERMS, and the first n whose
+    bound is below trunc_tol (None when there is none).
 
-    kind is 1..4; z may be real or complex (scalar or array). Real input
-    returns real output. Raises DomainError unless 0 <= nome < 1.
+    Term n is coef * sin(freq * z) (kind 1) or coef * cos(freq * z); a zero
+    frequency marks the constant term of kinds 3 and 4. The magnitude of
+    term n + 1 is at most bound * exp((2n + 3) |Im z|).
+    """
+    coefs, freqs, bounds = [], [], []
+    for n in range(_MAX_TERMS):
+        if kind == 1:
+            coefs.append(2.0 * (-1.0) ** n * nome ** ((n + 0.5) ** 2))
+        elif kind == 2:
+            coefs.append(2.0 * nome ** ((n + 0.5) ** 2))
+        elif kind == 3:
+            coefs.append(1.0 if n == 0 else 2.0 * nome ** (n ** 2))
+        else:
+            coefs.append(1.0 if n == 0 else 2.0 * (-1.0) ** n * nome ** (n ** 2))
+        if kind in (1, 2):
+            freqs.append(2 * n + 1)
+            bounds.append(2.0 * nome ** ((n + 1.5) ** 2))
+        else:
+            freqs.append(2 * n)
+            bounds.append(2.0 * nome ** ((n + 1) ** 2))
+    first = next((n for n, b in enumerate(bounds) if b < trunc_tol), None)
+    return tuple(coefs), tuple(freqs), tuple(bounds), first
+
+
+def theta(kind, z, nome, trunc_tol=1e-16):
+    """Jacobi theta function theta_kind(z, q) via the q-series.
+
+    kind is 1..4; z may be real or complex, a Python/numpy scalar or an
+    array. Real input returns real output; scalars come back as numpy
+    scalars. The series coefficients are cached per (kind, nome, trunc_tol)
+    and the number of terms N is fixed up front: the first N for which the
+    bound on the next term, 2 q^((N+1/2)^2) (kinds 1, 2) or 2 q^(N^2)
+    (kinds 3, 4) times exp((2N+1) y), falls below trunc_tol, with y the
+    largest |Im z| over the finite entries of z (y = 0 for real z).
+    Non-finite entries stay non-finite and do not set N. Raises DomainError
+    unless 0 <= nome < 1 and RangeError when no N <= _MAX_TERMS meets the
+    bound for finite input.
     """
     if kind not in (1, 2, 3, 4):
         raise DomainError(f"theta kind must be 1..4, got {kind}")
     if not (0.0 <= nome < 1.0):
         raise DomainError(f"nome must lie in [0, 1), got {nome}")
+    coefs, freqs, bounds, first = _series(kind, float(nome), trunc_tol)
 
-    z = np.asarray(z)
-    is_complex = np.iscomplexobj(z)
-    total = np.zeros(z.shape, dtype=complex if is_complex else float)
-
-    for n in range(_MAX_TERMS):
-        if kind == 1:
-            term = 2.0 * (-1.0) ** n * nome ** ((n + 0.5) ** 2) * np.sin((2 * n + 1) * z)
-        elif kind == 2:
-            term = 2.0 * nome ** ((n + 0.5) ** 2) * np.cos((2 * n + 1) * z)
-        elif kind == 3:
-            term = 1.0 if n == 0 else 2.0 * nome ** (n ** 2) * np.cos(2 * n * z)
+    scalar = isinstance(z, (int, float, complex))
+    if not scalar:
+        z = np.asarray(z)
+    is_complex = isinstance(z, complex) if scalar else np.iscomplexobj(z)
+    count = None if first is None else first + 1
+    y = 0.0
+    if is_complex and first is not None:
+        if scalar:
+            y = abs(z.imag) if cmath.isfinite(z) else 0.0
         else:
-            term = 1.0 if n == 0 else 2.0 * (-1.0) ** n * nome ** (n ** 2) * np.cos(2 * n * z)
-        total = total + term
-        # superexponential decay in n; bound the next term's magnitude
-        if kind in (1, 2):
-            bound = 2.0 * nome ** ((n + 1.5) ** 2)
-        else:
-            bound = 2.0 * nome ** ((n + 1) ** 2)
-        if is_complex:
-            bound *= math.exp((2 * n + 3) * float(np.max(np.abs(z.imag)))) if z.size else 1.0
-        if bound < trunc_tol:
-            break
+            finite_imag = np.abs(z.imag[np.isfinite(z)])
+            y = float(np.max(finite_imag)) if finite_imag.size else 0.0
+        # exp((2n + 3) y) >= 1, so no term before `first` can meet the bound;
+        # once exp overflows, no later term can either
+        try:
+            count = next(
+                (n + 1 for n in range(first, _MAX_TERMS)
+                 if bounds[n] * math.exp((2 * n + 3) * y) < trunc_tol),
+                None,
+            )
+        except OverflowError:
+            count = None
+    if count is None:
+        if np.any(np.isfinite(z)):
+            raise RangeError(
+                f"theta_{kind} series at nome={nome} does not reach {trunc_tol:g} "
+                f"within {_MAX_TERMS} terms (largest |Im z| {y:g})"
+            )
+        count = _MAX_TERMS
 
-    if total.ndim == 0:
-        return total[()]
-    return total
+    if scalar:
+        lib = cmath if is_complex else math
+        total = 0j if is_complex else 0.0
+    else:
+        lib = np
+        total = np.zeros(z.shape, dtype=complex if is_complex else float)
+    trig = lib.sin if kind == 1 else lib.cos
+    for n in range(count):
+        freq = freqs[n]
+        total = total + (coefs[n] * trig(freq * z) if freq else coefs[n])
+
+    if scalar:
+        return np.complex128(total) if is_complex else np.float64(total)
+    return total[()] if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)

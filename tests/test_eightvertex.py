@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from susyxyz import eightvertex, elliptic
 from susyxyz.eightvertex import (
     BetheRoots,
+    _bethe_entire,
+    _newton_polish,
     _path_rank_complement,
     PathState,
     appendixB_decomposition,
@@ -22,6 +25,7 @@ from susyxyz.eightvertex import (
     path_complement,
     path_matrix,
     path_rank,
+    path_state_vector,
     path_states,
     scattering_ratio,
     theta_triple_product,
@@ -173,6 +177,49 @@ def test_complement_inhomogeneous_variant():
         T = transfer_matrix(n, u, CTX, inhomogeneities=shifts)
         lam = np.prod([h(u - s, CTX) for s in shifts])
         assert np.linalg.norm(T @ comp - lam * comp) < 1e-8 * max(1.0, abs(lam))
+
+
+def _path_state_vector_per_site(p, ctx, inhomogeneities=None):
+    """The former path_state_vector: two theta calls for every site."""
+    hs = p.heights()
+    vec = np.ones(1)
+    for j in range(1, p.n + 1):
+        shift = inhomogeneities[j - 1] if inhomogeneities is not None else 0.0
+        if j in p.positions:
+            arg = ctx.t + (2 * hs[j] + 1) * ctx.eta - shift
+        else:
+            arg = ctx.s + (2 * hs[j - 1] + 1) * ctx.eta + shift
+        vec = np.outer(np.array([ctx.theta_sq(1, arg), ctx.theta_sq(4, arg)]), vec).ravel()
+    return vec
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 7])
+def test_cached_local_vectors_match_per_site_build(n):
+    ctx = ThetaContext(nome=0.35, s=0.21, t=-0.64)
+    shifts = tuple(np.random.default_rng(n).uniform(-0.2, 0.2, size=n))
+    for p in path_states(n):
+        for inh in (None, shifts):
+            assert np.array_equal(
+                path_state_vector(p, ctx, inh), _path_state_vector_per_site(p, ctx, inh)
+            )
+
+
+def test_path_matrix_theta_call_count(monkeypatch):
+    # a context no other test uses, so neither cache is warm
+    ctx = ThetaContext(nome=0.27, s=0.3117, t=-0.6931)
+    calls = []
+    real_theta = elliptic.theta
+
+    def counting_theta(*args, **kwargs):
+        calls.append(args[0])
+        return real_theta(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "theta", counting_theta)
+    states, M = path_matrix(10, ctx)
+    assert M.shape == (1024, len(states))
+    # 14 for the independence check and 2 for the local-vector table; without
+    # either cache the count grows with the 1026 paths
+    assert len(calls) <= 32
 
 
 def test_complement_requires_odd_size():
@@ -384,3 +431,63 @@ def test_identity_decomposition_random_parameters(seed):
     )
     report = appendixB_decomposition(ctx)
     assert report["pass"], report
+
+
+# ---------------------------------------------------------------------------
+# Newton on live rows against the former all-rows loop
+
+BENCH_BETHE_CASES = [(5, 1), (4, 2)]
+OMEGAS = (1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3))
+
+
+def _newton_all_rows(U, n, omega, ctx, tol=1e-11):
+    """The former Newton loop: F and the Jacobian on every row, every pass."""
+    m = U.shape[1]
+    eps = 1e-7
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(60):
+            F = _bethe_entire(U, n, omega, ctx)
+            done = ~np.all(np.isfinite(F), axis=1) | (np.max(np.abs(F), axis=1) < tol)
+            if np.all(done):
+                break
+            J = np.empty(U.shape + (m,), dtype=complex)
+            for k in range(m):
+                dU = np.zeros_like(U)
+                dU[:, k] = eps
+                J[:, :, k] = (_bethe_entire(U + dU, n, omega, ctx) - F) / eps
+            if m == 1:
+                step = F / np.where(J[:, :, 0] == 0, np.nan, J[:, :, 0])
+            else:
+                det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+                det = np.where(np.abs(det) < 1e-30, np.nan, det)
+                step = np.empty_like(U)
+                step[:, 0] = (J[:, 1, 1] * F[:, 0] - J[:, 0, 1] * F[:, 1]) / det
+                step[:, 1] = (J[:, 0, 0] * F[:, 1] - J[:, 1, 0] * F[:, 0]) / det
+            step = np.where(np.abs(step) > 5.0, np.nan, step)
+            active = (np.max(np.abs(F), axis=1) >= tol)[:, None]
+            U = U - np.where(active, step, 0.0)
+    return U
+
+
+@pytest.mark.parametrize("nome", [0.05, 0.2, 0.45])
+def test_live_row_newton_matches_all_rows_loop(nome, monkeypatch):
+    # nome 0.45 needs the most theta terms: no row may push the series past
+    # its term limit there, so every scan must run through
+    ctx = ThetaContext(nome=nome)
+    polished = []
+
+    def recording_polish(U, *args):
+        out = _newton_polish(U, *args)
+        polished.append((U, out))
+        return out
+
+    monkeypatch.setattr(eightvertex, "_newton_polish", recording_polish)
+    for n, m in BENCH_BETHE_CASES:
+        for omega in OMEGAS:
+            assert find_bethe_roots(n, m, omega, ctx)
+            ((start, got),) = polished
+            polished.clear()
+            ref = _newton_all_rows(start, n, complex(omega), ctx)
+            # same iterates bit for bit, including which rows diverged, so the
+            # same root sets
+            assert np.array_equal(got, ref, equal_nan=True)

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from susyxyz.elliptic import (
+    _MAX_TERMS,
     ThetaContext,
     h,
     nome_of_zeta,
@@ -115,3 +117,103 @@ def test_degenerate_local_vectors_detected():
     with pytest.raises(ConfigurationError):
         ctx.require_independent_local_vectors()
     ThetaContext(nome=0.2).require_independent_local_vectors()  # default pair is fine
+
+
+# ---------------------------------------------------------------------------
+# the cached-coefficient kernel against the per-term loop it replaced
+
+
+def _theta_per_term_loop(kind, z, nome, trunc_tol=1e-16):
+    """The former theta: one term at a time, the stopping bound re-derived
+    from np.max |Im z| after every term, silently truncated at _MAX_TERMS."""
+    z = np.asarray(z)
+    is_complex = np.iscomplexobj(z)
+    total = np.zeros(z.shape, dtype=complex if is_complex else float)
+    for n in range(_MAX_TERMS):
+        if kind == 1:
+            term = 2.0 * (-1.0) ** n * nome ** ((n + 0.5) ** 2) * np.sin((2 * n + 1) * z)
+        elif kind == 2:
+            term = 2.0 * nome ** ((n + 0.5) ** 2) * np.cos((2 * n + 1) * z)
+        elif kind == 3:
+            term = 1.0 if n == 0 else 2.0 * nome ** (n ** 2) * np.cos(2 * n * z)
+        else:
+            term = 1.0 if n == 0 else 2.0 * (-1.0) ** n * nome ** (n ** 2) * np.cos(2 * n * z)
+        total = total + term
+        if kind in (1, 2):
+            bound = 2.0 * nome ** ((n + 1.5) ** 2)
+        else:
+            bound = 2.0 * nome ** ((n + 1) ** 2)
+        if is_complex:
+            bound *= math.exp((2 * n + 3) * float(np.max(np.abs(z.imag)))) if z.size else 1.0
+        if bound < trunc_tol:
+            break
+    if total.ndim == 0:
+        return total[()]
+    return total
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_theta_matches_per_term_loop(kind):
+    rng = np.random.default_rng(kind)
+    for _ in range(200):
+        q = float(rng.uniform(0.0, 0.9))
+        x = rng.uniform(-8.0, 8.0, 5)
+        zs = [x, x + 1j * rng.uniform(-3.0, 3.0, 5)]
+        zs += [float(x[0]), complex(zs[1][0]), x[1], zs[1][1]]  # Python and numpy scalars
+        for z in zs:
+            got, ref = theta(kind, z, q), _theta_per_term_loop(kind, z, q)
+            assert type(got) is type(ref)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_nan_entries_do_not_change_finite_entries(kind):
+    rng = np.random.default_rng(10 + kind)
+    z = rng.uniform(-3.0, 3.0, 8) + 1j * rng.uniform(-1.5, 1.5, 8)
+    clean = theta(kind, z, 0.3)
+    dirty = z.copy()
+    dirty[[1, 4]] = np.nan
+    dirty[6] = complex(0.2, np.inf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = theta(kind, dirty, 0.3)
+    keep = np.isfinite(dirty)
+    assert np.array_equal(out[keep], clean[keep])
+    assert not np.any(np.isfinite(out[[1, 4]]))
+    real = theta(kind, np.where(keep, z.real, np.nan), 0.3)
+    assert np.array_equal(real[keep], theta(kind, z.real, 0.3)[keep])
+
+
+@given(kind=st.integers(1, 4), z=st.floats(-6, 6), q=st.floats(0, 0.95))
+@settings(max_examples=80, deadline=None)
+def test_theta_real_against_mpmath(kind, z, q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(mpmath.jtheta(kind, z, q))
+    assert abs(theta(kind, z, q) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@given(
+    kind=st.integers(1, 4),
+    x=st.floats(-6, 6),
+    y=st.floats(-1.5, 1.5),
+    q=st.floats(0, 0.5),
+)
+@settings(max_examples=80, deadline=None)
+def test_theta_complex_against_mpmath(kind, x, y, q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = complex(mpmath.jtheta(kind, mpmath.mpc(x, y), q))
+    assert abs(theta(kind, complex(x, y), q) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_theta_raises_instead_of_truncating():
+    # 64 terms of the theta_3 series at q = 0.999 sum to 55.78; the value is 56.04
+    with pytest.raises(RangeError):
+        theta(3, 0.0, 0.999)
+    with pytest.raises(RangeError):
+        theta(1, np.array([0.1, 0.2]), 0.995)
+    with pytest.raises(RangeError):  # the bound grows like exp((2n+3) |Im z|)
+        theta(1, complex(0.3, 40.0), 0.45)
+    # at q = 0.99 the series still converges: theta_3(0, q) = sqrt(pi / -ln q)
+    # up to a relative exp(-pi^2 / -ln q) ~ 1e-429
+    assert theta(3, 0.0, 0.99) == pytest.approx(math.sqrt(math.pi / -math.log(0.99)), rel=1e-13)
