@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import h, w, zeta_of_nome
+from .elliptic import h, theta_reach, w, zeta_of_nome
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -431,7 +431,19 @@ def _newton_polish(U, n, omega, ctx, imag_window, tol):
     row is never updated again. Frozen (diverged) rows end as NaN.
     """
     m = U.shape[1]
+    reach = theta_reach(1, ctx.nome, ctx.trunc_tol)
+
+    def freeze(V):
+        # a root more than one maximal step outside the strip
+        # |Im u| <= imag_window + 0.2 that the caller keeps, or an argument
+        # u -+ eta or u_1 - u_2 -+ 2 eta of h at or past the reach of the
+        # theta series, where theta raises RangeError
+        args = np.concatenate([V, V[:, :1] - V[:, 1:]], axis=1)
+        far = np.any(np.abs(V.imag) > imag_window + 5.2, axis=1)
+        V[far | np.any(np.abs(args.imag) >= reach, axis=1)] = np.nan
+
     U = U.copy()
+    freeze(U)
     eps = 1e-7
     live = np.arange(len(U))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -456,14 +468,28 @@ def _newton_polish(U, n, omega, ctx, imag_window, tol):
                 step[:, 0] = (J[:, 1, 1] * F[:, 0] - J[:, 0, 1] * F[:, 1]) / det
                 step[:, 1] = (J[:, 0, 0] * F[:, 1] - J[:, 1, 0] * F[:, 0]) / det
             # freeze diverging trajectories instead of chasing them: a step
-            # longer than 5, or a root more than one such step outside the
-            # strip |Im u| <= imag_window + 0.2 that the caller keeps (further
-            # out the theta series would soon exceed its term limit)
+            # longer than 5, or a root out of the bounds above
             step = np.where(np.abs(step) > 5.0, np.nan, step)
             V = V - step
-            V[np.any(np.abs(V.imag) > imag_window + 5.2, axis=1)] = np.nan
+            freeze(V)
             U[live] = V
     return U
+
+
+def _newton_starts(m, grid, imag_window):
+    """Start rows (K, m) of the Newton scan: a grid over 0 <= Re u < pi,
+    |Im u| <= imag_window, and for m = 2 every pair of its points."""
+    if m == 2:
+        grid = min(grid, 9)
+        n_im = 5
+    else:
+        n_im = 7
+    res = np.linspace(0.0, math.pi, grid, endpoint=False)
+    ims = np.linspace(-imag_window, imag_window, n_im)
+    starts = [complex(x, y) for x in res for y in ims]
+    if m == 1:
+        return np.array([[s] for s in starts])
+    return np.array([[s1, s2] for s1, s2 in itertools.combinations(starts, 2)])
 
 
 def find_bethe_roots(n, m, omega, ctx, grid=13, imag_window=1.2, tol=1e-11):
@@ -475,20 +501,7 @@ def find_bethe_roots(n, m, omega, ctx, grid=13, imag_window=1.2, tol=1e-11):
     if m not in (1, 2):
         raise DomainError("root searching is supported for m = 1, 2 only")
     omega = complex(omega)
-
-    if m == 2:
-        grid = min(grid, 9)
-        n_im = 5
-    else:
-        n_im = 7
-    res = np.linspace(0.0, math.pi, grid, endpoint=False)
-    ims = np.linspace(-imag_window, imag_window, n_im)
-    starts = [complex(x, y) for x in res for y in ims]
-    if m == 1:
-        U = np.array([[s] for s in starts])
-    else:
-        U = np.array([[s1, s2] for s1, s2 in itertools.combinations(starts, 2)])
-
+    U = _newton_starts(m, grid, imag_window)
     U = _newton_polish(U, n, omega, ctx, imag_window, tol)
 
     found = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +27,23 @@ from .errors import ConfigurationError, DomainError, RangeError
 ETA_SUSY = math.pi / 3
 
 _MAX_TERMS = 64
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @functools.lru_cache(maxsize=256)
 def _series(kind, nome, trunc_tol):
-    """Coefficients, frequencies and next-term bounds of the q-series of
-    theta_kind, one entry per term n < _MAX_TERMS, and the first n whose
-    bound is below trunc_tol (None when there is none).
+    """Coefficients, frequencies and reaches of the q-series of theta_kind,
+    one entry per term n < _MAX_TERMS, and the first n whose reach is
+    positive (None when there is none).
 
     Term n is coef * sin(freq * z) (kind 1) or coef * cos(freq * z); a zero
     frequency marks the constant term of kinds 3 and 4. The magnitude of
-    term n + 1 is at most bound * exp((2n + 3) |Im z|).
+    term n + 1 is at most bound * exp((2n + 3) |Im z|), with bound
+    2 q^((n+3/2)^2) (kinds 1, 2) or 2 q^((n+1)^2) (kinds 3, 4); reach n is
+    the |Im z| below which that is under trunc_tol and the exp is a finite
+    float, so that n + 1 terms suffice.
     """
-    coefs, freqs, bounds = [], [], []
+    coefs, freqs, reaches = [], [], []
     for n in range(_MAX_TERMS):
         if kind == 1:
             coefs.append(2.0 * (-1.0) ** n * nome ** ((n + 0.5) ** 2))
@@ -48,14 +53,24 @@ def _series(kind, nome, trunc_tol):
             coefs.append(1.0 if n == 0 else 2.0 * nome ** (n ** 2))
         else:
             coefs.append(1.0 if n == 0 else 2.0 * (-1.0) ** n * nome ** (n ** 2))
-        if kind in (1, 2):
-            freqs.append(2 * n + 1)
-            bounds.append(2.0 * nome ** ((n + 1.5) ** 2))
-        else:
-            freqs.append(2 * n)
-            bounds.append(2.0 * nome ** ((n + 1) ** 2))
-    first = next((n for n, b in enumerate(bounds) if b < trunc_tol), None)
-    return tuple(coefs), tuple(freqs), tuple(bounds), first
+        freqs.append(2 * n + 1 if kind in (1, 2) else 2 * n)
+        power = (n + 1.5) ** 2 if kind in (1, 2) else (n + 1) ** 2
+        # log of the bound, so that it does not underflow to zero; the reach
+        # also keeps exp((2n + 3) y), and with it every sin and cos of the
+        # sum, below overflow
+        log_bound = math.log(2.0) + power * math.log(nome) if nome else -math.inf
+        reaches.append(min(math.log(trunc_tol) - log_bound, _LOG_MAX) / (2 * n + 3))
+    first = next((n for n, r in enumerate(reaches) if r > 0.0), None)
+    return tuple(coefs), tuple(freqs), tuple(reaches), first
+
+
+def theta_reach(kind, nome, trunc_tol=1e-16):
+    """The |Im z| at and beyond which `theta` raises RangeError for this
+    kind and nome: below it some term count up to _MAX_TERMS meets trunc_tol.
+    Zero or negative when even real z needs more terms."""
+    if not (0.0 <= nome < 1.0):
+        raise DomainError(f"nome must lie in [0, 1), got {nome}")
+    return max(_series(kind, float(nome), trunc_tol)[2])
 
 
 def theta(kind, z, nome, trunc_tol=1e-16):
@@ -70,15 +85,17 @@ def theta(kind, z, nome, trunc_tol=1e-16):
     largest |Im z| over the finite entries of z (y = 0 for real z).
     Non-finite entries stay non-finite and do not set N. Raises DomainError
     unless 0 <= nome < 1 and RangeError when no N <= _MAX_TERMS meets the
-    bound for finite input.
+    bound for finite input, that is when y >= theta_reach(kind, nome).
     """
     if kind not in (1, 2, 3, 4):
         raise DomainError(f"theta kind must be 1..4, got {kind}")
     if not (0.0 <= nome < 1.0):
         raise DomainError(f"nome must lie in [0, 1), got {nome}")
-    coefs, freqs, bounds, first = _series(kind, float(nome), trunc_tol)
+    coefs, freqs, reaches, first = _series(kind, float(nome), trunc_tol)
 
-    scalar = isinstance(z, (int, float, complex))
+    # finite Python and numpy scalars are summed with math/cmath; math.sin
+    # and cmath.cos raise on inf where numpy returns nan
+    scalar = isinstance(z, (int, float, complex)) and cmath.isfinite(z)
     if not scalar:
         z = np.asarray(z)
     is_complex = isinstance(z, complex) if scalar else np.iscomplexobj(z)
@@ -86,20 +103,12 @@ def theta(kind, z, nome, trunc_tol=1e-16):
     y = 0.0
     if is_complex and first is not None:
         if scalar:
-            y = abs(z.imag) if cmath.isfinite(z) else 0.0
+            y = abs(z.imag)
         else:
             finite_imag = np.abs(z.imag[np.isfinite(z)])
             y = float(np.max(finite_imag)) if finite_imag.size else 0.0
-        # exp((2n + 3) y) >= 1, so no term before `first` can meet the bound;
-        # once exp overflows, no later term can either
-        try:
-            count = next(
-                (n + 1 for n in range(first, _MAX_TERMS)
-                 if bounds[n] * math.exp((2 * n + 3) * y) < trunc_tol),
-                None,
-            )
-        except OverflowError:
-            count = None
+        # no term before `first` can meet the bound
+        count = next((n + 1 for n in range(first, _MAX_TERMS) if y < reaches[n]), None)
     if count is None:
         if np.any(np.isfinite(z)):
             raise RangeError(

@@ -10,6 +10,7 @@ from susyxyz.elliptic import (
     h,
     nome_of_zeta,
     theta,
+    theta_reach,
     w,
     zeta_of_nome,
 )
@@ -181,6 +182,12 @@ def test_nan_entries_do_not_change_finite_entries(kind):
     assert not np.any(np.isfinite(out[[1, 4]]))
     real = theta(kind, np.where(keep, z.real, np.nan), 0.3)
     assert np.array_equal(real[keep], theta(kind, z.real, 0.3)[keep])
+    # scalars, Python and numpy alike, give nan where math/cmath would raise
+    scalars = [math.inf, -math.inf, math.nan, complex(0.2, math.inf), complex(math.nan, 0.1)]
+    scalars += [np.float64(math.inf), np.complex128(complex(math.inf, 0.0))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for zs in scalars:
+            assert np.isnan(theta(kind, zs, 0.3))
 
 
 @given(kind=st.integers(1, 4), z=st.floats(-6, 6), q=st.floats(0, 0.95))
@@ -217,3 +224,25 @@ def test_theta_raises_instead_of_truncating():
     # at q = 0.99 the series still converges: theta_3(0, q) = sqrt(pi / -ln q)
     # up to a relative exp(-pi^2 / -ln q) ~ 1e-429
     assert theta(3, 0.0, 0.99) == pytest.approx(math.sqrt(math.pi / -math.log(0.99)), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [0.2, 0.7, 0.9, 0.95])
+def test_theta_reach_is_where_theta_starts_to_raise(kind, q):
+    reach = theta_reach(kind, q)
+    # the next-term bound 2 q^(p_n) e^((2n+3) y) must stay below 1e-16, and
+    # e^((2n+3) y) a finite float, for some n < 64
+    powers = [(n + 1.5) ** 2 if kind < 3 else (n + 1) ** 2 for n in range(64)]
+    assert reach == pytest.approx(max(
+        min(math.log(1e-16 / 2.0) - p * math.log(q), math.log(1.7976931348623157e308))
+        / (2 * n + 3)
+        for n, p in enumerate(powers)
+    ))
+    below = complex(0.4, reach * (1 - 1e-9))
+    assert np.isfinite(theta(kind, below, q))
+    assert np.all(np.isfinite(theta(kind, np.array([below, -below, math.nan]), q)[:2]))
+    with pytest.raises(RangeError):
+        theta(kind, complex(0.4, reach), q)
+    with pytest.raises(RangeError):
+        theta(kind, np.array([0.1, complex(0.4, -reach)]), q)
+    assert theta_reach(kind, 0.999) < 0  # even real z fails there
