@@ -4,10 +4,13 @@
 For each solution found by the Newton search we assemble the coordinate
 wavefunction, check that it is a genuine transfer-matrix eigenvector, and —
 when the momentum sector allows it — append the root u = pi to step down to
-the shorter chain.
+the shorter chain. Exit code 2 with an `error:` line when the nome or the
+path-basis context is unusable.
 """
 
 import argparse
+import math
+import sys
 
 import numpy as np
 
@@ -21,25 +24,42 @@ from susyxyz.eightvertex import (
     translation_eigenvalue,
 )
 from susyxyz.elliptic import ThetaContext, h
-from susyxyz.errors import DomainError
+from susyxyz.errors import ConfigurationError, DomainError, RangeError
 
-if __name__ == "__main__":
+PROBES = 0.47 + math.pi / 8 * np.arange(8)
+
+
+def probe_point(br, ctx):
+    """The probe u among PROBES farthest from the zeros of Q(u) = prod_j
+    h(u - u_j) and of h(u), the extra factor of Q after the u = pi extension."""
+    return max(
+        PROBES, key=lambda u: min(abs(h(u - v, ctx)) for v in br.roots + (math.pi,))
+    )
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=5)
     ap.add_argument("--m", type=int, default=1)
     ap.add_argument("--nome", type=float, default=0.2)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    ctx = ThetaContext(nome=args.nome)
-    u_probe = 0.47
+    try:
+        ctx = ThetaContext(nome=args.nome)
+        ctx.require_independent_local_vectors()
+    except (DomainError, RangeError, ConfigurationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for k, omega in enumerate((1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3))):
         print(f"omega = exp({2 * k}i pi/3)")
         for br in find_bethe_roots(args.n, args.m, omega, ctx):
+            u_probe = probe_point(br, ctx)
             res = max(abs(r) for r in bethe_residual(br, ctx))
             t = translation_eigenvalue(br, ctx)
             v = bethe_vector(br, ctx)
             nv = np.linalg.norm(v)
-            line = f"  roots {np.round(br.roots, 6)}  |BAE| {res:.1e}  t {t:+.4f}"
+            line = (f"  roots {np.round(br.roots, 6)}  |BAE| {res:.1e}  t {t:+.4f}"
+                    f"  probe u {u_probe:.3f}")
             if nv > 1e-7:
                 v = v / nv
                 lam = tq_eigenvalue(u_probe, br, ctx)
@@ -56,3 +76,8 @@ if __name__ == "__main__":
             except DomainError:
                 line += "  (not in the extendable sector)"
             print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,9 @@ from .elliptic import ThetaContext, h, zeta_of_nome
 from .errors import ConfigurationError, ContractError, DomainError, RangeError
 from .fermion import spectral_comparison
 from .spinchain import (
+    SPECTRAL_TOL,
     CouplingLine,
+    _check_record,
     build_sector_basis,
     rescaled_spectrum,
     spectrum,
@@ -38,6 +40,7 @@ from .spinchain import (
     xyz_hamiltonian_full,
 )
 from .supercharge import (
+    ALGEBRA_TOL,
     cohomology_dimension,
     parity_spectral_inclusion,
     susy_sector,
@@ -45,8 +48,6 @@ from .supercharge import (
 )
 
 DEFAULT_ZETAS = (0.0, 0.3, 1.0, 2.5)
-DEFAULT_SPECTRAL_TOL = 1e-8
-DEFAULT_ALGEBRA_TOL = 1e-10
 
 _USAGE_ERRORS = (DomainError, RangeError, ConfigurationError, ContractError)
 
@@ -186,15 +187,13 @@ def _check_output(report, out):
 
 def check_algebra(args):
     zetas = _resolve_zetas(args)
-    tol = args.tol if args.tol is not None else DEFAULT_ALGEBRA_TOL
+    tol = args.tol if args.tol is not None else ALGEBRA_TOL
     jobs = [
-        (lambda n=n, z=z: verify_algebra(n, z))
+        (lambda n=n, z=z: verify_algebra(n, z, tol))
         for n in args.n
         for z in zetas
     ]
     checks = [c for batch in _run_jobs(jobs) for c in batch]
-    for c in checks:
-        c["pass"] = bool(c["residual"] < max(tol, 1e-16))
     return {"suite": "algebra", "tol": tol, "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
@@ -215,36 +214,32 @@ def check_cohomology(args):
 
 def check_conjectures(args):
     zetas = _resolve_zetas(args)
-    tol = args.tol if args.tol is not None else DEFAULT_SPECTRAL_TOL
+    tol = args.tol if args.tol is not None else SPECTRAL_TOL
     checks = []
     for n in args.n:
         if n % 2 == 0:
             continue
         for z in zetas:
             r, ok = parity_spectral_inclusion(n, z, tol)
-            checks.append({"relation": "parity_spectral_inclusion", "n": n,
-                           "zeta": z, "residual": float(r), "pass": ok})
+            checks.append(_check_record("parity_spectral_inclusion", n, z, r, ok))
     for nome in args.nomes:
         ctx = ThetaContext(nome=nome, s=args.s, t=args.t)
         zeta = zeta_of_nome(nome)
         for n in args.n:
             count = len(path_states(n))
             expected = 2 ** n + 2 * (-1) ** n
-            checks.append({"relation": "path_count", "n": n, "zeta": zeta,
-                           "residual": float(abs(count - expected)),
-                           "pass": count == expected})
+            checks.append(_check_record("path_count", n, zeta, abs(count - expected),
+                                        count == expected))
             rank, comp = _path_rank_complement(n, ctx, complement=n % 2 == 1)
             exp_rank = 2 ** n if n % 2 == 0 else 2 ** n - 2
-            checks.append({"relation": "path_rank", "n": n, "zeta": zeta,
-                           "residual": float(abs(rank - exp_rank)),
-                           "pass": rank == exp_rank})
+            checks.append(_check_record("path_rank", n, zeta, abs(rank - exp_rank),
+                                        rank == exp_rank))
             if n % 2 == 1:
                 # the complement lives in the full space; act with the full H
                 Hfull = xyz_hamiltonian_full(n, CouplingLine(zeta)).toarray()
                 r_energy = np.linalg.norm(Hfull @ comp)
-                checks.append({"relation": "complement_zero_energy", "n": n,
-                               "zeta": zeta, "residual": float(r_energy),
-                               "pass": bool(r_energy < tol * max(1.0, np.linalg.norm(Hfull)))})
+                checks.append(_check_record("complement_zero_energy", n, zeta, r_energy,
+                                            r_energy < tol * max(1.0, np.linalg.norm(Hfull))))
                 r_transfer = 0.0
                 for u in (0.35, 0.8, 1.3):
                     T = transfer_matrix(n, u, ctx)
@@ -253,9 +248,8 @@ def check_conjectures(args):
                         r_transfer,
                         np.linalg.norm(T @ comp - lam * comp) / max(1.0, abs(lam)),
                     )
-                checks.append({"relation": "complement_transfer_eigenvalue", "n": n,
-                               "zeta": zeta, "residual": float(r_transfer),
-                               "pass": bool(r_transfer < tol)})
+                checks.append(_check_record("complement_transfer_eigenvalue", n, zeta,
+                                            r_transfer, r_transfer < tol))
     return {"suite": "conjectures", "tol": tol, "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
@@ -274,7 +268,7 @@ def check_fermion_compare(args):
     variants = (
         ("ramond_vs_kpi", "ns_vs_k0") if args.variant == "both" else (args.variant,)
     )
-    tol = args.tol if args.tol is not None else DEFAULT_SPECTRAL_TOL
+    tol = args.tol if args.tol is not None else SPECTRAL_TOL
     jobs = [
         (lambda m=m, z=z, v=v: spectral_comparison(m, z, v, tol=tol))
         for m in args.m
@@ -311,19 +305,16 @@ def cmd_transfer(args):
         shift = symmetry_operator("translation", n).toarray()
         r = np.linalg.norm(T_eta - h(2 * ctx.eta, ctx) ** n * shift)
         scale = max(1.0, np.linalg.norm(T_eta))
-        checks.append({"relation": "transfer_at_eta_is_translation", "n": n,
-                       "zeta": zeta, "residual": float(r / scale),
-                       "pass": bool(r / scale < 1e-10)})
+        checks.append(_check_record("transfer_at_eta_is_translation", n, zeta, r / scale,
+                                    r / scale < 1e-10))
         Tu = transfer_matrix(n, args.u, ctx)
         Tv = transfer_matrix(n, args.u + 0.4, ctx)
         r = np.linalg.norm(Tu @ Tv - Tv @ Tu) / max(1.0, np.linalg.norm(Tu) * np.linalg.norm(Tv))
-        checks.append({"relation": "commuting_family", "n": n, "zeta": zeta,
-                       "residual": float(r), "pass": bool(r < tol)})
+        checks.append(_check_record("commuting_family", n, zeta, r, r < tol))
         Hd = xyz_hamiltonian_full(n, CouplingLine(zeta)).toarray()
         Ht = hamiltonian_from_transfer(n, ctx)
         r = np.linalg.norm(Hd - Ht) / max(1.0, np.linalg.norm(Hd))
-        checks.append({"relation": "hamiltonian_from_transfer", "n": n, "zeta": zeta,
-                       "residual": float(r), "pass": bool(r < 1e-5)})
+        checks.append(_check_record("hamiltonian_from_transfer", n, zeta, r, r < 1e-5))
     report = {"suite": "transfer", "nome": nome, "checks": checks,
               "pass": all(c["pass"] for c in checks)}
     return _check_output(report, args.out)

@@ -93,15 +93,16 @@ def transfer_matrix(n, u, ctx, inhomogeneities=None):
     return np.einsum("xxpq->pq", G)
 
 
-def hamiltonian_from_transfer(n, ctx, step=1e-5):
+def hamiltonian_from_transfer(n, ctx):
     """XYZ Hamiltonian from the logarithmic derivative of the transfer matrix.
 
     With the weight normalization a(u) + b(u) = h(u) and b(eta) = 0 used here,
     H_N = [ n h'(eta) - h(eta) T(eta)^{-1} T'(eta) ] / b'(eta),
     including the constant shift N (J_x + J_y + J_z)/2. Central differences
-    with the given step.
+    with step 1e-5.
     """
     eta = ctx.eta
+    step = 1e-5
     T0 = transfer_matrix(n, eta, ctx)
     Tp = (transfer_matrix(n, eta + step, ctx) - transfer_matrix(n, eta - step, ctx)) / (
         2 * step
@@ -221,7 +222,7 @@ def path_matrix(n, ctx, inhomogeneities=None):
     return states, M
 
 
-def _path_rank_complement(n, ctx, inhomogeneities=None, threshold=1e-10, complement=True):
+def _path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
     """(rank, complement) of the path matrix from one build and one SVD.
 
     With complement=False only the singular values are computed and the
@@ -233,9 +234,9 @@ def _path_rank_complement(n, ctx, inhomogeneities=None, threshold=1e-10, complem
         raise DomainError("the path span has a complement only for odd n")
     _, M = path_matrix(n, ctx, inhomogeneities)
     if not complement:
-        return _rank(np.linalg.svd(M, compute_uv=False), threshold), None
+        return _rank(np.linalg.svd(M, compute_uv=False)), None
     u, s, _ = np.linalg.svd(M, full_matrices=True)
-    rank = _rank(s, threshold)
+    rank = _rank(s)
     comp = u[:, rank:]
     if comp.shape[1] != 2:
         raise InvariantViolation(
@@ -244,13 +245,13 @@ def _path_rank_complement(n, ctx, inhomogeneities=None, threshold=1e-10, complem
     return rank, comp
 
 
-def path_rank(n, ctx, inhomogeneities=None, threshold=1e-10):
-    return _path_rank_complement(n, ctx, inhomogeneities, threshold, complement=False)[0]
+def path_rank(n, ctx, inhomogeneities=None):
+    return _path_rank_complement(n, ctx, inhomogeneities, complement=False)[0]
 
 
-def path_complement(n, ctx, inhomogeneities=None, threshold=1e-10):
+def path_complement(n, ctx, inhomogeneities=None):
     """Orthonormal basis of the orthogonal complement of the path span."""
-    return _path_rank_complement(n, ctx, inhomogeneities, threshold)[1]
+    return _path_rank_complement(n, ctx, inhomogeneities)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +398,22 @@ def tq_eigenvalue(u, br, ctx):
     ) / denom
 
 
-def extend_by_pi(br, ctx, tol=1e-8):
+def extend_by_pi(br, ctx):
     """Append the root pi, lowering the chain length by one.
 
-    Only allowed when t_N = (-1)^{N+1}; the (m+1)-th Bethe equation of the
-    shorter chain reduces to exactly this condition.
+    Only allowed when t_N = (-1)^{N+1} to 1e-8; the (m+1)-th Bethe equation
+    of the shorter chain reduces to exactly this condition.
     """
     t = translation_eigenvalue(br, ctx)
-    if abs(t - (-1.0) ** (br.n + 1)) > tol:
+    if abs(t - (-1.0) ** (br.n + 1)) > 1e-8:
         raise DomainError(
             f"extension by pi needs t_N = {(-1) ** (br.n + 1)}, got {t:.6g}"
         )
     return BetheRoots(roots=br.roots + (math.pi,), omega=br.omega, n=br.n - 1)
+
+
+_IMAG_WINDOW = 1.2  # the Newton starts span |Im u| <= _IMAG_WINDOW
+_NEWTON_TOL = 1e-11
 
 
 def _bethe_entire(U, n, omega, ctx):
@@ -424,22 +429,23 @@ def _bethe_entire(U, n, omega, ctx):
     return left + omega ** 2 * right
 
 
-def _newton_polish(U, n, omega, ctx, imag_window, tol):
+def _newton_polish(U, n, omega, ctx):
     """Newton iteration of the entire Bethe system on the rows of U (K, m).
 
-    Only the live rows (not converged, not frozen) are evaluated; a finished
-    row is never updated again. Frozen (diverged) rows end as NaN.
+    A row has converged when every |F| is below _NEWTON_TOL. Only the live
+    rows (not converged, not frozen) are evaluated; a finished row is never
+    updated again. Frozen (diverged) rows end as NaN.
     """
     m = U.shape[1]
-    reach = theta_reach(1, ctx.nome, ctx.trunc_tol)
+    reach = theta_reach(1, ctx.nome)
 
     def freeze(V):
         # a root more than one maximal step outside the strip
-        # |Im u| <= imag_window + 0.2 that the caller keeps, or an argument
+        # |Im u| <= _IMAG_WINDOW + 0.2 that the caller keeps, or an argument
         # u -+ eta or u_1 - u_2 -+ 2 eta of h at or past the reach of the
         # theta series, where theta raises RangeError
         args = np.concatenate([V, V[:, :1] - V[:, 1:]], axis=1)
-        far = np.any(np.abs(V.imag) > imag_window + 5.2, axis=1)
+        far = np.any(np.abs(V.imag) > _IMAG_WINDOW + 5.2, axis=1)
         V[far | np.any(np.abs(args.imag) >= reach, axis=1)] = np.nan
 
     U = U.copy()
@@ -450,7 +456,7 @@ def _newton_polish(U, n, omega, ctx, imag_window, tol):
         for _ in range(60):
             V = U[live]
             F = _bethe_entire(V, n, omega, ctx)
-            keep = np.all(np.isfinite(F), axis=1) & (np.max(np.abs(F), axis=1) >= tol)
+            keep = np.all(np.isfinite(F), axis=1) & (np.max(np.abs(F), axis=1) >= _NEWTON_TOL)
             if not np.any(keep):
                 break
             live, V, F = live[keep], V[keep], F[keep]
@@ -476,33 +482,30 @@ def _newton_polish(U, n, omega, ctx, imag_window, tol):
     return U
 
 
-def _newton_starts(m, grid, imag_window):
+def _newton_starts(m):
     """Start rows (K, m) of the Newton scan: a grid over 0 <= Re u < pi,
-    |Im u| <= imag_window, and for m = 2 every pair of its points."""
-    if m == 2:
-        grid = min(grid, 9)
-        n_im = 5
-    else:
-        n_im = 7
-    res = np.linspace(0.0, math.pi, grid, endpoint=False)
-    ims = np.linspace(-imag_window, imag_window, n_im)
+    |Im u| <= _IMAG_WINDOW (13 x 7 points for m = 1), and for m = 2 every
+    pair of the points of a 9 x 5 grid."""
+    n_re, n_im = (9, 5) if m == 2 else (13, 7)
+    res = np.linspace(0.0, math.pi, n_re, endpoint=False)
+    ims = np.linspace(-_IMAG_WINDOW, _IMAG_WINDOW, n_im)
     starts = [complex(x, y) for x in res for y in ims]
     if m == 1:
         return np.array([[s] for s in starts])
     return np.array([[s1, s2] for s1, s2 in itertools.combinations(starts, 2)])
 
 
-def find_bethe_roots(n, m, omega, ctx, grid=13, imag_window=1.2, tol=1e-11):
+def find_bethe_roots(n, m, omega, ctx):
     """Grid scan plus batched Newton polishing of the Bethe equations, m <= 2.
 
-    Returns a list of BetheRoots with distinct roots and residuals < 1e-9,
-    deduplicated modulo pi shifts and root permutations.
+    Returns a list of BetheRoots with distinct roots, |Im u| at most
+    _IMAG_WINDOW + 0.2 and residuals < 1e-9, deduplicated modulo pi shifts
+    and root permutations.
     """
     if m not in (1, 2):
         raise DomainError("root searching is supported for m = 1, 2 only")
     omega = complex(omega)
-    U = _newton_starts(m, grid, imag_window)
-    U = _newton_polish(U, n, omega, ctx, imag_window, tol)
+    U = _newton_polish(_newton_starts(m), n, omega, ctx)
 
     found = []
 
@@ -531,7 +534,7 @@ def find_bethe_roots(n, m, omega, ctx, grid=13, imag_window=1.2, tol=1e-11):
         us = [complex(v) for v in row]
         # keep only the fundamental strip: copies shifted by the imaginary
         # quasi-period of the theta functions assemble to vanishing vectors
-        if any(abs(uu.imag) > imag_window + 0.2 for uu in us):
+        if any(abs(uu.imag) > _IMAG_WINDOW + 0.2 for uu in us):
             continue
         if m == 2:
             gap = (us[0] - us[1]).real % math.pi

@@ -27,11 +27,12 @@ from .errors import ConfigurationError, DomainError, RangeError
 ETA_SUSY = math.pi / 3
 
 _MAX_TERMS = 64
+_TRUNC_TOL = 1e-16  # bound on the first omitted term of every series
 _LOG_MAX = math.log(sys.float_info.max)
 
 
 @functools.lru_cache(maxsize=256)
-def _series(kind, nome, trunc_tol):
+def _series(kind, nome):
     """Coefficients, frequencies and reaches of the q-series of theta_kind,
     one entry per term n < _MAX_TERMS, and the first n whose reach is
     positive (None when there is none).
@@ -40,7 +41,7 @@ def _series(kind, nome, trunc_tol):
     frequency marks the constant term of kinds 3 and 4. The magnitude of
     term n + 1 is at most bound * exp((2n + 3) |Im z|), with bound
     2 q^((n+3/2)^2) (kinds 1, 2) or 2 q^((n+1)^2) (kinds 3, 4); reach n is
-    the |Im z| below which that is under trunc_tol and the exp is a finite
+    the |Im z| below which that is under _TRUNC_TOL and the exp is a finite
     float, so that n + 1 terms suffice.
     """
     coefs, freqs, reaches = [], [], []
@@ -59,29 +60,29 @@ def _series(kind, nome, trunc_tol):
         # also keeps exp((2n + 3) y), and with it every sin and cos of the
         # sum, below overflow
         log_bound = math.log(2.0) + power * math.log(nome) if nome else -math.inf
-        reaches.append(min(math.log(trunc_tol) - log_bound, _LOG_MAX) / (2 * n + 3))
+        reaches.append(min(math.log(_TRUNC_TOL) - log_bound, _LOG_MAX) / (2 * n + 3))
     first = next((n for n, r in enumerate(reaches) if r > 0.0), None)
     return tuple(coefs), tuple(freqs), tuple(reaches), first
 
 
-def theta_reach(kind, nome, trunc_tol=1e-16):
+def theta_reach(kind, nome):
     """The |Im z| at and beyond which `theta` raises RangeError for this
-    kind and nome: below it some term count up to _MAX_TERMS meets trunc_tol.
+    kind and nome: below it some term count up to _MAX_TERMS meets _TRUNC_TOL.
     Zero or negative when even real z needs more terms."""
     if not (0.0 <= nome < 1.0):
         raise DomainError(f"nome must lie in [0, 1), got {nome}")
-    return max(_series(kind, float(nome), trunc_tol)[2])
+    return max(_series(kind, float(nome))[2])
 
 
-def theta(kind, z, nome, trunc_tol=1e-16):
+def theta(kind, z, nome):
     """Jacobi theta function theta_kind(z, q) via the q-series.
 
     kind is 1..4; z may be real or complex, a Python/numpy scalar or an
     array. Real input returns real output; scalars come back as numpy
-    scalars. The series coefficients are cached per (kind, nome, trunc_tol)
-    and the number of terms N is fixed up front: the first N for which the
+    scalars. The series coefficients are cached per (kind, nome) and the
+    number of terms N is fixed up front: the first N for which the
     bound on the next term, 2 q^((N+1/2)^2) (kinds 1, 2) or 2 q^(N^2)
-    (kinds 3, 4) times exp((2N+1) y), falls below trunc_tol, with y the
+    (kinds 3, 4) times exp((2N+1) y), falls below _TRUNC_TOL, with y the
     largest |Im z| over the finite entries of z (y = 0 for real z).
     Non-finite entries stay non-finite and do not set N. Raises DomainError
     unless 0 <= nome < 1 and RangeError when no N <= _MAX_TERMS meets the
@@ -91,7 +92,7 @@ def theta(kind, z, nome, trunc_tol=1e-16):
         raise DomainError(f"theta kind must be 1..4, got {kind}")
     if not (0.0 <= nome < 1.0):
         raise DomainError(f"nome must lie in [0, 1), got {nome}")
-    coefs, freqs, reaches, first = _series(kind, float(nome), trunc_tol)
+    coefs, freqs, reaches, first = _series(kind, float(nome))
 
     # finite Python and numpy scalars are summed with math/cmath; math.sin
     # and cmath.cos raise on inf where numpy returns nan
@@ -112,7 +113,7 @@ def theta(kind, z, nome, trunc_tol=1e-16):
     if count is None:
         if np.any(np.isfinite(z)):
             raise RangeError(
-                f"theta_{kind} series at nome={nome} does not reach {trunc_tol:g} "
+                f"theta_{kind} series at nome={nome} does not reach {_TRUNC_TOL:g} "
                 f"within {_MAX_TERMS} terms (largest |Im z| {y:g})"
             )
         count = _MAX_TERMS
@@ -135,29 +136,32 @@ def theta(kind, z, nome, trunc_tol=1e-16):
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Elliptic nome, crossing parameter and the free path-basis parameters.
+    """Elliptic nome and the free path-basis parameters; the crossing
+    parameter is the class constant eta = ETA_SUSY.
 
     The pair (s, t) enters the local vectors of Baxter's path basis; it is
     only constrained by linear independence of those vectors, which is
     checked at runtime (see `local_vector_determinants`).
     """
 
+    eta = ETA_SUSY
+
     nome: float
-    eta: float = ETA_SUSY
     s: float = 0.3
     t: float = -0.7
-    trunc_tol: float = 1e-16
 
     def __post_init__(self):
         if not (0.0 <= self.nome < 1.0):
             raise DomainError(f"nome must lie in [0, 1), got {self.nome}")
+        if not (math.isfinite(self.s) and math.isfinite(self.t)):
+            raise DomainError(f"s and t must be finite, got s={self.s}, t={self.t}")
 
     def theta(self, kind, z):
-        return theta(kind, z, self.nome, self.trunc_tol)
+        return theta(kind, z, self.nome)
 
     def theta_sq(self, kind, z):
         """Theta function at nome**2, as used by vertex weights and local vectors."""
-        return theta(kind, z, self.nome ** 2, self.trunc_tol)
+        return theta(kind, z, self.nome ** 2)
 
     def local_vector_determinants(self):
         """2x2 determinants of the up/down local vectors for ell = 0, 1, 2."""
@@ -171,9 +175,10 @@ class ThetaContext:
             )
         return dets
 
-    def require_independent_local_vectors(self, rel_tol=1e-10):
+    def require_independent_local_vectors(self):
+        """Raise ConfigurationError when a determinant is below 1e-10 scale**2."""
         scale = max(1.0, abs(self.theta_sq(4, self.s)), abs(self.theta_sq(4, self.t)))
-        if min(abs(d) for d in self.local_vector_determinants()) < rel_tol * scale ** 2:
+        if min(abs(d) for d in self.local_vector_determinants()) < 1e-10 * scale ** 2:
             raise ConfigurationError(
                 f"local path-basis vectors are (nearly) linearly dependent for "
                 f"s={self.s}, t={self.t}, nome={self.nome}"
@@ -190,38 +195,10 @@ def w(ell, ctx):
     return (ctx.s + ctx.t) / 2.0 - math.pi / 2.0 + 2.0 * ell * ctx.eta
 
 
-def zeta_of_nome(nome, trunc_tol=1e-16):
+def zeta_of_nome(nome):
     """Coupling zeta = (theta_1(2pi/3, q^2) / theta_4(2pi/3, q^2))^2."""
     if not (0.0 <= nome < 1.0):
         raise DomainError(f"nome must lie in [0, 1), got {nome}")
     z = 2.0 * math.pi / 3.0
     q2 = nome ** 2
-    return (theta(1, z, q2, trunc_tol) / theta(4, z, q2, trunc_tol)) ** 2
-
-
-def nome_of_zeta(zeta, nome_max=0.99, tol=1e-12):
-    """Invert zeta_of_nome by bisection on the monotone map [0, nome_max]."""
-    if zeta < 0:
-        raise RangeError(f"zeta must be nonnegative, got {zeta}")
-    if zeta == 0.0:
-        return 0.0
-    # zeta(q) increases from 0 and saturates at 1 as q -> 1; values beyond the
-    # cap (minus the bisection tolerance) are not representable by a real nome
-    if zeta > zeta_of_nome(nome_max) + tol:
-        raise RangeError(
-            f"zeta={zeta} not reachable with nome <= {nome_max} "
-            f"(max zeta {zeta_of_nome(nome_max):.6g})"
-        )
-    lo, hi = 0.0, nome_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if zeta_of_nome(mid) < zeta:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    if abs(zeta_of_nome(mid) - zeta) > tol:
-        raise RangeError(f"bisection for zeta={zeta} did not reach tolerance {tol}")
-    return mid
+    return (theta(1, z, q2) / theta(4, z, q2)) ** 2

@@ -30,6 +30,7 @@ from .eightvertex import PathState
 from .elliptic import w
 from .errors import ConfigurationError, DomainError, InvariantViolation
 from .spinchain import (
+    SPECTRAL_TOL,
     CouplingLine,
     _eigh_checked,
     _group_levels,
@@ -256,7 +257,7 @@ def fermion_spectrum(n_f, y, m, boundary, sigma):
     return _eigh_checked(H, herm_tol=1e-12, error=InvariantViolation)[0]
 
 
-def spectral_comparison(m, zeta, variant, tol=1e-8):
+def spectral_comparison(m, zeta, variant, tol=SPECTRAL_TOL):
     """Set-coincidence report between XYZ and staggered-fermion spectra.
 
     ramond_vs_kpi: XYZ at N=2m, momentum pi, against 4 H_f (Ramond) at

@@ -22,6 +22,8 @@ import scipy.sparse as sp
 
 from .errors import ContractError, DomainError
 
+SPECTRAL_TOL = 1e-8  # default level-matching tolerance of every spectral check
+
 
 @dataclass(frozen=True)
 class CouplingLine:
@@ -45,7 +47,7 @@ class CouplingLine:
 @dataclass(frozen=True)
 class SectorBasis:
     """Orthonormal symmetry-adapted basis of a momentum (and optionally
-    parity / spin-parity) sector.
+    parity) sector.
 
     `embedding` is the sparse 2^n x dim CSC matrix whose columns are the basis
     vectors in the full space; `orbit_reps` holds the (representative, period)
@@ -57,7 +59,6 @@ class SectorBasis:
     n: int
     t_eigenvalue: complex
     parity_eigenvalue: int | None
-    spin_parity: int | None
     orbit_reps: tuple
     dim: int
     embedding: sp.csc_matrix = field(repr=False, compare=False)
@@ -147,7 +148,7 @@ def _orbit_embedding(states, n, step, t):
 
 
 def symmetry_operator(kind, n):
-    """Full-space operator (sparse) for translation, parity, spin reversal or S_N."""
+    """Full-space operator (sparse) for translation, parity or spin reversal."""
     dim = 1 << n
     states = np.arange(dim)
     if kind == "translation":
@@ -157,18 +158,13 @@ def symmetry_operator(kind, n):
     if kind == "spin_reversal":
         rows = states ^ (dim - 1)
         return sp.csr_matrix((np.ones(dim), (rows, states)), shape=(dim, dim))
-    if kind == "spin_parity":
-        return sp.diags(_spin_parity(states, n).astype(float)).tocsr()
     raise DomainError(f"unknown symmetry operator kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
-def build_sector_basis(n, t_eigenvalue, parity=None, spin_parity=None):
-    """Orthonormal basis of the momentum sector with translation eigenvalue t.
-
-    Optional refinements: parity (requires t real) and spin parity (eigenvalue
-    of S_N, i.e. parity of the number of down spins).
-    """
+def build_sector_basis(n, t_eigenvalue, parity=None):
+    """Orthonormal basis of the momentum sector with translation eigenvalue t,
+    optionally refined by parity (requires t real)."""
     t = complex(t_eigenvalue)
     if abs(t ** n - 1.0) > 1e-9:
         raise DomainError(f"t={t} is not an {n}-th root of unity")
@@ -176,16 +172,12 @@ def build_sector_basis(n, t_eigenvalue, parity=None, spin_parity=None):
         raise DomainError("parity sectors require a real translation eigenvalue")
 
     states = np.arange(1 << n)
-    if spin_parity is not None:
-        # S_N commutes with T, so the orbits of one spin parity close
-        states = states[_spin_parity(states, n) == spin_parity]
     reps, periods, B = _orbit_embedding(states, n, lambda x: (rotate_left(x, n), 1.0), t)
 
     basis = SectorBasis(
         n=n,
         t_eigenvalue=t,
         parity_eigenvalue=None,
-        spin_parity=spin_parity,
         orbit_reps=tuple(zip(reps.tolist(), periods.tolist())),
         dim=len(reps),
         embedding=B,
@@ -253,25 +245,24 @@ def xyz_hamiltonian(n, coupling, sector):
     return project(xyz_hamiltonian_full(n, coupling), sector)
 
 
-def _eigh_checked(M, herm_tol=1e-10, check_residual=True, error=ContractError):
+def _eigh_checked(M, herm_tol=1e-10, error=ContractError):
     """Ascending eigenpairs of the symmetrised M; raises `error` if M is not
     Hermitian to herm_tol * scale or a residual exceeds 1e-9 * scale."""
     scale = max(1.0, np.linalg.norm(M))
     if np.linalg.norm(M - M.conj().T) > herm_tol * scale:
         raise error("operator is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh((M + M.conj().T) / 2.0)
-    if check_residual:
-        resid = np.linalg.norm(M @ evecs - evecs * evals, axis=0)
-        if np.any(resid > 1e-9 * scale):
-            raise error("eigenpair reconstruction residual too large")
+    resid = np.linalg.norm(M @ evecs - evecs * evals, axis=0)
+    if np.any(resid > 1e-9 * scale):
+        raise error("eigenpair reconstruction residual too large")
     return evals, evecs
 
 
-def spectrum(op, herm_tol=1e-10, check_residual=True):
+def spectrum(op):
     """Ascending eigenvalues of a Hermitian square sector operator."""
     if op.matrix.shape[0] != op.matrix.shape[1]:
         raise ContractError("spectrum requires a square operator (domain = codomain)")
-    return _eigh_checked(op.matrix, herm_tol, check_residual)[0]
+    return _eigh_checked(op.matrix)[0]
 
 
 def rescaled_spectrum(n, zeta, sector):
@@ -280,7 +271,7 @@ def rescaled_spectrum(n, zeta, sector):
     return 4.0 * evals / (3.0 + zeta ** 2)
 
 
-def common_levels(e1, e2, tol=1e-8):
+def common_levels(e1, e2, tol=SPECTRAL_TOL):
     """Greedy multiset matching of two sorted eigenvalue lists.
 
     Two values match when |E - E'| < max(tol, tol*|E|), E from e1; ties at
@@ -319,9 +310,23 @@ def _group_levels(values, tol):
     return groups
 
 
-def _rank(s, threshold):
-    """Numerical rank: singular values (descending) above threshold times the largest."""
-    return int(np.sum(s > threshold * s[0])) if len(s) else 0
+_RANK_CUT = 1e-10
+
+
+def _rank(s):
+    """Numerical rank: singular values (descending) above _RANK_CUT times the largest."""
+    return int(np.sum(s > _RANK_CUT * s[0])) if len(s) else 0
+
+
+def _check_record(relation, n, zeta, residual, ok):
+    """One check of a JSON report: {relation, n, zeta, residual, pass}."""
+    return {
+        "relation": relation,
+        "n": n,
+        "zeta": zeta,
+        "residual": float(residual),
+        "pass": bool(ok),
+    }
 
 
 def spectrum_csv_rows(zeta, n, sector, energies):

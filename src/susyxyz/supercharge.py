@@ -21,8 +21,10 @@ import scipy.sparse as sp
 
 from .errors import DomainError, InvariantViolation
 from .spinchain import (
+    SPECTRAL_TOL,
     CouplingLine,
     SectorOperator,
+    _check_record,
     _eigh_checked,
     _group_levels,
     _rank,
@@ -33,6 +35,8 @@ from .spinchain import (
     symmetry_operator,
     xyz_hamiltonian,
 )
+
+ALGEBRA_TOL = 1e-10  # default bound on the absolute residual of each relation
 
 
 def susy_sector(n, **kwargs):
@@ -108,18 +112,13 @@ def _hamiltonian_residual(H, up, dn, tilde):
     return np.linalg.norm(H - rhs)
 
 
-def verify_anticommutator(n, zeta, tilde=False):
-    """Residual of H_N = Q_{N-1} Q_{N-1}^dag + Q_N^dag Q_N on the sector."""
-    H = xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n)).matrix
-    dn = build_supercharges(n - 1, zeta) if n >= 2 else None
-    return _hamiltonian_residual(H, build_supercharges(n, zeta), dn, tilde)
+def verify_algebra(n, zeta, tol=ALGEBRA_TOL):
+    """Residuals of the nilpotency, cross and Hamiltonian relations between
+    Q and Qt.
 
-
-def verify_algebra(n, zeta):
-    """Residuals of the nilpotency and cross relations between Q and Qt.
-
-    Returns a list of {relation, n, zeta, residual, pass} dicts; the adjoint
-    halves of each relation are exact transposes and are not repeated.
+    Returns a list of {relation, n, zeta, residual, pass} records; a relation
+    passes iff its residual is below max(tol, 1e-16). The adjoint halves of
+    each relation are exact transposes and are not repeated.
     """
     if n < 2:
         raise DomainError("the algebra check needs n >= 2")
@@ -128,7 +127,6 @@ def verify_algebra(n, zeta):
     Q, Qt = up.q_plain.matrix, up.q_tilde.matrix
     q, qt = dn.q_plain.matrix, dn.q_tilde.matrix
     H = xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n)).matrix
-    scale = max(1.0, np.linalg.norm(Q) ** 2, np.linalg.norm(Qt) ** 2)
     checks = [
         ("nilpotency_plain", np.linalg.norm(Q @ q)),
         ("nilpotency_tilde", np.linalg.norm(Qt @ qt)),
@@ -138,16 +136,7 @@ def verify_algebra(n, zeta):
         ("hamiltonian_plain", _hamiltonian_residual(H, up, dn, tilde=False)),
         ("hamiltonian_tilde", _hamiltonian_residual(H, up, dn, tilde=True)),
     ]
-    return [
-        {
-            "relation": name,
-            "n": n,
-            "zeta": zeta,
-            "residual": float(r),
-            "pass": bool(r < 1e-10 * scale),
-        }
-        for name, r in checks
-    ]
+    return [_check_record(name, n, zeta, r, r < max(tol, 1e-16)) for name, r in checks]
 
 
 def conserved_charge_C(n, zeta):
@@ -160,10 +149,10 @@ def conserved_charge_C(n, zeta):
     return SectorOperator(domain=sector, codomain=sector, matrix=C)
 
 
-def _rank_with_warning(M, context, threshold=1e-10):
+def _rank_with_warning(M, context):
     """SVD rank with an honesty check: warn when singular values straddle the cut."""
     s = np.linalg.svd(M, compute_uv=False)
-    rank = _rank(s, threshold)
+    rank = _rank(s)
     if 0 < rank < len(s):
         gap = s[rank - 1] / max(s[rank], np.finfo(float).tiny)
         if gap < 10.0:
@@ -175,16 +164,14 @@ def _rank_with_warning(M, context, threshold=1e-10):
     return rank
 
 
-def cohomology_dimension(n, zeta, threshold=1e-10):
+def cohomology_dimension(n, zeta):
     """dim ker Q_N - rank Q_{N-1} on the momentum sector t_N = (-1)^{N+1}."""
     if n < 2:
         raise DomainError("cohomology needs n >= 2")
     Qn = build_supercharges(n, zeta).q_plain.matrix
     dim = Qn.shape[1]
-    rank_n = _rank_with_warning(Qn, f"Q_{n}", threshold)
-    rank_dn = _rank_with_warning(
-        build_supercharges(n - 1, zeta).q_plain.matrix, f"Q_{n - 1}", threshold
-    )
+    rank_n = _rank_with_warning(Qn, f"Q_{n}")
+    rank_dn = _rank_with_warning(build_supercharges(n - 1, zeta).q_plain.matrix, f"Q_{n - 1}")
     return dim - rank_n - rank_dn
 
 
@@ -220,11 +207,11 @@ def _sector_id(n, index):
     return f"{n}:{tag}:{index}"
 
 
-def _eigen_data(n, zeta, zero_tol_scale=1e-9):
+def _eigen_data(n, zeta):
     sector = susy_sector(n)
     H = xyz_hamiltonian(n, CouplingLine(zeta), sector).matrix
     evals, evecs = _eigh_checked(H)
-    zero_tol = zero_tol_scale * max(1.0, np.linalg.norm(H))
+    zero_tol = 1e-9 * max(1.0, np.linalg.norm(H))
     return sector, evals, evecs, zero_tol
 
 
@@ -245,7 +232,7 @@ def _base_subspace(n, zeta, eigvecs, tol):
     return eigvecs @ vh.conj().T[:, eigvecs.shape[1] - null_dim:]
 
 
-def multiplet_report(n_center, zeta, tol=1e-8):
+def multiplet_report(n_center, zeta):
     """Organize all positive-energy sector states at sizes n_center-1, n_center,
     n_center+1 into quadruplets built by explicit supercharge action.
 
@@ -283,18 +270,18 @@ def multiplet_report(n_center, zeta, tol=1e-8):
         sector, evals, evecs, ztol = data[k]
         pair_k = build_supercharges(k, zeta)
         pair_k1 = build_supercharges(k + 1, zeta)
-        for grp in _group_levels(evals, tol):
+        for grp in _group_levels(evals, SPECTRAL_TOL):
             E = float(np.mean(evals[grp]))
             if abs(E) < ztol:
                 continue
-            base = _base_subspace(k, zeta, evecs[:, grp], tol)
+            base = _base_subspace(k, zeta, evecs[:, grp], SPECTRAL_TOL)
             for col in range(base.shape[1]):
                 phi = base[:, col]
                 up = pair_k.q_plain.matrix @ phi
                 up_t = pair_k.q_tilde.matrix @ phi
                 top = pair_k1.q_plain.matrix @ (pair_k.q_tilde.matrix @ phi)
                 for v, name in ((up, "Q"), (up_t, "Qt"), (top, "QQt")):
-                    if np.linalg.norm(v) < tol:
+                    if np.linalg.norm(v) < SPECTRAL_TOL:
                         raise InvariantViolation(
                             f"quadruplet member {name} vanished at size {k}, E={E}"
                         )
@@ -326,7 +313,7 @@ def multiplet_report(n_center, zeta, tol=1e-8):
     )
 
 
-def parity_covariance_check(n, zeta, tol=1e-8):
+def parity_covariance_check(n, zeta):
     """Check P_{N+1} Q_N = (-1)^{N+1} Q_N P_N on the sectors; for odd n also
     check that the odd-parity spectrum is contained in the even-parity one
     (`parity_spectral_inclusion`)."""
@@ -337,27 +324,15 @@ def parity_covariance_check(n, zeta, tol=1e-8):
     P_cod = project(symmetry_operator("parity", n + 1), cod).matrix
     Q = pair.q_plain.matrix
     resid = np.linalg.norm(P_cod @ Q - (-1.0) ** (n + 1) * Q @ P_dom)
-    report = {
-        "relation": "parity_covariance",
-        "n": n,
-        "zeta": zeta,
-        "residual": float(resid),
-        "pass": bool(resid < 1e-10 * max(1.0, np.linalg.norm(Q))),
-    }
+    report = _check_record("parity_covariance", n, zeta, resid,
+                           resid < 1e-10 * max(1.0, np.linalg.norm(Q)))
     if n % 2 == 0:
         return [report]
-    residual, ok = parity_spectral_inclusion(n, zeta, tol)
-    report2 = {
-        "relation": "odd_parity_spectrum_containment",
-        "n": n,
-        "zeta": zeta,
-        "residual": float(residual),
-        "pass": ok,
-    }
-    return [report, report2]
+    residual, ok = parity_spectral_inclusion(n, zeta)
+    return [report, _check_record("odd_parity_spectrum_containment", n, zeta, residual, ok)]
 
 
-def parity_spectral_inclusion(n, zeta, tol=1e-8):
+def parity_spectral_inclusion(n, zeta, tol=SPECTRAL_TOL):
     """Odd-parity spectrum contained in even-parity spectrum at momentum 0.
 
     Returns (residual, ok): ok iff every odd level has an even partner of its

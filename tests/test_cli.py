@@ -1,11 +1,15 @@
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from susyxyz import supercharge
 from susyxyz.cli import main, parse_grid, parse_n_range, parse_zeta_list, thread_cap
+from susyxyz.eightvertex import BetheRoots
+from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import ConfigurationError, DomainError
 
 
@@ -63,6 +67,18 @@ def test_spectrum_usage_error_exit_codes(capsys):
     ("check", "algebra", "--n", "1"),  # Q_0 does not exist
 ])
 def test_n1_usage_error_exit_codes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pathbasis", "--n", "3", "--s", "inf"),
+    ("check", "appendixB", "--nome", "0.2", "--s", "nan"),
+])
+def test_non_finite_path_parameters_exit_codes(capsys, argv):
+    # a non-finite s or t used to end in an SVD LinAlgError traceback
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -181,3 +197,35 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     text = out_file.read_text()
     assert text.startswith("zeta,n,sector,index,energy\n")
+
+
+# ---------------------------------------------------------------------------
+# scripts/bethe_root_scan.py
+
+
+def _bethe_scan_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bethe_root_scan.py"
+    spec = importlib.util.spec_from_file_location("bethe_root_scan", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bethe_scan_probe_avoids_zeros_of_q(capsys, monkeypatch):
+    # a root at u = 0.47 makes Q(0.47) vanish, so 0.47 must not be the probe
+    script = _bethe_scan_script()
+    roots = BetheRoots(roots=(0.47,), omega=1.0, n=5)
+    monkeypatch.setattr(script, "find_bethe_roots", lambda n, m, omega, ctx: [roots])
+    assert script.main(["--n", "5", "--m", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all("eigvec resid" in line for line in lines[1::2])
+    u = script.probe_point(roots, ThetaContext(nome=0.2))
+    assert abs(u - 0.47) > 0.3
+
+
+def test_bethe_scan_unusable_context_exit_code(capsys):
+    # the default (s, t) has dependent local vectors at nome 0.95
+    assert _bethe_scan_script().main(["--nome", "0.95"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

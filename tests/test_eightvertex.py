@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyxyz import elliptic
+from susyxyz import elliptic, spinchain
 from susyxyz.eightvertex import (
     BetheRoots,
     _bethe_entire,
@@ -242,10 +242,11 @@ def test_rank_and_complement_from_one_svd(n):
         assert np.allclose(comp @ comp.conj().T, ref @ ref.conj().T, atol=1e-12)
 
 
-def test_complement_dimension_is_checked():
+def test_complement_dimension_is_checked(monkeypatch):
     # a cut above every singular value leaves the whole space as "complement"
+    monkeypatch.setattr(spinchain, "_RANK_CUT", 2.0)
     with pytest.raises(InvariantViolation):
-        path_complement(3, CTX, threshold=2.0)
+        path_complement(3, CTX)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +478,9 @@ def test_live_row_newton_matches_all_rows_loop(nome):
     # defaults
     ctx = ThetaContext(nome=nome)
     for n, m in BENCH_BETHE_CASES:
-        start = _newton_starts(m, 13, 1.2)
+        start = _newton_starts(m)
         for omega in OMEGAS:
-            got = _newton_polish(start, n, complex(omega), ctx, 1.2, 1e-11)
+            got = _newton_polish(start, n, complex(omega), ctx)
             ref = _newton_all_rows(start, n, complex(omega), ctx)
             # same iterates bit for bit, including which rows diverged, so the
             # same root sets

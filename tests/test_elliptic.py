@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from susyxyz.elliptic import (
     _MAX_TERMS,
+    ETA_SUSY,
     ThetaContext,
     h,
-    nome_of_zeta,
     theta,
     theta_reach,
     w,
@@ -90,27 +90,22 @@ def test_w_spacing():
     assert w(3, ctx) - w(0, ctx) == pytest.approx(2 * math.pi)
 
 
-def test_zeta_nome_roundtrip():
-    for q in (0.05, 0.2, 0.45, 0.7):
-        z = zeta_of_nome(q)
-        assert 0 < z < 1
-        assert nome_of_zeta(z) == pytest.approx(q, abs=1e-9)
-    assert zeta_of_nome(0.0) == 0.0
-    assert nome_of_zeta(0.0) == 0.0
-
-
 def test_zeta_saturates_below_one():
-    # the map q -> zeta increases towards 1 and saturates there
+    # the map q -> zeta increases from 0 towards 1 and saturates there
+    assert zeta_of_nome(0.0) == 0.0
+    zetas = [zeta_of_nome(q) for q in (0.05, 0.2, 0.45, 0.7)]
+    assert 0 < zetas[0] and zetas == sorted(zetas) and zetas[-1] < 1
     assert zeta_of_nome(0.99) == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(RangeError):
-        nome_of_zeta(2.5)
-    with pytest.raises(RangeError):
-        nome_of_zeta(-0.5)
 
 
 def test_context_validates_nome():
     with pytest.raises(DomainError):
         ThetaContext(nome=1.2)
+    # and the path-basis parameters, whose non-finite values made the SVD fail
+    for s, t in ((math.inf, -0.7), (0.3, math.nan), (-math.inf, math.inf)):
+        with pytest.raises(DomainError):
+            ThetaContext(nome=0.2, s=s, t=t)
+    assert ThetaContext(nome=0.2).eta == ETA_SUSY
 
 
 def test_degenerate_local_vectors_detected():

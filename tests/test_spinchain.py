@@ -221,8 +221,7 @@ def _roots_of_unity(n):
 def _all_sectors(n):
     for t in _roots_of_unity(n):
         for parity in (None, 1, -1) if abs(t.imag) < 1e-12 else (None,):
-            for spin_parity in (None, 1, -1):
-                yield build_sector_basis(n, t, parity=parity, spin_parity=spin_parity)
+            yield build_sector_basis(n, t, parity=parity)
 
 
 def _max_abs(M):
@@ -233,7 +232,6 @@ def _max_abs(M):
 def test_sector_embeddings_sparse_orthonormal_and_translation_covariant(n):
     T = symmetry_operator("translation", n)
     P = symmetry_operator("parity", n)
-    S = symmetry_operator("spin_parity", n)
     for basis in _all_sectors(n):
         B = basis.embedding
         assert sp.issparse(B) and B.format == "csc"
@@ -242,17 +240,14 @@ def test_sector_embeddings_sparse_orthonormal_and_translation_covariant(n):
         assert _max_abs(T @ B - basis.t_eigenvalue * B) <= 1e-12
         if basis.parity_eigenvalue is not None:
             assert _max_abs(P @ B - basis.parity_eigenvalue * B) <= 1e-12
-        if basis.spin_parity is not None:
-            assert _max_abs(S @ B - basis.spin_parity * B) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_unrefined_embedding_nnz_counts_orbit_states(n):
     for t in _roots_of_unity(n):
-        for spin_parity in (None, 1, -1):
-            basis = build_sector_basis(n, t, spin_parity=spin_parity)
-            states = sum(period for _, period in basis.orbit_reps)
-            assert basis.embedding.nnz == states <= 2 ** n
+        basis = build_sector_basis(n, t)
+        states = sum(period for _, period in basis.orbit_reps)
+        assert basis.embedding.nnz == states <= 2 ** n
 
 
 @pytest.mark.parametrize("n", range(1, 11))
