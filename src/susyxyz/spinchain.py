@@ -9,7 +9,10 @@ column (Lin, PRB 42, 6561 (1990); Sandvik, arXiv:1101.3281); the same
 orbit-sum builder, for any signed permutation of bitmask states, gives the
 hard-core fermion ring its T^3 sectors. Every sector operator is obtained by
 projecting a sparse full-space operator through that embedding; only the
-small dim x dim result is dense.
+small dim x dim result is dense. The dtype follows t: a real t (= +-1, the
+sectors of the supercharges) gives float64 embeddings and sector operators,
+so their eigensolves and SVDs run in real arithmetic; any other t gives
+complex128.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ class SectorBasis:
     vectors in the full space; `orbit_reps` holds the (representative, period)
     of every admitted translation orbit. Without a parity refinement column i
     is the orbit sum of orbit_reps[i], so nnz equals the number of states in
-    the admitted orbits; a parity refinement mixes these orbit sums.
+    the admitted orbits; a parity refinement mixes these orbit sums. A real t
+    (|Im t| <= 1e-12, stored snapped to +-1) gives a float64 embedding,
+    otherwise it is complex128.
     """
 
     n: int
@@ -66,7 +71,9 @@ class SectorBasis:
 
 @dataclass(frozen=True)
 class SectorOperator:
-    """A dense complex matrix tagged with its domain and codomain bases."""
+    """A dense matrix tagged with its domain and codomain bases: float64 when
+    both bases have a real t (= +-1) and the full-space operator is real,
+    otherwise complex128."""
 
     domain: SectorBasis
     codomain: SectorBasis
@@ -168,7 +175,9 @@ def build_sector_basis(n, t_eigenvalue, parity=None):
     t = complex(t_eigenvalue)
     if abs(t ** n - 1.0) > 1e-9:
         raise DomainError(f"t={t} is not an {n}-th root of unity")
-    if parity is not None and abs(t.imag) > 1e-12:
+    if abs(t.imag) <= 1e-12:
+        t = 1.0 if t.real > 0 else -1.0  # snap, so the embedding is float64
+    elif parity is not None:
         raise DomainError("parity sectors require a real translation eigenvalue")
 
     states = np.arange(1 << n)

@@ -9,6 +9,7 @@ from susyxyz.errors import ContractError, DomainError
 from susyxyz.spinchain import (
     CouplingLine,
     SectorOperator,
+    _eigh_checked,
     _group_levels,
     build_sector_basis,
     common_levels,
@@ -283,3 +284,51 @@ def test_sector_operators_match_dense_projection(n):
     R_in = symmetry_operator("spin_reversal", n)
     _assert_close(pair.q_plain, _dense_projection(Q, (n, t), (n + 1, -t)))
     _assert_close(pair.q_tilde, _dense_projection(R_out @ Q @ R_in, (n, t), (n + 1, -t)))
+
+
+def _real_sectors(n):
+    """Every real-t sector at size n: t = 1.0 and -1.0 (even n), parity-refined
+    or not, and the same t as exp(2i pi k/n) from `_roots_of_unity`."""
+    ts = [1.0, -1.0] if n % 2 == 0 else [1.0]
+    ts += [t for t in _roots_of_unity(n) if abs(t.imag) <= 1e-12]
+    for t in ts:
+        for parity in (None, 1, -1):
+            yield t, build_sector_basis(n, t, parity=parity)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_real_t_sectors_are_float64(n):
+    coupling = CouplingLine(0.7)
+    for t, basis in _real_sectors(n):
+        assert basis.t_eigenvalue in (1.0, -1.0) and abs(basis.t_eigenvalue - t) < 1e-12
+        assert basis.embedding.dtype == np.float64
+        assert xyz_hamiltonian(n, coupling, basis).matrix.dtype == np.float64
+    for t in _roots_of_unity(n):
+        if abs(t.imag) > 1e-12:
+            basis = build_sector_basis(n, t)
+            assert basis.embedding.dtype == np.complex128
+            assert xyz_hamiltonian(n, coupling, basis).matrix.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_real_sector_spectra_match_complex_dense_reference(n):
+    coupling = CouplingLine(0.7)
+    H = xyz_hamiltonian_full(n, coupling)
+    for t in [t for t in _roots_of_unity(n) if abs(t.imag) <= 1e-12]:
+        ref = np.linalg.eigvalsh(_dense_projection(H, (n, t), (n, t)))
+        got = spectrum(xyz_hamiltonian(n, coupling, build_sector_basis(n, t)))
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        refined = [spectrum(xyz_hamiltonian(n, coupling, build_sector_basis(n, t, parity=p)))
+                   for p in (1, -1)]
+        assert np.abs(np.sort(np.concatenate(refined)) - ref).max() <= 1e-12 * max(
+            1.0, np.abs(ref).max()
+        )
+
+
+def test_eigh_checked_rejects_real_nonsymmetric():
+    M = np.diag([1.0, 2.0, 3.0])
+    M[0, 2] = 1e-3
+    with pytest.raises(ContractError):
+        _eigh_checked(M)
+    evals, evecs = _eigh_checked(M + M.T)
+    assert evals.dtype == np.float64 and evecs.dtype == np.float64

@@ -32,6 +32,13 @@ def test_supercharge_changes_sector():
     assert Q.codomain.t_eigenvalue == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_supercharges_on_real_sectors_are_float64(n):
+    pair = build_supercharges(n, 0.7)
+    assert pair.q_plain.matrix.dtype == np.float64
+    assert pair.q_tilde.matrix.dtype == np.float64
+
+
 def test_anticommutator_reproduces_hamiltonian():
     residuals = {c["relation"]: c["residual"] for c in verify_algebra(5, 1.3)}
     assert residuals["hamiltonian_plain"] < 1e-11
