@@ -1,18 +1,18 @@
 """Command-line front end: spectra, Figure-1 style data, and check suites.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error. The environment variable SUSY_XYZ_THREADS caps the
-number of worker threads used to run independent sub-checks; results are
-always assembled in deterministic order, so output is byte-stable.
+configuration error. Each command declares only the options it reads, and
+options must be spelled out in full, so an option a command does not read is
+a usage error. Sub-checks run one after another in one thread; BLAS threads
+the linear algebra inside each of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,25 +53,12 @@ _USAGE_ERRORS = (DomainError, RangeError, ConfigurationError, ContractError)
 
 
 def thread_cap():
-    raw = os.environ.get("SUSY_XYZ_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"SUSY_XYZ_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigurationError("SUSY_XYZ_THREADS must be >= 1")
-    return cap
+    """The number of threads the CLI runs its sub-checks in: always 1.
 
-
-def _run_jobs(jobs):
-    """Run callables in parallel (capped by SUSY_XYZ_THREADS), keep order."""
-    cap = thread_cap()
-    if cap == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=min(cap, len(jobs))) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+    Kept only for the ``pool_threads`` field of the environment record that
+    ``perfbench/run.py`` writes.
+    """
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +82,16 @@ def parse_zeta_list(text):
 
 
 def parse_grid(text):
-    """'a:b:step' inclusive grid."""
+    """'a:b:step' grid: the points a + k*step that do not pass b by more than
+    1e-9 of a step, so that rounding in (b - a)/step cannot drop b itself."""
     try:
         a, b, step = (float(part) for part in text.split(":"))
     except ValueError:
         raise DomainError(f"grid must be a:b:step, got {text!r}")
-    if step <= 0 or b < a:
-        raise DomainError(f"grid must have b >= a and step > 0, got {text!r}")
-    count = int(round((b - a) / step))
+    # a NaN fails every comparison; an infinite bound makes (b - a)/step non-finite
+    if not (step > 0 and b >= a and math.isfinite((b - a) / step)):
+        raise DomainError(f"grid must have finite a <= b and step > 0, got {text!r}")
+    count = math.floor((b - a) / step + 1e-9)
     return tuple(a + k * step for k in range(count + 1))
 
 
@@ -129,11 +118,11 @@ def _emit(lines, out):
 
 
 def _resolve_zetas(args):
-    if getattr(args, "nome", None) is not None:
-        if getattr(args, "zeta", None) is not None:
+    if args.nome is not None:
+        if args.zeta is not None:
             raise ConfigurationError("give either --zeta or --nome, not both")
         return (zeta_of_nome(args.nome),)
-    if getattr(args, "zeta", None) is not None:
+    if args.zeta is not None:
         return args.zeta
     return DEFAULT_ZETAS
 
@@ -162,19 +151,11 @@ def cmd_spectrum(args):
 
 def cmd_fig1(args):
     """Rescaled spectra eps = 4E/(3+zeta^2) for n=6 (k=pi) and n=7 (k=0)."""
-    grid = args.zeta_grid
-    sector6 = build_sector_basis(6, -1.0)
-    sector7 = build_sector_basis(7, 1.0)
+    sectors = ((6, build_sector_basis(6, -1.0)), (7, build_sector_basis(7, 1.0)))
     lines = ["zeta,n,index,epsilon"]
-    results = _run_jobs(
-        [
-            (lambda z=z: (z, rescaled_spectrum(6, z, sector6), rescaled_spectrum(7, z, sector7)))
-            for z in grid
-        ]
-    )
-    for z, eps6, eps7 in results:
-        for n, eps in ((6, eps6), (7, eps7)):
-            for i, e in enumerate(eps):
+    for z in args.zeta_grid:
+        for n, sector in sectors:
+            for i, e in enumerate(rescaled_spectrum(n, z, sector)):
                 lines.append(f"{z:.10g},{n},{i},{e:.12g}")
     _emit(lines, args.out)
     return 0
@@ -188,12 +169,7 @@ def _check_output(report, out):
 def check_algebra(args):
     zetas = _resolve_zetas(args)
     tol = args.tol if args.tol is not None else ALGEBRA_TOL
-    jobs = [
-        (lambda n=n, z=z: verify_algebra(n, z, tol))
-        for n in args.n
-        for z in zetas
-    ]
-    checks = [c for batch in _run_jobs(jobs) for c in batch]
+    checks = [c for n in args.n for z in zetas for c in verify_algebra(n, z, tol)]
     return {"suite": "algebra", "tol": tol, "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
@@ -203,7 +179,7 @@ def check_cohomology(args):
     dims = {}
     ok = True
     for n in args.n:
-        vals = _run_jobs([(lambda n=n, z=z: cohomology_dimension(n, z)) for z in zetas])
+        vals = [cohomology_dimension(n, z) for z in zetas]
         if len(set(vals)) != 1:
             ok = False
         dims[str(n)] = int(vals[0])
@@ -270,13 +246,8 @@ def check_fermion_compare(args):
         ("ramond_vs_kpi", "ns_vs_k0") if args.variant == "both" else (args.variant,)
     )
     tol = args.tol if args.tol is not None else SPECTRAL_TOL
-    jobs = [
-        (lambda m=m, z=z, v=v: spectral_comparison(m, z, v, tol=tol))
-        for m in args.m
-        for z in zetas
-        for v in variants
-    ]
-    reports = _run_jobs(jobs)
+    reports = [spectral_comparison(m, z, v, tol=tol)
+               for m in args.m for z in zetas for v in variants]
     return {"suite": "fermion-compare", "tol": tol, "reports": reports,
             "pass": all(r["pass"] for r in reports)}
 
@@ -295,7 +266,7 @@ def cmd_pathbasis(args):
     return 0
 
 
-def cmd_transfer(args):
+def check_transfer(args):
     nome = args.nome if args.nome is not None else 0.2
     ctx = ThetaContext(nome=nome, s=args.s, t=args.t)
     tol = args.tol if args.tol is not None else 1e-9
@@ -316,13 +287,23 @@ def cmd_transfer(args):
         Ht = hamiltonian_from_transfer(n, ctx)
         r = np.linalg.norm(Hd - Ht) / max(1.0, np.linalg.norm(Hd))
         checks.append(_check_record("hamiltonian_from_transfer", n, zeta, r, r < 1e-5))
-    report = {"suite": "transfer", "nome": nome, "checks": checks,
-              "pass": all(c["pass"] for c in checks)}
-    return _check_output(report, args.out)
+    return {"suite": "transfer", "nome": nome, "checks": checks,
+            "pass": all(c["pass"] for c in checks)}
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+# the options several commands share; each command declares those it reads
+_SHARED_OPTIONS = {
+    "zeta": dict(type=parse_zeta_list, default=None),
+    "nome": dict(type=float, default=None),
+    "s": dict(type=float, default=0.3),
+    "t": dict(type=float, default=-0.7),
+    "tol": dict(type=float, default=None),
+    "out": dict(default=None),
+}
 
 
 def build_parser():
@@ -332,22 +313,26 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=None):
-        p.add_argument("--n", type=parse_n_range, default=n_default)
-        p.add_argument("--zeta", type=parse_zeta_list, default=None)
-        p.add_argument("--nome", type=float, default=None)
-        p.add_argument("--s", type=float, default=0.3)
-        p.add_argument("--t", type=float, default=-0.7)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", default=None)
+    def command(group, name, options="", n=None, **kwargs):
+        """Add a subcommand that reads the shared `options` (space-separated);
+        --n, when listed, defaults to `n` and is required without one."""
+        p = group.add_parser(name, allow_abbrev=False, **kwargs)
+        for option in options.split():
+            if option == "n":
+                p.add_argument("--n", type=parse_n_range, default=n, required=n is None)
+            else:
+                p.add_argument(f"--{option}", **_SHARED_OPTIONS[option])
+        return p
 
-    p = sub.add_parser("spectrum", help="sector spectra as CSV/JSON")
-    common(p)
+    def suite(p, check):
+        p.set_defaults(func=lambda a: _check_output(check(a), a.out))
+
+    p = command(sub, "spectrum", "n zeta nome out", help="sector spectra as CSV/JSON")
     p.add_argument("--sector", default="susy")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("fig1", help="rescaled n=6/n=7 spectra over a zeta grid")
+    p = command(sub, "fig1", help="rescaled n=6/n=7 spectra over a zeta grid")
     p.add_argument("--zeta-grid", type=parse_grid, default=parse_grid("0:3:0.05"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fig1)
@@ -355,40 +340,36 @@ def build_parser():
     p = sub.add_parser("check", help="run a named check suite")
     chk = p.add_subparsers(dest="suite", required=True)
 
-    c = chk.add_parser("algebra")
-    common(c, n_default=tuple(range(2, 9)))
-    c.set_defaults(func=lambda a: _check_output(check_algebra(a), a.out))
+    c = command(chk, "algebra", "n zeta nome tol out", n=tuple(range(2, 9)))
+    suite(c, check_algebra)
 
-    c = chk.add_parser("cohomology")
-    common(c, n_default=tuple(range(3, 12)))
-    c.set_defaults(func=lambda a: _check_output(check_cohomology(a), a.out))
+    c = command(chk, "cohomology", "n zeta nome out", n=tuple(range(3, 12)))
+    suite(c, check_cohomology)
 
-    c = chk.add_parser("conjectures")
-    common(c, n_default=tuple(range(3, 8)))
+    c = command(chk, "conjectures", "n zeta nome s t tol out", n=tuple(range(3, 8)))
     c.add_argument("--nomes", type=parse_zeta_list, default=(0.1, 0.3))
-    c.set_defaults(func=lambda a: _check_output(check_conjectures(a), a.out))
+    suite(c, check_conjectures)
 
-    c = chk.add_parser("appendixB")
-    common(c)
-    c.set_defaults(func=lambda a: _check_output(check_appendixB(a), a.out))
+    c = command(chk, "appendixB", "nome s t out")
+    suite(c, check_appendixB)
 
-    c = chk.add_parser("fermion-compare")
+    c = command(chk, "fermion-compare")
     c.add_argument("--m", type=parse_n_range, default=(2, 3))
     c.add_argument("--zeta", type=parse_zeta_list, default=None)
     c.add_argument("--variant", default="both",
                    choices=("both", "ramond_vs_kpi", "ns_vs_k0"))
     c.add_argument("--tol", type=float, default=None)
     c.add_argument("--out", default=None)
-    c.set_defaults(func=lambda a: _check_output(check_fermion_compare(a), a.out))
+    suite(c, check_fermion_compare)
 
-    p = sub.add_parser("pathbasis", help="enumerate height-path states")
-    common(p, n_default=(4,))
+    p = command(sub, "pathbasis", "n nome s t out", n=(4,),
+                help="enumerate height-path states")
     p.set_defaults(func=cmd_pathbasis)
 
-    p = sub.add_parser("transfer", help="transfer-matrix consistency checks")
-    common(p, n_default=(3, 4))
+    p = command(sub, "transfer", "n nome s t tol out", n=(3, 4),
+                help="transfer-matrix consistency checks")
     p.add_argument("--u", type=float, default=0.45)
-    p.set_defaults(func=cmd_transfer)
+    suite(p, check_transfer)
 
     return parser
 

@@ -17,6 +17,7 @@ complex128.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -33,6 +34,10 @@ class CouplingLine:
     """The supersymmetric line J_x J_y + J_x J_z + J_y J_z = 0, parametrized by zeta."""
 
     zeta: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.zeta):
+            raise DomainError(f"zeta must be finite, got {self.zeta}")
 
     @property
     def jx(self):

@@ -39,9 +39,9 @@ from .spinchain import (
 ALGEBRA_TOL = 1e-10  # default bound on the absolute residual of each relation
 
 
-def susy_sector(n, **kwargs):
+def susy_sector(n):
     """The momentum sector t_N = (-1)^{N+1} on which the supercharges act."""
-    return build_sector_basis(n, float((-1) ** (n + 1)), **kwargs)
+    return build_sector_basis(n, float((-1) ** (n + 1)))
 
 
 def local_q(j, n, zeta):
@@ -88,6 +88,7 @@ class SuperchargePair:
 
 def build_supercharges(n, zeta):
     """Sector-restricted Q_N and Qt_N = R_{N+1} Q_N R_N."""
+    CouplingLine(zeta)  # raises DomainError for a non-finite zeta
     dom = susy_sector(n)
     cod = susy_sector(n + 1)
     Q = supercharge_full(n, zeta)

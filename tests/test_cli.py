@@ -1,16 +1,28 @@
 import hashlib
 import importlib.util
 import json
+import os
+import runpy
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from susyxyz import supercharge
-from susyxyz.cli import main, parse_grid, parse_n_range, parse_zeta_list, thread_cap
+from susyxyz import cli, supercharge
+from susyxyz.cli import (
+    build_parser,
+    main,
+    parse_grid,
+    parse_n_range,
+    parse_zeta_list,
+    thread_cap,
+)
 from susyxyz.eightvertex import BetheRoots
 from susyxyz.elliptic import ThetaContext
-from susyxyz.errors import ConfigurationError, DomainError
+from susyxyz.errors import DomainError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -25,18 +37,36 @@ def test_parse_helpers():
     assert parse_n_range("2,5") == (2, 5)
     assert parse_zeta_list("0,0.3,1") == (0.0, 0.3, 1.0)
     assert parse_grid("0:1:0.5") == (0.0, 0.5, 1.0)
-    with pytest.raises(DomainError):
-        parse_grid("1:0:0.5")
+    assert parse_grid("0:3:0.05") == tuple(k * 0.05 for k in range(61))
+    # no point past b, but rounding in (b - a)/step must not drop b
+    assert parse_grid("0:1:0.35") == (0.0, 0.35, 0.7)
+    for a in (0.0, 0.286, 0.5, 0.9):
+        assert parse_grid(f"{a:g}:{a + 2:g}:0.1") == tuple(a + k * 0.1 for k in range(21))
+    for bad in ("1:0:0.5", "0:inf:1", "-inf:0:1", "nan:1:0.5", "0:1:nan", "0:1:0"):
+        with pytest.raises(DomainError):
+            parse_grid(bad)
 
 
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("SUSY_XYZ_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("SUSY_XYZ_THREADS", "zero")
-    with pytest.raises(ConfigurationError):
-        thread_cap()
-    monkeypatch.delenv("SUSY_XYZ_THREADS")
-    assert thread_cap() >= 1
+class _EveryVariableIs2(dict):
+    def __missing__(self, key):
+        return "2"
+
+    def get(self, key, default=None):
+        return "2"
+
+
+def test_cli_runs_in_one_thread(capsys, monkeypatch):
+    def no_threads(self):
+        raise RuntimeError("the CLI must not start threads")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    for argv in (("fig1", "--zeta-grid", "0:1:0.5"),
+                 ("check", "algebra", "--n", "2..3"),
+                 ("check", "fermion-compare", "--m", "2")):
+        assert run(capsys, *argv)[0] == 0
+    # no environment variable sets a thread count
+    monkeypatch.setattr(os, "environ", _EveryVariableIs2())
+    assert thread_cap() == 1
 
 
 def test_spectrum_n2_momentum_pi(capsys):
@@ -51,6 +81,40 @@ def test_spectrum_rejects_n0():
     with pytest.raises(SystemExit) as err:
         main(["spectrum", "--n", "0"])
     assert err.value.code == 2
+
+
+# (command argv, option, value): each option is one the command does not read
+REMOVED_OPTIONS = [
+    (("spectrum", "--n", "3"), "--s", "0.3"),
+    (("spectrum", "--n", "3"), "--t", "-0.7"),
+    (("spectrum", "--n", "3"), "--tol", "1e-9"),
+    (("check", "algebra", "--n", "2"), "--s", "0.3"),
+    (("check", "algebra", "--n", "2"), "--t", "-0.7"),
+    (("check", "cohomology", "--n", "3"), "--s", "0.3"),
+    (("check", "cohomology", "--n", "3"), "--t", "-0.7"),
+    (("check", "cohomology", "--n", "3"), "--tol", "1e-300"),
+    (("check", "appendixB", "--nome", "0.2"), "--n", "3"),
+    (("check", "appendixB", "--nome", "0.2"), "--zeta", "0.5"),
+    (("check", "appendixB", "--nome", "0.2"), "--tol", "1e-9"),
+    (("pathbasis", "--n", "3"), "--zeta", "0.5"),
+    (("pathbasis", "--n", "3"), "--tol", "1e-9"),
+    (("transfer", "--n", "3", "--nome", "0.2"), "--zeta", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *(base + (option, value) for base, option, value in REMOVED_OPTIONS),
+    ("fig1", "--zeta-grid", "0:inf:1"),
+    ("spectrum", "--zeta", "1"),  # spectrum has no default chain size
+], ids=lambda argv: " ".join(argv))
+def test_parser_usage_error_exit_codes(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "Traceback" not in captured.err
 
 
 def test_spectrum_usage_error_exit_codes(capsys):
@@ -76,9 +140,14 @@ def test_n1_usage_error_exit_codes(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("pathbasis", "--n", "3", "--s", "inf"),
     ("check", "appendixB", "--nome", "0.2", "--s", "nan"),
+    ("spectrum", "--n", "3", "--zeta", "nan"),
+    ("check", "cohomology", "--n", "3", "--zeta", "nan"),
+    ("check", "fermion-compare", "--m", "2", "--zeta", "inf"),
+    ("check", "algebra", "--n", "3", "--zeta", "inf"),
 ])
 def test_non_finite_path_parameters_exit_codes(capsys, argv):
-    # a non-finite s or t used to end in an SVD LinAlgError traceback
+    # a non-finite s, t or zeta is a usage error, not a LinAlgError traceback
+    # or a failed report
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -203,9 +272,9 @@ def test_output_file(tmp_path, capsys):
 # scripts/bethe_root_scan.py
 
 
-def _bethe_scan_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "bethe_root_scan.py"
-    spec = importlib.util.spec_from_file_location("bethe_root_scan", path)
+def _load(relative_path):
+    path = ROOT / relative_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -213,7 +282,7 @@ def _bethe_scan_script():
 
 def test_bethe_scan_probe_avoids_zeros_of_q(capsys, monkeypatch):
     # a root at u = 0.47 makes Q(0.47) vanish, so 0.47 must not be the probe
-    script = _bethe_scan_script()
+    script = _load("scripts/bethe_root_scan.py")
     roots = BetheRoots(roots=(0.47,), omega=1.0, n=5)
     monkeypatch.setattr(script, "find_bethe_roots", lambda n, m, omega, ctx: [roots])
     assert script.main(["--n", "5", "--m", "1"]) == 0
@@ -225,7 +294,38 @@ def test_bethe_scan_probe_avoids_zeros_of_q(capsys, monkeypatch):
 
 def test_bethe_scan_unusable_context_exit_code(capsys):
     # the default (s, t) has dependent local vectors at nome 0.95
-    assert _bethe_scan_script().main(["--nome", "0.95"]) == 2
+    assert _load("scripts/bethe_root_scan.py").main(["--nome", "0.95"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# argvs that other parts of the repo send to the CLI
+
+
+def _script_argvs(monkeypatch, relative_path):
+    """The argvs a script sends to the CLI, run against a stub that records them."""
+    sent = []
+    monkeypatch.setattr(cli, "main", lambda argv: sent.append(list(argv)) or 0)
+    monkeypatch.setattr("sys.argv", [relative_path])
+    try:
+        runpy.run_path(str(ROOT / relative_path), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0
+    assert sent, f"{relative_path} sent no argv"
+    return sent
+
+
+def test_repo_argvs_parse(capsys, monkeypatch):
+    workloads = _load("perfbench/workloads.py")
+    argvs = [op["argv"] for w in workloads.WORKLOADS for seed in range(10)
+             for op in workloads.ops_for(w, seed) if op["kind"] == "cli"]
+    argvs += _script_argvs(monkeypatch, "scripts/run_all_checks.py")
+    argvs += _script_argvs(monkeypatch, "scripts/make_fig1_data.py")
+    parser = build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the CLI rejects {argv}")
