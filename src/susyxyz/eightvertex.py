@@ -10,6 +10,7 @@ extension u_{m+1} = pi which lowers the chain length by one site.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -24,7 +25,7 @@ from .errors import (
     InvariantViolation,
     PoleError,
 )
-from .spinchain import _rank
+from .spinchain import _rank, project
 from .supercharge import build_supercharges, susy_sector
 
 
@@ -79,6 +80,8 @@ def transfer_matrix(n, u, ctx, inhomogeneities=None):
     """
     if n < 2:
         raise DomainError(f"transfer matrix needs n >= 2, got {n}")
+    if not cmath.isfinite(u):
+        raise DomainError(f"spectral parameter u must be finite, got {u}")
     if inhomogeneities is not None and len(inhomogeneities) != n:
         raise DomainError("need one inhomogeneity per site")
     # G[x, m, A', A]: open horizontal indices (first bond x, current bond m)
@@ -307,11 +310,10 @@ def intertwining_residual(n, u, ctx, charge="Q"):
         raise DomainError("intertwining check needs n >= 3")
     dom = susy_sector(n - 1)
     cod = susy_sector(n)
-    Bc, Bd = cod.embedding, dom.embedding
-    Tn = Bc.conj().T @ (transfer_matrix(n, u, ctx) @ Bc)
-    Tdn = Bd.conj().T @ (transfer_matrix(n - 1, u, ctx) @ Bd)
+    Tn = project(transfer_matrix(n, u, ctx), cod).matrix
+    Tdn = project(transfer_matrix(n - 1, u, ctx), dom).matrix
     if charge == "hatQ":
-        X = Bc.conj().T @ (hatQ_spin(n, ctx) @ Bd)
+        X = project(hatQ_spin(n, ctx), dom, cod).matrix
     elif charge in ("Q", "Qtilde"):
         pair = build_supercharges(n - 1, zeta_of_nome(ctx.nome))
         X = pair.q_plain.matrix if charge == "Q" else pair.q_tilde.matrix
@@ -358,9 +360,10 @@ def bethe_residual(br, ctx):
     eta = ctx.eta
     out = []
     for uj in br.roots:
-        if abs(h(uj - eta, ctx)) < 1e-12 or abs(h(uj + eta, ctx)) < 1e-12:
+        below, above = h(uj - eta, ctx), h(uj + eta, ctx)
+        if abs(below) < 1e-12 or abs(above) < 1e-12:
             raise PoleError(f"Bethe root {uj} sits at a zero of h(u -+ eta)")
-        lhs = (h(uj + eta, ctx) / h(uj - eta, ctx)) ** br.n
+        lhs = (above / below) ** br.n
         rhs = -br.omega ** 2
         for uk in br.roots:
             rhs *= h(uj - uk + 2 * eta, ctx) / h(uj - uk - 2 * eta, ctx)
@@ -382,13 +385,11 @@ def tq_eigenvalue(u, br, ctx):
     eta = ctx.eta
 
     def qfun(v):
-        out = 1.0 + 0.0j
-        for uj in br.roots:
-            out *= h(v - uj, ctx)
-        return out
+        return math.prod((h(v - uj, ctx) for uj in br.roots), start=1.0 + 0.0j)
 
-    denom = qfun(u)
-    scale = max(1.0, max((abs(h(u - uj, ctx)) for uj in br.roots), default=1.0))
+    at_u = [h(u - uj, ctx) for uj in br.roots]
+    denom = math.prod(at_u, start=1.0 + 0.0j)
+    scale = max(1.0, max(map(abs, at_u), default=1.0))
     if abs(denom) < 1e-12 * scale:
         raise PoleError(f"T-Q evaluation at a zero of Q(u), u={u}")
     phi = lambda v: h(v, ctx) ** br.n
@@ -507,7 +508,7 @@ def find_bethe_roots(n, m, omega, ctx):
     omega = complex(omega)
     U = _newton_polish(_newton_starts(m), n, omega, ctx)
 
-    found = []
+    found, forms = [], []
 
     def canonical(us):
         # shift each root's real part into [0, pi) -- h(u+pi) = -h(u) keeps
@@ -519,14 +520,6 @@ def find_bethe_roots(n, m, omega, ctx):
                 re -= math.pi
             vals.append(complex(re, uu.imag))
         return sorted(vals, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-
-    def is_new(us):
-        cu = canonical(us)
-        for other in found:
-            co = canonical(other)
-            if all(abs(a - b) < 1e-6 for a, b in zip(cu, co)):
-                return False
-        return True
 
     for row in U:
         if not np.all(np.isfinite(row)):
@@ -540,14 +533,18 @@ def find_bethe_roots(n, m, omega, ctx):
             gap = (us[0] - us[1]).real % math.pi
             if min(gap, math.pi - gap) < 1e-6 and abs(us[0].imag - us[1].imag) < 1e-6:
                 continue  # coincident (mod pi) roots: vanishing wave function
+        # a copy of a found (hence validated) set needs no validation
+        form = canonical(us)
+        if any(all(abs(a - b) < 1e-6 for a, b in zip(form, f)) for f in forms):
+            continue
         try:
             resid = bethe_residual(BetheRoots(tuple(us), omega, n), ctx)
         except (DomainError, PoleError):
             continue
         if max(abs(r) for r in resid) > 1e-9:
             continue
-        if is_new(us):
-            found.append(us)
+        found.append(us)
+        forms.append(form)
     return [BetheRoots(tuple(us), omega, n) for us in found]
 
 

@@ -65,12 +65,19 @@ def _series(kind, nome):
     return tuple(coefs), tuple(freqs), tuple(reaches), first
 
 
+def _require_kind_and_nome(kind, nome):
+    if kind not in (1, 2, 3, 4):
+        raise DomainError(f"theta kind must be 1..4, got {kind}")
+    if not (0.0 <= nome < 1.0):
+        raise DomainError(f"nome must lie in [0, 1), got {nome}")
+
+
 def theta_reach(kind, nome):
     """The |Im z| at and beyond which `theta` raises RangeError for this
     kind and nome: below it some term count up to _MAX_TERMS meets _TRUNC_TOL.
-    Zero or negative when even real z needs more terms."""
-    if not (0.0 <= nome < 1.0):
-        raise DomainError(f"nome must lie in [0, 1), got {nome}")
+    Zero or negative when even real z needs more terms. Raises DomainError
+    where `theta` does: unless kind is 1..4 and 0 <= nome < 1."""
+    _require_kind_and_nome(kind, nome)
     return max(_series(kind, float(nome))[2])
 
 
@@ -88,10 +95,7 @@ def theta(kind, z, nome):
     unless 0 <= nome < 1 and RangeError when no N <= _MAX_TERMS meets the
     bound for finite input, that is when y >= theta_reach(kind, nome).
     """
-    if kind not in (1, 2, 3, 4):
-        raise DomainError(f"theta kind must be 1..4, got {kind}")
-    if not (0.0 <= nome < 1.0):
-        raise DomainError(f"nome must lie in [0, 1), got {nome}")
+    _require_kind_and_nome(kind, nome)
     coefs, freqs, reaches, first = _series(kind, float(nome))
 
     # finite Python and numpy scalars are summed with math/cmath; math.sin

@@ -8,8 +8,10 @@ each particle-number basis is the ascending tuple of such masks, and every
 operator on it is assembled with vectorised bit operations. With period-3
 staggered couplings the Hamiltonian commutes with translation by three sites.
 T^3 is a signed permutation of the masks (a particle crossing the seam picks
-up the boundary sign), so its eigenspaces come from the same orbit-sum builder
-as the spin chain's momentum sectors, as sparse embeddings. The
+up the boundary sign), so its eigenspaces are `SectorBasis` objects from the
+spin chain's orbit-sum builder: their rows index the m-particle masks and t is
+the T^3 eigenvalue. The sparse Hamiltonian is restricted to them and
+diagonalised by the spin chain's `project` and `spectrum`. The
 spectral-coincidence harness compares these sectors against the XYZ chain at
 momentum 0 or pi under the change of variables zeta^2 = 1 + 8 y^2. A
 combinatorial map sends height paths to hard-particle configurations and
@@ -32,12 +34,12 @@ from .errors import ConfigurationError, DomainError, InvariantViolation
 from .spinchain import (
     SPECTRAL_TOL,
     CouplingLine,
-    _eigh_checked,
     _group_levels,
-    _orbit_embedding,
+    _orbit_sector,
     _spin_parity,
     build_sector_basis,
     common_levels,
+    project,
     rotate_left,
     spectrum,
     xyz_hamiltonian,
@@ -107,7 +109,6 @@ class FermionModel:
     couplings: tuple
     boundary: str = "ramond"
     m: int = 0
-    t3_sector: int | None = None
 
     def __post_init__(self):
         if len(self.couplings) != self.n_f:
@@ -116,8 +117,6 @@ class FermionModel:
             raise DomainError("couplings must be nonzero")
         if self.boundary not in ("ramond", "neveu-schwarz"):
             raise DomainError(f"unknown boundary {self.boundary!r}")
-        if self.t3_sector not in (None, 1, -1):
-            raise DomainError("t3_sector must be +-1 or None")
 
 
 def staggered_couplings(n_f, y):
@@ -172,13 +171,12 @@ def supercharge_matrix(n_f, couplings, m):
 
 
 def fermion_hamiltonian(model):
-    """Hamiltonian on the m-particle basis (and T^3 sector, if requested).
+    """Sparse (CSR) Hamiltonian on the m-particle basis.
 
     Ramond: H = {Q, Q^dag}; the hop across the seam then carries the string
     sign (-1)^(m-1). Neveu-Schwarz flips the sign of the seam hop term,
     equivalently multiplies its matrix elements by -1 relative to the written
-    periodic form, i.e. the seam hop carries (-1)^m. H is assembled sparse; a
-    T^3 sector matrix B^H (H B) is densified only at its own dimension.
+    periodic form, i.e. the seam hop carries (-1)^m.
     """
     n_f, m, lam = model.n_f, model.m, model.couplings
     states = np.array(hardcore_basis(n_f, m))
@@ -202,14 +200,10 @@ def fermion_hamiltonian(model):
     rows.append(index)
     cols.append(index)
     vals.append(diag)
-    H = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(states), len(states)),
     )
-    if model.t3_sector is None:
-        return H.toarray()
-    B = t3_sector_basis(n_f, m, model.t3_sector, model.boundary)
-    return (B.conj().T @ (H @ B)).toarray()
 
 
 def translation_matrix(n_f, m, boundary="ramond"):
@@ -223,11 +217,11 @@ def translation_matrix(n_f, m, boundary="ramond"):
 
 
 def t3_sector_basis(n_f, m, sigma, boundary="ramond"):
-    """Orthonormal basis of the T^3 eigenspace with eigenvalue sigma = +-1, as
-    a sparse CSC matrix over the m-particle basis.
+    """The T^3 eigenspace with eigenvalue sigma = +-1, as a `SectorBasis`
+    with n = n_f whose embedding rows index the m-particle masks.
 
     T^3 is a signed permutation of the hard-core masks; each basis vector is
-    the phased orbit sum of `spinchain._orbit_embedding`, and an orbit
+    the phased orbit sum of `spinchain._orbit_sector`, and an orbit
     contributes iff the accumulated sign around it equals sigma^length.
     """
     if n_f % 3 != 0:
@@ -241,20 +235,16 @@ def t3_sector_basis(n_f, m, sigma, boundary="ramond"):
         x3, s3 = _translate(x2, n_f, seam)
         return x3, s1 * s2 * s3
 
-    B = _orbit_embedding(states, n_f, step, float(sigma))[2]
-    return B[states]
+    return _orbit_sector(states, n_f, step, float(sigma))
 
 
 def fermion_spectrum(n_f, y, m, boundary, sigma):
+    """Ascending spectrum of the staggered ring in the T^3 = sigma sector."""
     model = FermionModel(
-        n_f=n_f,
-        couplings=staggered_couplings(n_f, y),
-        boundary=boundary,
-        m=m,
-        t3_sector=sigma,
+        n_f=n_f, couplings=staggered_couplings(n_f, y), boundary=boundary, m=m
     )
-    H = fermion_hamiltonian(model)
-    return _eigh_checked(H, herm_tol=1e-12, error=InvariantViolation)[0]
+    basis = t3_sector_basis(n_f, m, sigma, boundary)
+    return spectrum(project(fermion_hamiltonian(model), basis))
 
 
 def spectral_comparison(m, zeta, variant, tol=SPECTRAL_TOL):

@@ -2,17 +2,18 @@
 
 Basis states are bitmasks: bit j-1 set means spin "-" at site j (site 1 is the
 least significant bit), so the translation operator is a cyclic bit rotation.
-A momentum sector is built from translation orbits: each basis vector is the
-phased orbit sum of a representative state, so its embedding into the full
-2^n-dimensional space is a sparse CSC matrix with at most n nonzeros per
-column (Lin, PRB 42, 6561 (1990); Sandvik, arXiv:1101.3281); the same
-orbit-sum builder, for any signed permutation of bitmask states, gives the
-hard-core fermion ring its T^3 sectors. Every sector operator is obtained by
-projecting a sparse full-space operator through that embedding; only the
-small dim x dim result is dense. The dtype follows t: a real t (= +-1, the
-sectors of the supercharges) gives float64 embeddings and sector operators,
-so their eigensolves and SVDs run in real arithmetic; any other t gives
-complex128.
+A sector is built from the orbits of a step, here translation with eigenvalue
+t: each basis vector is the phased orbit sum of a representative state, so its
+embedding is a sparse CSC matrix whose rows index the model's basis states,
+with one nonzero per state of the orbit (Lin, PRB 42, 6561 (1990); Sandvik,
+arXiv:1101.3281). The same orbit-sum builder, for any signed permutation of
+bitmask states, gives the hard-core fermion ring its T^3 sectors over the
+hard-core masks. Every sector operator is a full operator, sparse or dense,
+projected through that embedding, and every sector spectrum comes from one
+checked eigensolve; only the small dim x dim result is dense. The dtype
+follows t: a real t (= +-1, the sectors of the supercharges and of T^3) gives
+float64 embeddings and sector operators, so their eigensolves and SVDs run in
+real arithmetic; any other t gives complex128.
 """
 
 from __future__ import annotations
@@ -54,14 +55,17 @@ class CouplingLine:
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Orthonormal symmetry-adapted basis of a momentum (and optionally
-    parity) sector.
+    """Orthonormal symmetry-adapted basis of a sector of a model on n sites:
+    a momentum sector of the spin chain (optionally refined by parity) or a
+    T^3 sector of the hard-core fermion ring.
 
-    `embedding` is the sparse 2^n x dim CSC matrix whose columns are the basis
-    vectors in the full space; `orbit_reps` holds the (representative, period)
-    of every admitted translation orbit. Without a parity refinement column i
-    is the orbit sum of orbit_reps[i], so nnz equals the number of states in
-    the admitted orbits; a parity refinement mixes these orbit sums. A real t
+    `embedding` is the sparse CSC matrix whose rows index the model's basis
+    (the 2^n spin states, or the hard-core masks) and whose dim columns are
+    the basis vectors; t_eigenvalue is the eigenvalue of the orbit step
+    (translation, or T^3), and `orbit_reps` holds the (representative,
+    period) of every admitted orbit. Without a parity refinement column i is
+    the orbit sum of orbit_reps[i], so nnz equals the number of states in the
+    admitted orbits; a parity refinement mixes these orbit sums. A real t
     (|Im t| <= 1e-12, stored snapped to +-1) gives a float64 embedding,
     otherwise it is complex128.
     """
@@ -113,16 +117,17 @@ def _spin_parity(bits, n):
     return 1 - 2 * odd
 
 
-def _orbit_embedding(states, n, step, t):
-    """Orbit-sum embedding of the eigenvalue-t sector of a signed permutation.
+def _orbit_sector(states, n, step, t):
+    """The eigenvalue-t sector of a signed permutation of a model's basis.
 
-    `states` is an ascending integer array of n-bit states closed under `step`;
-    step(x) returns (image, sign) elementwise. The smallest state of each orbit
-    is its representative, and an orbit of period p is admitted iff t^p equals
-    the product of the signs around it. Column i is the orbit sum
+    `states` is the model's basis, an ascending integer array of n-bit states
+    closed under `step`; step(x) returns (image, sign) elementwise. The
+    smallest state of each orbit is its representative, and an orbit of
+    period p is admitted iff t^p equals the product of the signs around it.
+    Column i of the embedding is the orbit sum
     sum_{k<p} conj(t)^k s_k |step^k(rep_i)> / sqrt(p), where s_k is the sign
-    accumulated over the first k steps, stored as a 2^n-row CSC matrix.
-    Returns (reps, periods, embedding), ascending by representative.
+    accumulated over the first k steps; its rows index `states`. The orbits
+    are ascending by representative.
     """
     rep = states.copy()
     period = np.zeros(len(states), dtype=np.int64)
@@ -147,16 +152,23 @@ def _orbit_embedding(states, n, step, t):
     tbar = np.conj(t)
     for k in range(walked):
         live = k < periods
-        rows.append(x[live])
+        rows.append(np.searchsorted(states, x[live]))
         cols.append(index[live])
         vals.append(tbar ** k * acc[live] / np.sqrt(periods[live]))
         x, sign = step(x)
         acc = acc * sign
     B = sp.csc_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(1 << n, len(reps)),
+        shape=(len(states), len(reps)),
     )
-    return reps, periods, B
+    return SectorBasis(
+        n=n,
+        t_eigenvalue=t,
+        parity_eigenvalue=None,
+        orbit_reps=tuple(zip(reps.tolist(), periods.tolist())),
+        dim=len(reps),
+        embedding=B,
+    )
 
 
 def symmetry_operator(kind, n):
@@ -185,39 +197,27 @@ def build_sector_basis(n, t_eigenvalue, parity=None):
     elif parity is not None:
         raise DomainError("parity sectors require a real translation eigenvalue")
 
-    states = np.arange(1 << n)
-    reps, periods, B = _orbit_embedding(states, n, lambda x: (rotate_left(x, n), 1.0), t)
-
-    basis = SectorBasis(
-        n=n,
-        t_eigenvalue=t,
-        parity_eigenvalue=None,
-        orbit_reps=tuple(zip(reps.tolist(), periods.tolist())),
-        dim=len(reps),
-        embedding=B,
-    )
-    if parity is None:
-        return basis
-    return _refine_parity(basis, int(parity))
+    basis = _orbit_sector(np.arange(1 << n), n, lambda x: (rotate_left(x, n), 1.0), t)
+    return basis if parity is None else _refine_parity(basis, int(parity))
 
 
 def _refine_parity(basis, parity):
     P = symmetry_operator("parity", basis.n)
-    B = basis.embedding
-    evals, evecs = _eigh_checked((B.conj().T @ (P @ B)).toarray())
+    evals, evecs = _eigh_checked(project(P, basis).matrix)
     keep = np.where(np.abs(evals - parity) < 1e-8)[0]
-    refined = B @ sp.csc_matrix(evecs[:, keep])
+    refined = basis.embedding @ sp.csc_matrix(evecs[:, keep])
     return replace(basis, parity_eigenvalue=parity, dim=len(keep), embedding=refined)
 
 
 def project(full_op, domain, codomain=None):
-    """Restrict a sparse full-space operator to sector coordinates,
-    B_cod^H (A B_dom), densifying only the dim x dim result."""
+    """Restrict a full-space operator, sparse or dense, to sector coordinates,
+    B_cod^H (A B_dom); a sparse product is densified only at dim x dim."""
     codomain = codomain if codomain is not None else domain
+    matrix = codomain.embedding.conj().T @ (full_op @ domain.embedding)
     return SectorOperator(
         domain=domain,
         codomain=codomain,
-        matrix=(codomain.embedding.conj().T @ (full_op @ domain.embedding)).toarray(),
+        matrix=matrix.toarray() if sp.issparse(matrix) else matrix,
     )
 
 
@@ -259,16 +259,17 @@ def xyz_hamiltonian(n, coupling, sector):
     return project(xyz_hamiltonian_full(n, coupling), sector)
 
 
-def _eigh_checked(M, herm_tol=1e-10, error=ContractError):
-    """Ascending eigenpairs of the symmetrised M; raises `error` if M is not
-    Hermitian to herm_tol * scale or a residual exceeds 1e-9 * scale."""
+def _eigh_checked(M):
+    """Ascending eigenpairs of the symmetrised M, the one eigensolve of the
+    package; raises ContractError if M is not Hermitian to 1e-12 * scale or a
+    residual exceeds 1e-9 * scale."""
     scale = max(1.0, np.linalg.norm(M))
-    if np.linalg.norm(M - M.conj().T) > herm_tol * scale:
-        raise error("operator is not Hermitian within tolerance")
+    if np.linalg.norm(M - M.conj().T) > 1e-12 * scale:
+        raise ContractError("operator is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh((M + M.conj().T) / 2.0)
     resid = np.linalg.norm(M @ evecs - evecs * evals, axis=0)
     if np.any(resid > 1e-9 * scale):
-        raise error("eigenpair reconstruction residual too large")
+        raise ContractError("eigenpair reconstruction residual too large")
     return evals, evecs
 
 

@@ -144,9 +144,11 @@ def test_n1_usage_error_exit_codes(capsys, argv):
     ("check", "cohomology", "--n", "3", "--zeta", "nan"),
     ("check", "fermion-compare", "--m", "2", "--zeta", "inf"),
     ("check", "algebra", "--n", "3", "--zeta", "inf"),
+    ("transfer", "--n", "3", "--u", "nan"),
+    ("transfer", "--n", "3", "--u", "inf"),
 ])
 def test_non_finite_path_parameters_exit_codes(capsys, argv):
-    # a non-finite s, t or zeta is a usage error, not a LinAlgError traceback
+    # a non-finite s, t, zeta or u is a usage error, not a LinAlgError traceback
     # or a failed report
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyxyz import elliptic, spinchain
+from susyxyz import eightvertex, elliptic, spinchain
 from susyxyz.eightvertex import (
     BetheRoots,
     _bethe_entire,
@@ -485,6 +485,23 @@ def test_live_row_newton_matches_all_rows_loop(nome):
             # same iterates bit for bit, including which rows diverged, so the
             # same root sets
             assert np.array_equal(got, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("omega", OMEGAS, ids=("omega0", "omega1", "omega2"))
+def test_bethe_scan_validates_only_new_root_sets(monkeypatch, omega):
+    # a Newton row that lands on an already found set is skipped before its
+    # residual is computed, so every residual call yields a new root set
+    calls = []
+    real_residual = eightvertex.bethe_residual
+
+    def counting_residual(br, ctx):
+        calls.append(br.roots)
+        return real_residual(br, ctx)
+
+    monkeypatch.setattr(eightvertex, "bethe_residual", counting_residual)
+    roots = find_bethe_roots(5, 1, omega, ThetaContext(nome=0.2))
+    assert roots
+    assert len(calls) == len(roots)
 
 
 @pytest.mark.parametrize("nome", [0.7, 0.9])

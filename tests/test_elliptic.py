@@ -45,6 +45,15 @@ def test_theta_rejects_bad_arguments():
         theta(1, 0.3, -0.1)
 
 
+@pytest.mark.parametrize("kind", [0, 5])
+def test_theta_reach_rejects_bad_kind(kind):
+    # the reach of a kind that theta rejects is not the kind-3/4 reach
+    with pytest.raises(DomainError, match="kind"):
+        theta(kind, 0.3, 0.2)
+    with pytest.raises(DomainError, match="kind"):
+        theta_reach(kind, 0.2)
+
+
 @given(
     z=st.floats(-6, 6),
     q=st.floats(0, 0.8),

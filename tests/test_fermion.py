@@ -26,6 +26,7 @@ from susyxyz.fermion import (
     translation_matrix,
     y_of_zeta,
 )
+from susyxyz.spinchain import SectorBasis, project, spectrum
 
 
 def test_hardcore_state_validation():
@@ -72,7 +73,7 @@ def test_supercharge_square_zero():
 def test_ramond_hamiltonian_is_anticommutator(m):
     n_f = 6
     lam = staggered_couplings(n_f, 0.58)
-    H = fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, m=m))
+    H = fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, m=m)).toarray()
     rhs = np.zeros_like(H)
     if m < n_f // 2:
         Q = supercharge_matrix(n_f, lam, m)
@@ -87,7 +88,8 @@ def test_ramond_hamiltonian_is_anticommutator(m):
 def test_translation_symmetry(boundary):
     n_f, m = 6, 2
     lam = staggered_couplings(n_f, 0.9)
-    H = fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m))
+    H = fermion_hamiltonian(
+        FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m)).toarray()
     T = translation_matrix(n_f, m, boundary)
     T3 = T @ T @ T
     assert np.linalg.norm(T @ T.T - np.eye(len(T))) < 1e-14
@@ -100,11 +102,44 @@ def test_t3_sector_bases_are_orthonormal_eigenbases():
         T = translation_matrix(n_f, m, boundary)
         T3 = T @ T @ T
         for sigma in (1, -1):
-            B = t3_sector_basis(n_f, m, sigma, boundary)
+            B = t3_sector_basis(n_f, m, sigma, boundary).embedding
             if B.shape[1] == 0:
                 continue
             assert np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])) < 1e-12
             assert np.linalg.norm(T3 @ B - sigma * B) < 1e-12
+
+
+@pytest.mark.parametrize("n_f", [6, 9, 12])
+def test_t3_sector_basis_is_a_sector_basis(n_f):
+    # the spin chain's sector type: rows index the m-particle masks, n = n_f,
+    # t = sigma; B^H B = I and T^3 B = sigma B
+    for m in range(n_f // 2 + 1):
+        masks = hardcore_basis(n_f, m)
+        for boundary in ("ramond", "neveu-schwarz"):
+            T = translation_matrix(n_f, m, boundary)
+            T3 = T @ T @ T
+            for sigma in (1, -1):
+                basis = t3_sector_basis(n_f, m, sigma, boundary)
+                assert isinstance(basis, SectorBasis)
+                assert (basis.n, basis.t_eigenvalue, basis.parity_eigenvalue) == (n_f, sigma, None)
+                B = basis.embedding.toarray()
+                assert B.shape == (len(masks), basis.dim)
+                assert B.dtype == np.float64
+                assert {rep for rep, _ in basis.orbit_reps} <= set(masks)
+                assert sum(p for _, p in basis.orbit_reps) == basis.embedding.nnz
+                assert np.abs(B.T @ B - np.eye(basis.dim)).max(initial=0.0) <= 1e-12
+                assert np.abs(T3 @ B - sigma * B).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary, sigma", [("ramond", -1), ("ramond", 1),
+                                             ("neveu-schwarz", 1), ("neveu-schwarz", -1)])
+def test_fermion_spectrum_is_spectrum_of_projection(boundary, sigma):
+    # one projection and one eigensolve: the same bits as the spin chain's path
+    for n_f, m in ((6, 2), (9, 3), (12, 4)):
+        model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
+                             boundary=boundary, m=m)
+        op = project(fermion_hamiltonian(model), t3_sector_basis(n_f, m, sigma, boundary))
+        assert np.array_equal(fermion_spectrum(n_f, 0.61, m, boundary, sigma), spectrum(op))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +260,8 @@ def test_masks_and_operators_match_loop_references(n_f):
         perm = _to_masks(n_f, m)
         assert sorted(perm.tolist()) == list(range(len(hardcore_basis(n_f, m))))
         for boundary in ("ramond", "neveu-schwarz"):
-            H = fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m))
+            H = fermion_hamiltonian(
+                FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m)).toarray()
             ref = _reorder(_hamiltonian_loop(n_f, m, lam, boundary), perm, perm)
             assert np.abs(H - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
             T = _reorder(_translation_loop(n_f, m, boundary), perm, perm)
@@ -247,15 +283,15 @@ def test_t3_sectors_match_loop_reference(n_f):
             T3 = _reorder(T @ T @ T, perm, perm)
             H_ref = _hamiltonian_loop(n_f, m, lam, boundary)
             for sigma in (1, -1):
-                B = t3_sector_basis(n_f, m, sigma, boundary)
+                basis = t3_sector_basis(n_f, m, sigma, boundary)
+                B = basis.embedding
                 B_ref = _t3_basis_loop(n_f, m, sigma, boundary)
                 assert B.shape == B_ref.shape
                 dense = B.toarray()
                 assert np.abs(dense.T @ dense - np.eye(B.shape[1])).max(initial=0.0) <= 1e-12
                 assert np.abs(T3 @ dense - sigma * dense).max(initial=0.0) <= 1e-12
-                model = FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m,
-                                     t3_sector=sigma)
-                ev = np.linalg.eigvalsh(fermion_hamiltonian(model))
+                model = FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m)
+                ev = np.linalg.eigvalsh(project(fermion_hamiltonian(model), basis).matrix)
                 ev_ref = np.linalg.eigvalsh(B_ref.T @ H_ref @ B_ref)
                 assert np.abs(ev - ev_ref).max(initial=0.0) <= 1e-12 * max(
                     1.0, np.abs(ev_ref).max(initial=0.0))
@@ -296,7 +332,7 @@ def test_ns_ground_state_negative():
                 fermion_hamiltonian(
                     FermionModel(n_f=6, couplings=staggered_couplings(6, 0.8),
                                  boundary="neveu-schwarz", m=m)
-                )
+                ).toarray()
             )
         )
     assert min(total) < -1e-6

@@ -92,3 +92,28 @@ def test_every_src_definition_is_used_outside_the_tests():
     names = set(defined.values())
     stale = [name for name in TEST_ONLY if name in referenced or name not in names]
     assert stale == []
+
+
+def _eig_calls(node):
+    """Lines of the calls of an eigensolver (`*linalg.eig*` or a bare `eig*`)
+    under an ast node."""
+    def is_eig(func):
+        if isinstance(func, ast.Attribute):
+            return func.attr.startswith("eig") and ast.unparse(func.value).endswith("linalg")
+        return isinstance(func, ast.Name) and func.id.startswith("eig")
+
+    return sorted(call.lineno for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and is_eig(call.func))
+
+
+def test_one_eigensolve():
+    # every spectrum of the package, spin or fermion, goes through the one
+    # checked eigensolve, spinchain._eigh_checked
+    trees = {path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    calls = [(name, line) for name, tree in trees.items() for line in _eig_calls(tree)]
+    spin = "src/susyxyz/spinchain.py"
+    (checked,) = [fn for fn in trees[spin].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_eigh_checked"]
+    assert calls
+    assert calls == [(spin, line) for line in _eig_calls(checked)]

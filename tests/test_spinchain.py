@@ -332,3 +332,20 @@ def test_eigh_checked_rejects_real_nonsymmetric():
         _eigh_checked(M)
     evals, evecs = _eigh_checked(M + M.T)
     assert evals.dtype == np.float64 and evecs.dtype == np.float64
+
+
+def test_eigh_checked_bound_is_1e12_relative():
+    # one bound for every sector, the fermion T^3 sectors included: a relative
+    # asymmetry of 1e-11 is rejected, one of 1e-13 is not
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((6, 6))
+    S = A + A.T
+    K = A - A.T
+    for rel, rejected in ((1e-11, True), (1e-13, False)):
+        M = S + rel * np.linalg.norm(S) / np.linalg.norm(K - K.T) * K
+        assert np.linalg.norm(M - M.T) / np.linalg.norm(M) == pytest.approx(rel, rel=1e-3)
+        if rejected:
+            with pytest.raises(ContractError, match="Hermitian"):
+                _eigh_checked(M)
+        else:
+            _eigh_checked(M)
