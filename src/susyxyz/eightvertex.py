@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .elliptic import h, theta_reach, w, zeta_of_nome
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     InvariantViolation,
     PoleError,
 )
-from .spinchain import _rank, project
+from .spinchain import _orbit_sector, _rank, build_sector_basis, project, rotate_left
 from .supercharge import build_supercharges, susy_sector
 
 
@@ -168,6 +169,48 @@ def path_states(n):
     return states
 
 
+def path_translate(p):
+    """The path obtained by translating the chain one site to the right.
+
+    The last step is glued to the front; the new base height is reduced to
+    {0, 1, 2}, which is a shift by -1 (last step up) or +1 (last step down)
+    modulo 3.
+    """
+    if p.n in p.positions:
+        new_pos = (1,) + tuple(x + 1 for x in p.positions if x != p.n)
+        new_ell = (p.ell + 1) % 3
+    else:
+        new_pos = tuple(x + 1 for x in p.positions)
+        new_ell = (p.ell - 1) % 3
+    return PathState(ell=new_ell, positions=new_pos, n=p.n)
+
+
+# A path is also the integer code ell << n | mask, where bit x-1 of the mask
+# marks a down step at x; the codes of all admissible paths ascend.
+
+
+def _path_codes(n):
+    """Ascending codes of the admissible paths of n sites."""
+    masks = np.arange(1 << n)
+    downs = sum((masks >> j) & 1 for j in range(n))
+    masks = masks[(n - 2 * downs) % 3 == 0]
+    return np.concatenate([(ell << n) | masks for ell in range(3)])
+
+
+def _path_of_code(code, n):
+    """The PathState of a path code."""
+    return PathState(
+        ell=code >> n, positions=tuple(x + 1 for x in range(n) if code >> x & 1), n=n
+    )
+
+
+def _translate_path_codes(codes, n):
+    """`path_translate` on an integer array of path codes."""
+    mask, ell = codes & ((1 << n) - 1), codes >> n
+    down = mask >> (n - 1)
+    return (((ell + 2 * down - 1) % 3) << n) | rotate_left(mask, n)
+
+
 @functools.lru_cache(maxsize=256)
 def _require_independent(ctx):
     """ctx.require_independent_local_vectors(), run once per context."""
@@ -225,22 +268,62 @@ def path_matrix(n, ctx, inhomogeneities=None):
     return states, M
 
 
-def _path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
-    """(rank, complement) of the path matrix from one build and one SVD.
+def _path_blocks(n, ctx, inhomogeneities=None):
+    """The path matrix M as blocks [(B, M_B)], with M M^H = sum_B B M_B M_B^H B^H.
 
-    With complement=False only the singular values are computed and the
+    A one-site translation S permutes the paths, S|p> = |path_translate(p)>,
+    so M M^H commutes with S and splits over its eigenspaces: B is the
+    embedding of the momentum sector with S = t, and M_B = B^H [sqrt(p_r) |r>]
+    over the representatives r of the path orbits whose period p_r has
+    t^{p_r} = 1 (an orbit of another period has no component at t). Only the
+    representatives' path vectors are built. An inhomogeneous chain has no
+    translation symmetry and is one block: the identity and the whole M.
+    """
+    if n < 2:
+        raise DomainError(f"the path basis needs n >= 2, got {n}")
+    if inhomogeneities is not None:
+        return [(sp.identity(1 << n, format="csc"), path_matrix(n, ctx, inhomogeneities)[1])]
+    step = lambda codes: (_translate_path_codes(codes, n), 1.0)
+    orbits = _orbit_sector(_path_codes(n), n, step, 1.0).orbit_reps
+    periods = np.array([p for _, p in orbits])
+    R = np.column_stack(
+        [path_state_vector(_path_of_code(r, n), ctx) for r, _ in orbits]
+    ) * np.sqrt(periods)
+    blocks = []
+    for k in range(n):
+        B = build_sector_basis(n, cmath.exp(2j * math.pi * k / n)).embedding
+        # compress keeps the columns C-ordered, which the sparse product needs
+        blocks.append((B, B.conj().T @ R.compress(k * periods % n == 0, axis=1)))
+    return blocks
+
+
+def _path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
+    """(rank, complement) of the path matrix from the SVDs of its blocks.
+
+    The singular values of M are the union of those of the blocks
+    (`_path_blocks`), so one cut against the largest of them all gives the
+    rank. With complement=False only the singular values are computed and the
     complement is None. The complement is the orthonormal basis of the
-    orthogonal complement of the path span; it exists only for odd n, where
-    it must have dimension 2.
+    orthogonal complement of the path span, the union over the blocks of B
+    times the left singular vectors past the block's count above the cut; it
+    exists only for odd n, where it must have dimension 2.
     """
     if complement and n % 2 == 0:
         raise DomainError("the path span has a complement only for odd n")
-    _, M = path_matrix(n, ctx, inhomogeneities)
+    blocks = _path_blocks(n, ctx, inhomogeneities)
+    if complement:
+        svds = [np.linalg.svd(M) for _, M in blocks]
+    else:
+        svds = [(None, np.linalg.svd(M, compute_uv=False), None) for _, M in blocks]
+    s_max = max(s[0] for _, s, _ in svds if len(s))
+    counts = [_rank(s, s_max) for _, s, _ in svds]
+    rank = sum(counts)
     if not complement:
-        return _rank(np.linalg.svd(M, compute_uv=False)), None
-    u, s, _ = np.linalg.svd(M, full_matrices=True)
-    rank = _rank(s)
-    comp = u[:, rank:]
+        return rank, None
+    # only blocks that miss some direction join, so the complement is float64
+    # when those blocks are real; with fewer paths than states, one always does
+    comp = np.hstack([B @ u[:, c:] for (B, _), (u, _, _), c in zip(blocks, svds, counts)
+                      if c < u.shape[1]])
     if comp.shape[1] != 2:
         raise InvariantViolation(
             f"path complement at n={n} has dimension {comp.shape[1]}, expected 2"
@@ -529,10 +612,14 @@ def find_bethe_roots(n, m, omega, ctx):
         # quasi-period of the theta functions assemble to vanishing vectors
         if any(abs(uu.imag) > _IMAG_WINDOW + 0.2 for uu in us):
             continue
-        if m == 2:
-            gap = (us[0] - us[1]).real % math.pi
-            if min(gap, math.pi - gap) < 1e-6 and abs(us[0].imag - us[1].imag) < 1e-6:
-                continue  # coincident (mod pi) roots: vanishing wave function
+        if m == 2 and abs(us[0].imag - us[1].imag) < 1e-6:
+            # coincident (mod pi) roots give a vanishing wave function; roots
+            # 2 eta apart (mod pi) put h(0) in a denominator of the Bethe
+            # equations, so bethe_residual could only reject them
+            d = (us[0] - us[1]).real
+            gaps = [(d - shift) % math.pi for shift in (0.0, 2 * ctx.eta, -2 * ctx.eta)]
+            if any(min(gap, math.pi - gap) < 1e-6 for gap in gaps):
+                continue
         # a copy of a found (hence validated) set needs no validation
         form = canonical(us)
         if any(all(abs(a - b) < 1e-6 for a, b in zip(form, f)) for f in forms):

@@ -28,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .eightvertex import PathState
 from .elliptic import w
 from .errors import ConfigurationError, DomainError, InvariantViolation
 from .spinchain import (
@@ -316,22 +315,6 @@ def path_to_hardcore(p):
     else:
         tag = "iii" if p.ell == 2 else "iv"
     return state, tag
-
-
-def path_translate(p):
-    """The path obtained by translating the chain one site to the right.
-
-    The last step is glued to the front; the new base height is reduced to
-    {0, 1, 2}, which is a shift by -1 (last step up) or +1 (last step down)
-    modulo 3.
-    """
-    if p.n in p.positions:
-        new_pos = (1,) + tuple(x + 1 for x in p.positions if x != p.n)
-        new_ell = (p.ell + 1) % 3
-    else:
-        new_pos = tuple(x + 1 for x in p.positions)
-        new_ell = (p.ell - 1) % 3
-    return PathState(ell=new_ell, positions=new_pos, n=p.n)
 
 
 def theta_couplings(ctx, n_f):

@@ -328,9 +328,13 @@ def _group_levels(values, tol):
 _RANK_CUT = 1e-10
 
 
-def _rank(s):
-    """Numerical rank: singular values (descending) above _RANK_CUT times the largest."""
-    return int(np.sum(s > _RANK_CUT * s[0])) if len(s) else 0
+def _rank(s, s_max=None):
+    """Numerical rank: singular values (descending) above _RANK_CUT times the
+    largest, or times s_max when s is one block of a larger set of singular
+    values whose largest is s_max."""
+    if s_max is None:
+        s_max = s[0] if len(s) else 0.0
+    return int(np.sum(s > _RANK_CUT * s_max))
 
 
 def _check_record(relation, n, zeta, residual, ok):

@@ -10,7 +10,11 @@ from susyxyz.eightvertex import (
     _bethe_entire,
     _newton_polish,
     _newton_starts,
+    _path_blocks,
+    _path_codes,
+    _path_of_code,
     _path_rank_complement,
+    _translate_path_codes,
     PathState,
     appendixB_decomposition,
     bethe_amplitudes,
@@ -28,6 +32,7 @@ from susyxyz.eightvertex import (
     path_rank,
     path_state_vector,
     path_states,
+    path_translate,
     scattering_ratio,
     theta_triple_product,
     tq_eigenvalue,
@@ -145,7 +150,7 @@ def test_path_count(n):
     assert len(path_states(n)) == 2 ** n + 2 * (-1) ** n
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_path_rank(n):
     expected = 2 ** n if n % 2 == 0 else 2 ** n - 2
     assert path_rank(n, CTX) == expected
@@ -247,6 +252,80 @@ def test_complement_dimension_is_checked(monkeypatch):
     monkeypatch.setattr(spinchain, "_RANK_CUT", 2.0)
     with pytest.raises(InvariantViolation):
         path_complement(3, CTX)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_path_code_step_is_path_translate(n):
+    codes = _path_codes(n)
+    paths = [_path_of_code(c, n) for c in codes.tolist()]
+    assert sorted(codes) == list(codes)
+    assert set(paths) == set(path_states(n)) and len(paths) == len(path_states(n))
+    stepped = _translate_path_codes(codes, n).tolist()
+    assert [_path_of_code(c, n) for c in stepped] == [path_translate(p) for p in paths]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_translation_permutes_path_vectors(n):
+    # S|p> = |path_translate(p)>, the symmetry behind the momentum blocks
+    states, M = path_matrix(n, CTX)
+    index = {p: i for i, p in enumerate(states)}
+    image = M[:, [index[path_translate(p)] for p in states]]
+    S = symmetry_operator("translation", n)
+    err = np.linalg.norm(S @ M - image, axis=0)
+    assert np.all(err <= 1e-12 * np.linalg.norm(image, axis=0))
+
+
+def _dense_path_svd(n, ctx):
+    """Reference: rank, padded singular values and complement (odd n) from
+    one SVD of the whole 2^n x #paths path matrix."""
+    _, M = path_matrix(n, ctx)
+    u, s, _ = np.linalg.svd(M)
+    rank = spinchain._rank(s)
+    return rank, np.pad(s, (0, (1 << n) - len(s))), u[:, rank:]
+
+
+@pytest.mark.parametrize("nome", [0.2, 0.4])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_path_blocks_match_dense_svd(n, nome):
+    ctx = ThetaContext(nome=nome)
+    rank, s_dense, comp_dense = _dense_path_svd(n, ctx)
+    s_blocks = np.concatenate([np.linalg.svd(Mb, compute_uv=False)
+                               for _, Mb in _path_blocks(n, ctx)])
+    s_blocks = np.pad(np.sort(s_blocks)[::-1], (0, (1 << n) - len(s_blocks)))
+    assert np.max(np.abs(s_blocks - s_dense)) <= 1e-13 * s_dense[0]
+    got, comp = _path_rank_complement(n, ctx, complement=n % 2 == 1)
+    assert got == rank == path_rank(n, ctx)
+    if n % 2 == 1:
+        assert comp.shape == (1 << n, 2)
+        assert np.allclose(comp.conj().T @ comp, np.eye(2), atol=1e-12)
+        assert np.allclose(comp @ comp.conj().T, comp_dense @ comp_dense.conj().T, atol=1e-12)
+        for u in (0.35, 0.8):
+            lam = h(u, ctx) ** n
+            resid = np.linalg.norm(transfer_matrix(n, u, ctx) @ comp - lam * comp)
+            assert resid < 1e-8 * max(1.0, abs(lam))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_path_rank_cut_is_global(monkeypatch, n):
+    # every block is cut against the largest singular value of all blocks:
+    # with a cut inside the spectrum the rank is the dense rank at that cut
+    _, s_dense, _ = _dense_path_svd(n, CTX)
+    ratios = s_dense[s_dense > 0] / s_dense[0]
+    # cut between two distinct values; momenta k and n - k share theirs
+    gaps = [j for j in range(1, len(ratios)) if ratios[j - 1] > (1 + 1e-6) * ratios[j]]
+    for j in (gaps[len(gaps) // 4], gaps[len(gaps) // 2], gaps[3 * len(gaps) // 4]):
+        cut = math.sqrt(ratios[j - 1] * ratios[j])
+        monkeypatch.setattr(spinchain, "_RANK_CUT", cut)
+        assert path_rank(n, CTX) == np.sum(s_dense > cut * s_dense[0]) == j
+
+
+def test_homogeneous_path_rank_builds_no_path_matrix(monkeypatch):
+    def no_path_matrix(*args, **kwargs):
+        raise AssertionError("dense path matrix built")
+
+    monkeypatch.setattr(eightvertex, "path_matrix", no_path_matrix)
+    assert path_rank(10, CTX) == 1024
+    assert path_complement(9, CTX).shape == (512, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +566,8 @@ def test_live_row_newton_matches_all_rows_loop(nome):
             assert np.array_equal(got, ref, equal_nan=True)
 
 
-@pytest.mark.parametrize("omega", OMEGAS, ids=("omega0", "omega1", "omega2"))
-def test_bethe_scan_validates_only_new_root_sets(monkeypatch, omega):
-    # a Newton row that lands on an already found set is skipped before its
-    # residual is computed, so every residual call yields a new root set
+def _scan_with_residual_calls(monkeypatch, n, m, omega):
+    """(root sets, bethe_residual calls) of one scan at nome 0.2."""
     calls = []
     real_residual = eightvertex.bethe_residual
 
@@ -499,7 +576,24 @@ def test_bethe_scan_validates_only_new_root_sets(monkeypatch, omega):
         return real_residual(br, ctx)
 
     monkeypatch.setattr(eightvertex, "bethe_residual", counting_residual)
-    roots = find_bethe_roots(5, 1, omega, ThetaContext(nome=0.2))
+    return find_bethe_roots(n, m, omega, ThetaContext(nome=0.2)), calls
+
+
+@pytest.mark.parametrize("omega", OMEGAS, ids=("omega0", "omega1", "omega2"))
+def test_bethe_scan_validates_only_new_root_sets(monkeypatch, omega):
+    # a Newton row that lands on an already found set is skipped before its
+    # residual is computed, so every residual call yields a new root set
+    roots, calls = _scan_with_residual_calls(monkeypatch, 5, 1, omega)
+    assert roots
+    assert len(calls) == len(roots)
+
+
+@pytest.mark.parametrize("omega", OMEGAS, ids=("omega0", "omega1", "omega2"))
+def test_bethe_scan_skips_pairs_2eta_apart(monkeypatch, omega):
+    # most m = 2 Newton rows end on a pair with u1 - u2 = +-2 eta (mod pi),
+    # where h(0) sits in a denominator of the Bethe equations; they are
+    # skipped before bethe_residual, so every residual call yields a root set
+    roots, calls = _scan_with_residual_calls(monkeypatch, 4, 2, omega)
     assert roots
     assert len(calls) == len(roots)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyxyz.eightvertex import path_states
+from susyxyz.eightvertex import path_states, path_translate
 from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import ConfigurationError, DomainError
 from susyxyz.fermion import (
@@ -17,7 +17,6 @@ from susyxyz.fermion import (
     hardcore_basis,
     hardcore_count,
     path_to_hardcore,
-    path_translate,
     spectral_comparison,
     staggered_couplings,
     supercharge_matrix,

@@ -57,7 +57,8 @@ TEST_ONLY = {
     "scattering_ratio": "paper claim: coincident rapidities scatter with amplitude -1",
     "theta_couplings": "paper claim: the theta-function coupling conjecture",
     "path_to_hardcore": "paper claim: the map from height paths to hard-core states",
-    "path_translate": "reference: translation of a path, against the spin translation",
+    "path_translate": ("reference: translation of a path, against the vectorised code "
+                       "step and the spin translation"),
     "supercharge_matrix": "reference: the fermion Q, against H = {Q, Q^dag}",
     "translation_matrix": "reference: the fermion translation, against the T^3 sectors",
 }
