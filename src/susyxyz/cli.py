@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from .eightvertex import (
-    _path_rank_complement,
     appendixB_decomposition,
     hamiltonian_from_transfer,
     path_rank,
+    path_rank_complement,
     path_states,
     transfer_matrix,
 )
@@ -169,7 +169,8 @@ def _check_output(report, out):
 def check_algebra(args):
     zetas = _resolve_zetas(args)
     tol = args.tol if args.tol is not None else ALGEBRA_TOL
-    checks = [c for n in args.n for z in zetas for c in verify_algebra(n, z, tol)]
+    pairs = {}  # each supercharge pair is built once per command
+    checks = [c for n in args.n for z in zetas for c in verify_algebra(n, z, tol, pairs)]
     return {"suite": "algebra", "tol": tol, "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
@@ -206,7 +207,7 @@ def check_conjectures(args):
             expected = 2 ** n + 2 * (-1) ** n
             checks.append(_check_record("path_count", n, zeta, abs(count - expected),
                                         count == expected))
-            rank, comp = _path_rank_complement(n, ctx, complement=n % 2 == 1)
+            rank, comp = path_rank_complement(n, ctx, complement=n % 2 == 1)
             exp_rank = 2 ** n if n % 2 == 0 else 2 ** n - 2
             checks.append(_check_record("path_rank", n, zeta, abs(rank - exp_rank),
                                         rank == exp_rank))

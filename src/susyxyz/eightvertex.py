@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elliptic import h, theta_reach, w, zeta_of_nome
+from .elliptic import h, theta_and_derivative, theta_reach, w, zeta_of_nome
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -297,7 +297,7 @@ def _path_blocks(n, ctx, inhomogeneities=None):
     return blocks
 
 
-def _path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
+def path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
     """(rank, complement) of the path matrix from the SVDs of its blocks.
 
     The singular values of M are the union of those of the blocks
@@ -332,12 +332,12 @@ def _path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
 
 
 def path_rank(n, ctx, inhomogeneities=None):
-    return _path_rank_complement(n, ctx, inhomogeneities, complement=False)[0]
+    return path_rank_complement(n, ctx, inhomogeneities, complement=False)[0]
 
 
 def path_complement(n, ctx, inhomogeneities=None):
     """Orthonormal basis of the orthogonal complement of the path span."""
-    return _path_rank_complement(n, ctx, inhomogeneities)[1]
+    return path_rank_complement(n, ctx, inhomogeneities)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -501,54 +501,82 @@ _NEWTON_TOL = 1e-11
 
 
 def _bethe_entire(U, n, omega, ctx):
-    """Entire form of the Bethe system on a batch of candidate root tuples.
+    """Entire form of the Bethe system on a batch of candidate root tuples,
+    and its exact Jacobian.
 
-    U has shape (K, m); the result F has the same shape, with F = 0 exactly
-    on solutions (common-denominator form, no poles).
+    U has shape (K, m); F has the same shape, with F = 0 exactly on solutions
+    (common-denominator form, no poles):
+        F_j = h(u_j + eta)^n prod_k h(u_j - u_k - 2 eta)
+              + omega^2 h(u_j - eta)^n prod_k h(u_j - u_k + 2 eta),
+    the products over every k, k = j included. J[:, j, l] = dF_j/du_l, from
+    h and h' by the product rule over the factors; the k = j factor
+    h(-+2 eta) is a constant. h is odd and h' even, so h and h' at
+    u_j - u_k + 2 eta are -h and h' at u_k - u_j - 2 eta, and only the
+    arguments u -+ eta and u_j - u_k - 2 eta (j != k) are evaluated.
     """
+    K, m = U.shape
     eta = ctx.eta
-    diff = U[:, :, None] - U[:, None, :]
-    left = h(U + eta, ctx) ** n * np.prod(h(diff - 2 * eta, ctx), axis=2)
-    right = h(U - eta, ctx) ** n * np.prod(h(diff + 2 * eta, ctx), axis=2)
-    return left + omega ** 2 * right
+    rows, cols = np.nonzero(~np.eye(m, dtype=bool))
+    args = np.concatenate([U + eta, U - eta, U[:, rows] - U[:, cols] - 2 * eta], axis=1)
+    val, der = theta_and_derivative(1, args, ctx.nome)
+    # D[j, k] = h(u_j - u_k - 2 eta) and dD its h'; the diagonal of dD stays 0
+    D = np.full((K, m, m), h(-2 * eta, ctx), dtype=complex)
+    dD = np.zeros((K, m, m), dtype=complex)
+    D[:, rows, cols], dD[:, rows, cols] = val[:, 2 * m:], der[:, 2 * m:]
+    F = np.zeros((K, m), dtype=complex)
+    J = np.zeros((K, m, m), dtype=complex)
+    diag = np.arange(m)
+    ones = np.ones((K, m, 1), dtype=complex)
+    sides = (
+        (1.0, val[:, :m], der[:, :m], D, dD),
+        (omega ** 2, val[:, m:2 * m], der[:, m:2 * m], -D.transpose(0, 2, 1),
+         dD.transpose(0, 2, 1)),
+    )
+    for phase, v, dv, d, dd in sides:
+        power = v ** n
+        prod = np.prod(d, axis=2)
+        # E[j, k] = h'(u_j - u_k -+ 2 eta) prod_{k' != k} h(u_j - u_k' -+ 2 eta)
+        before = np.cumprod(np.concatenate([ones, d[:, :, :-1]], axis=2), axis=2)
+        after = np.cumprod(np.concatenate([ones, d[:, :, :0:-1]], axis=2), axis=2)[:, :, ::-1]
+        E = before * after * dd
+        F += phase * (power * prod)
+        J -= phase * (power[:, :, None] * E)
+        J[:, diag, diag] += phase * (n * v ** (n - 1) * dv * prod + power * E.sum(axis=2))
+    return F, J
 
 
 def _newton_polish(U, n, omega, ctx):
-    """Newton iteration of the entire Bethe system on the rows of U (K, m).
+    """Newton iteration of the entire Bethe system on the rows of U (K, m),
+    with the exact Jacobian of `_bethe_entire`.
 
     A row has converged when every |F| is below _NEWTON_TOL. Only the live
     rows (not converged, not frozen) are evaluated; a finished row is never
     updated again. Frozen (diverged) rows end as NaN.
     """
     m = U.shape[1]
-    reach = theta_reach(1, ctx.nome)
+    # the reach of h', which never exceeds that of h
+    reach = theta_reach(1, ctx.nome, derivative=True)
 
     def freeze(V):
         # a root more than one maximal step outside the strip
         # |Im u| <= _IMAG_WINDOW + 0.2 that the caller keeps, or an argument
         # u -+ eta or u_1 - u_2 -+ 2 eta of h at or past the reach of the
-        # theta series, where theta raises RangeError
+        # theta' series, where it raises RangeError
         args = np.concatenate([V, V[:, :1] - V[:, 1:]], axis=1)
         far = np.any(np.abs(V.imag) > _IMAG_WINDOW + 5.2, axis=1)
         V[far | np.any(np.abs(args.imag) >= reach, axis=1)] = np.nan
 
     U = U.copy()
     freeze(U)
-    eps = 1e-7
     live = np.arange(len(U))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(60):
             V = U[live]
-            F = _bethe_entire(V, n, omega, ctx)
+            F, J = _bethe_entire(V, n, omega, ctx)
             keep = np.all(np.isfinite(F), axis=1) & (np.max(np.abs(F), axis=1) >= _NEWTON_TOL)
             if not np.any(keep):
                 break
-            live, V, F = live[keep], V[keep], F[keep]
-            J = np.empty(V.shape + (m,), dtype=complex)
-            for k in range(m):
-                dV = np.zeros_like(V)
-                dV[:, k] = eps
-                J[:, :, k] = (_bethe_entire(V + dV, n, omega, ctx) - F) / eps
+            live, V, F, J = live[keep], V[keep], F[keep], J[keep]
             if m == 1:
                 step = F / np.where(J[:, :, 0] == 0, np.nan, J[:, :, 0])
             else:

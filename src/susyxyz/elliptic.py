@@ -1,19 +1,21 @@
 """Jacobi theta functions and derived scalar quantities.
 
 All theta functions follow the Whittaker-Watson conventions and are evaluated
-by the plain q-series. The coefficients of a series depend only on (kind,
-nome) and are cached together with the bound on each next term. The term
-count is fixed once per call from those bounds and the largest finite |Im z|;
-no truncated sum is ever returned: when no count up to `_MAX_TERMS` meets the
-tolerance (nome too close to 1, or |Im z| too large) `theta` raises
-RangeError. The crossing parameter eta = pi/3 is the root-of-unity point
-where the lattice supersymmetry lives; everything downstream (vertex weights,
-path-basis local vectors, fermion couplings) is built from the quantities
-defined here.
+by the plain q-series; `theta_and_derivative` sums theta' from the same
+series. The coefficients of a series depend only on (kind, nome) and are
+cached together with the bound on each next term. Each element of z is
+summed to its own term count, fixed from those bounds and its own |Im z|, so
+a value never depends on the other elements of its batch. No truncated sum
+is ever returned: when no count up to `_MAX_TERMS` meets the tolerance (nome
+too close to 1, or |Im z| too large) the evaluation raises RangeError. The
+crossing parameter eta = pi/3 is the root-of-unity point where the lattice
+supersymmetry lives; everything downstream (vertex weights, path-basis local
+vectors, fermion couplings) is built from the quantities defined here.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -33,18 +35,20 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 @functools.lru_cache(maxsize=256)
 def _series(kind, nome):
-    """Coefficients, frequencies and reaches of the q-series of theta_kind,
-    one entry per term n < _MAX_TERMS, and the first n whose reach is
-    positive (None when there is none).
+    """Coefficients and frequencies of the q-series of theta_kind, one entry
+    per term n < _MAX_TERMS, and the reach tables of theta and theta'.
 
     Term n is coef * sin(freq * z) (kind 1) or coef * cos(freq * z); a zero
     frequency marks the constant term of kinds 3 and 4. The magnitude of
     term n + 1 is at most bound * exp((2n + 3) |Im z|), with bound
-    2 q^((n+3/2)^2) (kinds 1, 2) or 2 q^((n+1)^2) (kinds 3, 4); reach n is
-    the |Im z| below which that is under _TRUNC_TOL and the exp is a finite
-    float, so that n + 1 terms suffice.
+    2 q^((n+3/2)^2) (kinds 1, 2) or 2 q^((n+1)^2) (kinds 3, 4), and that of
+    its derivative at most (2n + 3) times as much. Reach n is the |Im z|
+    below which that is under _TRUNC_TOL and the exp is a finite float, so
+    that n + 1 terms suffice. A reach table holds the running maximum of the
+    reaches: the term count at |Im z| = y is 1 + the number of entries <= y,
+    and its last entry is the reach of the whole series.
     """
-    coefs, freqs, reaches = [], [], []
+    coefs, freqs, reaches, dreaches = [], [], [], []
     for n in range(_MAX_TERMS):
         if kind == 1:
             coefs.append(2.0 * (-1.0) ** n * nome ** ((n + 0.5) ** 2))
@@ -60,9 +64,13 @@ def _series(kind, nome):
         # also keeps exp((2n + 3) y), and with it every sin and cos of the
         # sum, below overflow
         log_bound = math.log(2.0) + power * math.log(nome) if nome else -math.inf
-        reaches.append(min(math.log(_TRUNC_TOL) - log_bound, _LOG_MAX) / (2 * n + 3))
-    first = next((n for n, r in enumerate(reaches) if r > 0.0), None)
-    return tuple(coefs), tuple(freqs), tuple(reaches), first
+        log_room = math.log(_TRUNC_TOL) - log_bound
+        reaches.append(min(log_room, _LOG_MAX) / (2 * n + 3))
+        dreaches.append(min(log_room - math.log(2 * n + 3), _LOG_MAX) / (2 * n + 3))
+    tables = tuple(np.maximum.accumulate(r) for r in (reaches, dreaches))
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(coefs), tuple(freqs), tables
 
 
 def _require_kind_and_nome(kind, nome):
@@ -72,13 +80,83 @@ def _require_kind_and_nome(kind, nome):
         raise DomainError(f"nome must lie in [0, 1), got {nome}")
 
 
-def theta_reach(kind, nome):
+def _out_of_reach(kind, nome, y, derivative=False):
+    name = f"theta_{kind}'" if derivative else f"theta_{kind}"
+    return RangeError(
+        f"{name} series at nome={nome} does not reach {_TRUNC_TOL:g} "
+        f"within {_MAX_TERMS} terms (|Im z| {y:g})"
+    )
+
+
+def theta_reach(kind, nome, derivative=False):
     """The |Im z| at and beyond which `theta` raises RangeError for this
     kind and nome: below it some term count up to _MAX_TERMS meets _TRUNC_TOL.
-    Zero or negative when even real z needs more terms. Raises DomainError
-    where `theta` does: unless kind is 1..4 and 0 <= nome < 1."""
+    With derivative=True, that of `theta_and_derivative`, which the theta'
+    series sets and which never exceeds the theta reach. Zero or negative
+    when even real z needs more terms. Raises DomainError where `theta` does:
+    unless kind is 1..4 and 0 <= nome < 1."""
     _require_kind_and_nome(kind, nome)
-    return max(_series(kind, float(nome))[2])
+    return float(_series(kind, float(nome))[2][1 if derivative else 0][-1])
+
+
+def _series_sum(kind, z, nome, derivative):
+    """[theta_kind(z)] of an array z, or [theta_kind(z), theta_kind'(z)] with
+    derivative=True, each element summed to its own term counts.
+
+    The counts of theta and theta' are 1 + the number of entries <= |Im z| of
+    the reach tables of `_series`; a non-finite element takes the counts of
+    real z and stays non-finite. The elements are sorted by |Im z|, largest
+    first, so that term n applies to a leading run of them, the ones whose
+    count exceeds n; real z has one count and is not sorted. Each element
+    gets exactly the arithmetic of a per-term loop run to its own count.
+    Raises RangeError when a finite element is at or past the reach.
+    """
+    coefs, freqs, tables = _series(kind, nome)
+    flat = z.ravel()
+    is_complex = np.iscomplexobj(flat)
+    if is_complex:
+        finite = np.isfinite(flat)
+        y = np.where(finite, np.abs(flat.imag), 0.0)
+        order = np.argsort(-y, kind="stable")
+        flat, y, finite = flat[order], y[order], finite[order]
+
+    def ends(table, of_derivative):
+        # ends[n]: the number of leading elements whose count exceeds n
+        if not is_complex:
+            # one count for all, that of y = 0, which matters only if an element is finite
+            count = bisect.bisect_right(table, 0.0) + 1
+            if count > _MAX_TERMS and np.isfinite(flat).any():
+                raise _out_of_reach(kind, nome, 0.0, of_derivative)
+            return [flat.size] * min(count, _MAX_TERMS)
+        counts = np.searchsorted(table, y, side="right") + 1
+        past = finite & (counts > _MAX_TERMS)
+        if past.any():
+            raise _out_of_reach(kind, nome, float(y[past].max()), of_derivative)
+        counts = np.minimum(counts, _MAX_TERMS)
+        return np.searchsorted(-counts, -np.arange(counts.max(initial=0)), side="left").tolist()
+
+    dtype = complex if is_complex else float
+    total = np.zeros(flat.shape, dtype=dtype)
+    trig = np.sin if kind == 1 else np.cos
+    for n, end in enumerate(ends(tables[0], False)):
+        total[:end] += coefs[n] * trig(freqs[n] * flat[:end]) if freqs[n] else coefs[n]
+    sums = [total]
+    if derivative:
+        # d/dz coef sin(f z) = coef f cos(f z); d/dz coef cos(f z) = -coef f sin(f z)
+        slope = np.zeros(flat.shape, dtype=dtype)
+        dtrig, sign = (np.cos, 1.0) if kind == 1 else (np.sin, -1.0)
+        for n, end in enumerate(ends(tables[1], True)):
+            if freqs[n]:
+                slope[:end] += sign * coefs[n] * freqs[n] * dtrig(freqs[n] * flat[:end])
+        sums.append(slope)
+
+    out = []
+    for values in sums:
+        if is_complex:
+            values[order] = values.copy()
+        values = values.reshape(z.shape)
+        out.append(values[()] if values.ndim == 0 else values)
+    return out
 
 
 def theta(kind, z, nome):
@@ -86,56 +164,49 @@ def theta(kind, z, nome):
 
     kind is 1..4; z may be real or complex, a Python/numpy scalar or an
     array. Real input returns real output; scalars come back as numpy
-    scalars. The series coefficients are cached per (kind, nome) and the
-    number of terms N is fixed up front: the first N for which the
+    scalars. The series coefficients are cached per (kind, nome) and each
+    element of z gets its own number of terms N: the first N for which the
     bound on the next term, 2 q^((N+1/2)^2) (kinds 1, 2) or 2 q^(N^2)
-    (kinds 3, 4) times exp((2N+1) y), falls below _TRUNC_TOL, with y the
-    largest |Im z| over the finite entries of z (y = 0 for real z).
-    Non-finite entries stay non-finite and do not set N. Raises DomainError
-    unless 0 <= nome < 1 and RangeError when no N <= _MAX_TERMS meets the
-    bound for finite input, that is when y >= theta_reach(kind, nome).
+    (kinds 3, 4) times exp((2N+1) y), falls below _TRUNC_TOL, with y its
+    |Im z|. So an element's value does not depend on the rest of the array.
+    Non-finite entries stay non-finite. Raises DomainError unless
+    0 <= nome < 1 and RangeError when no N <= _MAX_TERMS meets the bound for
+    a finite entry, that is when its |Im z| >= theta_reach(kind, nome).
     """
     _require_kind_and_nome(kind, nome)
-    coefs, freqs, reaches, first = _series(kind, float(nome))
-
+    nome = float(nome)
     # finite Python and numpy scalars are summed with math/cmath; math.sin
     # and cmath.cos raise on inf where numpy returns nan
-    scalar = isinstance(z, (int, float, complex)) and cmath.isfinite(z)
-    if not scalar:
-        z = np.asarray(z)
-    is_complex = isinstance(z, complex) if scalar else np.iscomplexobj(z)
-    count = None if first is None else first + 1
-    y = 0.0
-    if is_complex and first is not None:
-        if scalar:
-            y = abs(z.imag)
-        else:
-            finite_imag = np.abs(z.imag[np.isfinite(z)])
-            y = float(np.max(finite_imag)) if finite_imag.size else 0.0
-        # no term before `first` can meet the bound
-        count = next((n + 1 for n in range(first, _MAX_TERMS) if y < reaches[n]), None)
-    if count is None:
-        if np.any(np.isfinite(z)):
-            raise RangeError(
-                f"theta_{kind} series at nome={nome} does not reach {_TRUNC_TOL:g} "
-                f"within {_MAX_TERMS} terms (largest |Im z| {y:g})"
-            )
-        count = _MAX_TERMS
+    if not (isinstance(z, (int, float, complex)) and cmath.isfinite(z)):
+        return _series_sum(kind, np.asarray(z), nome, derivative=False)[0]
 
-    if scalar:
-        lib = cmath if is_complex else math
-        total = 0j if is_complex else 0.0
-    else:
-        lib = np
-        total = np.zeros(z.shape, dtype=complex if is_complex else float)
+    coefs, freqs, tables = _series(kind, nome)
+    is_complex = isinstance(z, complex)
+    y = abs(z.imag) if is_complex else 0.0
+    count = bisect.bisect_right(tables[0], y) + 1
+    if count > _MAX_TERMS:
+        raise _out_of_reach(kind, nome, y)
+    lib = cmath if is_complex else math
+    total = 0j if is_complex else 0.0
     trig = lib.sin if kind == 1 else lib.cos
     for n in range(count):
         freq = freqs[n]
         total = total + (coefs[n] * trig(freq * z) if freq else coefs[n])
+    return np.complex128(total) if is_complex else np.float64(total)
 
-    if scalar:
-        return np.complex128(total) if is_complex else np.float64(total)
-    return total[()] if total.ndim == 0 else total
+
+def theta_and_derivative(kind, z, nome):
+    """(theta_kind(z, q), d theta_kind / dz (z, q)) for scalar or array z.
+
+    theta is `theta`'s value, bit for bit on arrays; theta' is the
+    term-by-term derivative of the same series, summed per element to the
+    first N whose next-term bound, (2N+3) times theta's, falls below
+    _TRUNC_TOL. Raises RangeError for a finite entry with
+    |Im z| >= theta_reach(kind, nome, derivative=True), and DomainError
+    where `theta` does.
+    """
+    _require_kind_and_nome(kind, nome)
+    return tuple(_series_sum(kind, np.asarray(z), float(nome), derivative=True))
 
 
 @dataclass(frozen=True)

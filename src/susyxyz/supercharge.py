@@ -113,18 +113,24 @@ def _hamiltonian_residual(H, up, dn, tilde):
     return np.linalg.norm(H - rhs)
 
 
-def verify_algebra(n, zeta, tol=ALGEBRA_TOL):
+def verify_algebra(n, zeta, tol=ALGEBRA_TOL, pairs=None):
     """Residuals of the nilpotency, cross and Hamiltonian relations between
     Q and Qt.
 
     Returns a list of {relation, n, zeta, residual, pass} records; a relation
     passes iff its residual is below max(tol, 1e-16). The adjoint halves of
-    each relation are exact transposes and are not repeated.
+    each relation are exact transposes and are not repeated. The pairs
+    Q_n and Q_{n-1} are looked up in, or built into, the dict `pairs` keyed
+    by (n, zeta), so that checks of consecutive n sharing one dict build
+    each pair once.
     """
     if n < 2:
         raise DomainError("the algebra check needs n >= 2")
-    up = build_supercharges(n, zeta)
-    dn = build_supercharges(n - 1, zeta)
+    pairs = {} if pairs is None else pairs
+    for key in ((n, zeta), (n - 1, zeta)):
+        if key not in pairs:
+            pairs[key] = build_supercharges(*key)
+    up, dn = pairs[(n, zeta)], pairs[(n - 1, zeta)]
     Q, Qt = up.q_plain.matrix, up.q_tilde.matrix
     q, qt = dn.q_plain.matrix, dn.q_tilde.matrix
     H = xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n)).matrix

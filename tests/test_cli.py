@@ -204,6 +204,22 @@ def test_check_algebra_small(capsys):
         assert set(check) == {"relation", "n", "zeta", "residual", "pass"}
 
 
+def test_check_algebra_builds_each_pair_once(capsys, monkeypatch):
+    # verify_algebra(n) needs Q_n and Q_{n-1}, so consecutive n share a pair
+    built = []
+    real_build = supercharge.build_supercharges
+
+    def counting_build(n, zeta):
+        built.append((n, zeta))
+        return real_build(n, zeta)
+
+    monkeypatch.setattr(supercharge, "build_supercharges", counting_build)
+    code, out, _ = run(capsys, "check", "algebra", "--n", "3..5", "--zeta", "0.5,1.5")
+    assert code == 0
+    assert sorted(built) == sorted({(n, z) for n in (2, 3, 4, 5) for z in (0.5, 1.5)})
+    assert len(json.loads(out)["checks"]) == 7 * 3 * 2
+
+
 def test_check_cohomology(capsys):
     code, out, _ = run(capsys, "check", "cohomology", "--n", "3..6", "--zeta", "0.7")
     assert code == 0

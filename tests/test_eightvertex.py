@@ -13,7 +13,6 @@ from susyxyz.eightvertex import (
     _path_blocks,
     _path_codes,
     _path_of_code,
-    _path_rank_complement,
     _translate_path_codes,
     PathState,
     appendixB_decomposition,
@@ -30,6 +29,7 @@ from susyxyz.eightvertex import (
     path_complement,
     path_matrix,
     path_rank,
+    path_rank_complement,
     path_state_vector,
     path_states,
     path_translate,
@@ -232,12 +232,12 @@ def test_complement_requires_odd_size():
     with pytest.raises(DomainError):
         path_complement(4, CTX)
     with pytest.raises(DomainError):
-        _path_rank_complement(4, CTX)
+        path_rank_complement(4, CTX)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rank_and_complement_from_one_svd(n):
-    rank, comp = _path_rank_complement(n, CTX, complement=n % 2 == 1)
+    rank, comp = path_rank_complement(n, CTX, complement=n % 2 == 1)
     assert rank == path_rank(n, CTX)
     if n % 2 == 0:
         assert comp is None
@@ -293,7 +293,7 @@ def test_path_blocks_match_dense_svd(n, nome):
                                for _, Mb in _path_blocks(n, ctx)])
     s_blocks = np.pad(np.sort(s_blocks)[::-1], (0, (1 << n) - len(s_blocks)))
     assert np.max(np.abs(s_blocks - s_dense)) <= 1e-13 * s_dense[0]
-    got, comp = _path_rank_complement(n, ctx, complement=n % 2 == 1)
+    got, comp = path_rank_complement(n, ctx, complement=n % 2 == 1)
     assert got == rank == path_rank(n, ctx)
     if n % 2 == 1:
         assert comp.shape == (1 << n, 2)
@@ -524,18 +524,12 @@ OMEGAS = (1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3))
 def _newton_all_rows(U, n, omega, ctx, tol=1e-11):
     """The former Newton loop: F and the Jacobian on every row, every pass."""
     m = U.shape[1]
-    eps = 1e-7
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(60):
-            F = _bethe_entire(U, n, omega, ctx)
+            F, J = _bethe_entire(U, n, omega, ctx)
             done = ~np.all(np.isfinite(F), axis=1) | (np.max(np.abs(F), axis=1) < tol)
             if np.all(done):
                 break
-            J = np.empty(U.shape + (m,), dtype=complex)
-            for k in range(m):
-                dU = np.zeros_like(U)
-                dU[:, k] = eps
-                J[:, :, k] = (_bethe_entire(U + dU, n, omega, ctx) - F) / eps
             if m == 1:
                 step = F / np.where(J[:, :, 0] == 0, np.nan, J[:, :, 0])
             else:
@@ -564,6 +558,51 @@ def test_live_row_newton_matches_all_rows_loop(nome):
             # same iterates bit for bit, including which rows diverged, so the
             # same root sets
             assert np.array_equal(got, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("nome", [0.2, 0.45])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bethe_jacobian_matches_central_differences(nome, m):
+    ctx = ThetaContext(nome=nome)
+    rng = np.random.default_rng(m)
+    U = rng.uniform(0.0, math.pi, (20, m)) + 1j * rng.uniform(-1.0, 1.0, (20, m))
+    omega = complex(OMEGAS[1])
+    J = _bethe_entire(U, 4, omega, ctx)[1]
+    step = 1e-4
+    fd = np.empty_like(J)
+    for k in range(m):
+        dU = np.zeros_like(U)
+        dU[:, k] = step
+        at = [_bethe_entire(U + j * dU, 4, omega, ctx)[0] for j in (-2, -1, 1, 2)]
+        fd[:, :, k] = (at[0] - 8 * at[1] + 8 * at[2] - at[3]) / (12 * step)
+    scale = np.max(np.abs(J), axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(J - fd) / scale) < 1e-10
+
+
+@pytest.mark.parametrize("nome,omegas", [(0.2, OMEGAS), (0.9, OMEGAS[1:2])])
+def test_newton_row_alone_matches_its_batch(nome, omegas):
+    # each theta element gets its own term count, so a Newton row does not
+    # depend on the other rows; at nome 0.9, n = 4, omega = e^{2 i pi/3} the
+    # start row (2 pi/9, 7 pi/9 - 0.6i) once passed the theta reach inside
+    # the batch although it converges alone
+    ctx = ThetaContext(nome=nome)
+    start = _newton_starts(2)
+    (found,) = [i for i, row in enumerate(start)
+                if np.allclose(row, [2 * math.pi / 9, 7 * math.pi / 9 - 0.6j])]
+    picks = sorted({found, *range(0, len(start), 90)})
+    for omega in omegas:
+        batch = _newton_polish(start, 4, complex(omega), ctx)
+        for i in picks:
+            alone = _newton_polish(start[i:i + 1], 4, complex(omega), ctx)[0]
+            assert np.array_equal(alone, batch[i], equal_nan=True)
+        assert np.all(np.isfinite(batch[found]))
+
+
+@pytest.mark.parametrize("n,m,counts", [(5, 1, (7, 8, 8)), (4, 2, (12, 20, 20))])
+def test_bethe_scan_root_set_counts(n, m, counts):
+    # the root sets the scan finds at nome 0.2, per omega
+    ctx = ThetaContext(nome=0.2)
+    assert tuple(len(find_bethe_roots(n, m, omega, ctx)) for omega in OMEGAS) == counts
 
 
 def _scan_with_residual_calls(monkeypatch, n, m, omega):

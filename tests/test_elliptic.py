@@ -10,6 +10,7 @@ from susyxyz.elliptic import (
     ThetaContext,
     h,
     theta,
+    theta_and_derivative,
     theta_reach,
     w,
     zeta_of_nome,
@@ -194,6 +195,40 @@ def test_nan_entries_do_not_change_finite_entries(kind):
             assert np.isnan(theta(kind, zs, 0.3))
 
 
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_theta_of_an_element_does_not_depend_on_its_batch(kind):
+    # each element is summed to the term count of its own |Im z|, so the
+    # small-|Im z| elements of a batch are not summed further because of the
+    # large ones: alone and in the batch, the values agree bit for bit
+    rng = np.random.default_rng(20 + kind)
+    z = rng.uniform(-4.0, 4.0, 40) + 1j * rng.choice([0.0, 0.3, 2.0, 6.5], 40)
+    z[[3, 17]] = np.nan
+    for nome in (0.2, 0.45, 0.9):
+        z = np.where(np.abs(z.imag) < theta_reach(kind, nome, derivative=True), z, z.real)
+        with np.errstate(invalid="ignore"):
+            batch = theta(kind, z, nome)
+            both = theta_and_derivative(kind, z.reshape(5, 8), nome)
+            for i, zi in enumerate(z):
+                alone = theta(kind, np.array([zi]), nome)[0]
+                assert np.array_equal(alone, batch[i], equal_nan=True)
+                assert np.array_equal(theta(kind, np.array(zi), nome), alone, equal_nan=True)
+                pair = theta_and_derivative(kind, zi, nome)
+                assert np.array_equal(pair[0], alone, equal_nan=True)
+                assert np.array_equal(pair[1], both[1].ravel()[i], equal_nan=True)
+        assert np.array_equal(both[0].ravel(), batch, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_theta_and_derivative_shapes_and_types(kind):
+    value, slope = theta_and_derivative(kind, 0.7, 0.3)
+    assert type(value) is type(slope) is np.float64
+    assert value == theta(kind, np.array([0.7]), 0.3)[0]
+    value, slope = theta_and_derivative(kind, np.zeros((2, 0), dtype=complex), 0.3)
+    assert value.shape == slope.shape == (2, 0)
+    value, slope = theta_and_derivative(kind, np.array([[0.4 + 0.2j]]), 0.3)
+    assert value.shape == slope.shape == (1, 1) and value.dtype == complex
+
+
 @given(kind=st.integers(1, 4), z=st.floats(-6, 6), q=st.floats(0, 0.95))
 @settings(max_examples=80, deadline=None)
 def test_theta_real_against_mpmath(kind, z, q):
@@ -215,6 +250,30 @@ def test_theta_complex_against_mpmath(kind, x, y, q):
     with mpmath.workdps(40):
         ref = complex(mpmath.jtheta(kind, mpmath.mpc(x, y), q))
     assert abs(theta(kind, complex(x, y), q) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@given(kind=st.integers(1, 4), z=st.floats(-6, 6), q=st.floats(0, 0.95))
+@settings(max_examples=80, deadline=None)
+def test_theta_derivative_real_against_mpmath(kind, z, q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(mpmath.jtheta(kind, z, q, derivative=1))
+    assert abs(theta_and_derivative(kind, z, q)[1] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@given(
+    kind=st.integers(1, 4),
+    x=st.floats(-6, 6),
+    y=st.floats(-1.5, 1.5),
+    q=st.floats(0, 0.5),
+)
+@settings(max_examples=80, deadline=None)
+def test_theta_derivative_complex_against_mpmath(kind, x, y, q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = complex(mpmath.jtheta(kind, mpmath.mpc(x, y), q, derivative=1))
+    got = theta_and_derivative(kind, complex(x, y), q)[1]
+    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_theta_raises_instead_of_truncating():
@@ -250,3 +309,29 @@ def test_theta_reach_is_where_theta_starts_to_raise(kind, q):
     with pytest.raises(RangeError):
         theta(kind, np.array([0.1, complex(0.4, -reach)]), q)
     assert theta_reach(kind, 0.999) < 0  # even real z fails there
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [0.2, 0.7, 0.9, 0.95])
+def test_theta_derivative_reach_is_where_it_starts_to_raise(kind, q):
+    reach = theta_reach(kind, q, derivative=True)
+    # the next derivative term is at most 2n + 3 times the next term of theta:
+    # (2n+3) 2 q^(p_n) e^((2n+3) y) must stay below 1e-16, and e^((2n+3) y) a
+    # finite float, for some n < 64
+    powers = [(n + 1.5) ** 2 if kind < 3 else (n + 1) ** 2 for n in range(64)]
+    assert reach == pytest.approx(max(
+        min(math.log(1e-16 / 2.0 / (2 * n + 3)) - p * math.log(q),
+            math.log(1.7976931348623157e308)) / (2 * n + 3)
+        for n, p in enumerate(powers)
+    ))
+    assert reach <= theta_reach(kind, q)
+    below = complex(0.4, reach * (1 - 1e-9))
+    assert all(np.isfinite(theta_and_derivative(kind, below, q)))
+    values = theta_and_derivative(kind, np.array([below, -below, math.nan]), q)
+    assert all(np.all(np.isfinite(v[:2])) for v in values)
+    with pytest.raises(RangeError, match="theta_"):
+        theta_and_derivative(kind, complex(0.4, reach), q)
+    with pytest.raises(RangeError):
+        theta_and_derivative(kind, np.array([0.1, complex(0.4, -reach)]), q)
+    with pytest.raises(RangeError):
+        theta_and_derivative(kind, 0.3, 0.999)  # even real z fails there
