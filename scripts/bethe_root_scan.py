@@ -5,7 +5,8 @@ For each solution found by the Newton search we assemble the coordinate
 wavefunction, check that it is a genuine transfer-matrix eigenvector, and —
 when the momentum sector allows it — append the root u = pi to step down to
 the shorter chain. Exit code 2 with an `error:` line when the nome or the
-path-basis context is unusable.
+path-basis context is unusable, or when no height path of n steps has m
+down steps (n - 2m not divisible by 3).
 """
 
 import argparse
@@ -47,12 +48,14 @@ def main(argv=None):
     try:
         ctx = ThetaContext(nome=args.nome)
         ctx.require_independent_local_vectors()
+        scans = [find_bethe_roots(args.n, args.m, omega, ctx)
+                 for omega in (1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3))]
     except (DomainError, RangeError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for k, omega in enumerate((1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3))):
+    for k, found in enumerate(scans):
         print(f"omega = exp({2 * k}i pi/3)")
-        for br in find_bethe_roots(args.n, args.m, omega, ctx):
+        for br in found:
             u_probe = probe_point(br, ctx)
             res = max(abs(r) for r in bethe_residual(br, ctx))
             t = translation_eigenvalue(br, ctx)

@@ -10,7 +10,7 @@ from susyxyz.cli import main as cli_main
 
 SUITES = [
     ["check", "algebra", "--n", "2..6"],
-    ["check", "cohomology", "--n", "3..9", "--zeta", "0.7"],
+    ["check", "cohomology", "--n", "3..13", "--zeta", "0.7"],
     ["check", "conjectures", "--n", "3..7", "--zeta", "0.5,1.0"],
     ["check", "appendixB", "--nome", "0.2", "--s", "0.3", "--t", "-0.7"],
     ["check", "fermion-compare", "--m", "2..4", "--zeta", "1.2,1.8,3.0"],

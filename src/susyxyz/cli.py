@@ -176,17 +176,21 @@ def check_algebra(args):
 
 
 def check_cohomology(args):
+    """dim H per n, in total and per spin parity (P = +1, P = -1); a pass
+    needs the same split at every zeta, (1, 1) at odd n and (0, 0) at even n."""
     zetas = _resolve_zetas(args)
-    dims = {}
+    dims, by_parity = {}, {}
     ok = True
     for n in args.n:
         vals = [cohomology_dimension(n, z) for z in zetas]
         if len(set(vals)) != 1:
             ok = False
-        dims[str(n)] = int(vals[0])
-        if vals[0] != (2 if n % 2 else 0):
+        dims[str(n)] = sum(vals[0])
+        by_parity[str(n)] = list(vals[0])
+        if vals[0] != ((1, 1) if n % 2 else (0, 0)):
             ok = False
-    return {"suite": "cohomology", "zetas": list(zetas), "dims": dims, "pass": ok}
+    return {"suite": "cohomology", "zetas": list(zetas), "dims": dims,
+            "dims_by_parity": by_parity, "pass": ok}
 
 
 def check_conjectures(args):

@@ -612,10 +612,16 @@ def find_bethe_roots(n, m, omega, ctx):
 
     Returns a list of BetheRoots with distinct roots, |Im u| at most
     _IMAG_WINDOW + 0.2 and residuals < 1e-9, deduplicated modulo pi shifts
-    and root permutations.
+    and root permutations. A height path of n steps with m down steps closes
+    only if n - 2m = 0 mod 3, so for other (n, m) every Bethe vector vanishes
+    and the search raises DomainError.
     """
     if m not in (1, 2):
         raise DomainError("root searching is supported for m = 1, 2 only")
+    if (n - 2 * m) % 3:
+        raise DomainError(
+            f"no height path of n={n} steps has m={m} down steps (n - 2m must be 0 mod 3)"
+        )
     omega = complex(omega)
     U = _newton_polish(_newton_starts(m), n, omega, ctx)
 

@@ -157,7 +157,7 @@ def creation_matrix(n_f, j, m):
     near = site | (1 << (j - 2) % n_f) | (1 << j % n_f)  # j and its neighbours
     cols = np.flatnonzero((src & near) == 0)
     D = np.zeros((len(dst), len(src)))
-    D[np.searchsorted(dst, src[cols] | site), cols] = _spin_parity(src[cols] & (site - 1), n_f)
+    D[np.searchsorted(dst, src[cols] | site), cols] = _spin_parity(src[cols] & (site - 1))
     return D
 
 

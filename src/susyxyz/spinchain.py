@@ -10,17 +10,21 @@ arXiv:1101.3281). The same orbit-sum builder, for any signed permutation of
 bitmask states, gives the hard-core fermion ring its T^3 sectors over the
 hard-core masks. Every sector operator is a full operator, sparse or dense,
 projected through that embedding, and every sector spectrum comes from one
-checked eigensolve; only the small dim x dim result is dense. The dtype
-follows t: a real t (= +-1, the sectors of the supercharges and of T^3) gives
-float64 embeddings and sector operators, so their eigensolves and SVDs run in
-real arithmetic; any other t gives complex128.
+checked eigensolve; only the small dim x dim result is dense. Translation
+keeps the number of down spins, so every orbit sum has a definite spin parity
+P = (-1)^{#down}; a sector records which columns have which P, and operators
+that conserve P (the XYZ H) or flip it (the supercharge Q) are diagonalised or
+ranked one parity block at a time. The dtype follows t: a real t (= +-1, the
+sectors of the supercharges and of T^3) gives float64 embeddings and sector
+operators, so their eigensolves and SVDs run in real arithmetic; any other t
+gives complex128.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +72,12 @@ class SectorBasis:
     admitted orbits; a parity refinement mixes these orbit sums. A real t
     (|Im t| <= 1e-12, stored snapped to +-1) gives a float64 embedding,
     otherwise it is complex128.
+
+    `parity_blocks` holds one (P, column indices) pair per spin parity
+    P = (-1)^popcount present among the orbit representatives, P = +1 first;
+    the hard-core masks of a fermion sector share one popcount, so they form
+    one block, and a parity refinement is one block with P = 0 (no definite
+    spin parity).
     """
 
     n: int
@@ -76,6 +86,13 @@ class SectorBasis:
     orbit_reps: tuple
     dim: int
     embedding: sp.csc_matrix = field(repr=False, compare=False)
+    parity_blocks: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def adjoint(self):
+        """The sparse B^H of the embedding B; for a real B, its transpose,
+        which shares B's arrays."""
+        return self.embedding.conj().T if np.iscomplexobj(self.embedding) else self.embedding.T
 
 
 @dataclass(frozen=True)
@@ -109,12 +126,9 @@ def reverse_bits(bits, n):
     return out
 
 
-def _spin_parity(bits, n):
-    """(-1)^(number of down spins), of an int or elementwise of an integer array."""
-    odd = 0
-    for j in range(n):
-        odd = odd ^ ((bits >> j) & 1)
-    return 1 - 2 * odd
+def _spin_parity(bits):
+    """(-1)^(number of set bits), elementwise of a nonnegative integer array."""
+    return 1 - 2 * (np.bitwise_count(bits) & 1).astype(np.int64)
 
 
 def _orbit_sector(states, n, step, t):
@@ -127,7 +141,9 @@ def _orbit_sector(states, n, step, t):
     Column i of the embedding is the orbit sum
     sum_{k<p} conj(t)^k s_k |step^k(rep_i)> / sqrt(p), where s_k is the sign
     accumulated over the first k steps; its rows index `states`. The orbits
-    are ascending by representative.
+    are ascending by representative, and the columns are split into spin
+    parity blocks by the popcount of their representative, which the step
+    keeps.
     """
     rep = states.copy()
     period = np.zeros(len(states), dtype=np.int64)
@@ -161,6 +177,7 @@ def _orbit_sector(states, n, step, t):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(states), len(reps)),
     )
+    parity = _spin_parity(reps)
     return SectorBasis(
         n=n,
         t_eigenvalue=t,
@@ -168,6 +185,8 @@ def _orbit_sector(states, n, step, t):
         orbit_reps=tuple(zip(reps.tolist(), periods.tolist())),
         dim=len(reps),
         embedding=B,
+        parity_blocks=tuple((p, np.flatnonzero(parity == p)) for p in (1, -1)
+                            if np.any(parity == p)),
     )
 
 
@@ -206,14 +225,15 @@ def _refine_parity(basis, parity):
     evals, evecs = _eigh_checked(project(P, basis).matrix)
     keep = np.where(np.abs(evals - parity) < 1e-8)[0]
     refined = basis.embedding @ sp.csc_matrix(evecs[:, keep])
-    return replace(basis, parity_eigenvalue=parity, dim=len(keep), embedding=refined)
+    return replace(basis, parity_eigenvalue=parity, dim=len(keep), embedding=refined,
+                   parity_blocks=((0, np.arange(len(keep))),))
 
 
 def project(full_op, domain, codomain=None):
     """Restrict a full-space operator, sparse or dense, to sector coordinates,
     B_cod^H (A B_dom); a sparse product is densified only at dim x dim."""
     codomain = codomain if codomain is not None else domain
-    matrix = codomain.embedding.conj().T @ (full_op @ domain.embedding)
+    matrix = codomain.adjoint @ (full_op @ domain.embedding)
     return SectorOperator(
         domain=domain,
         codomain=codomain,
@@ -264,20 +284,46 @@ def _eigh_checked(M):
     package; raises ContractError if M is not Hermitian to 1e-12 * scale or a
     residual exceeds 1e-9 * scale."""
     scale = max(1.0, np.linalg.norm(M))
-    if np.linalg.norm(M - M.conj().T) > 1e-12 * scale:
+    adjoint = M.conj().T if np.iscomplexobj(M) else M.T
+    if np.linalg.norm(M - adjoint) > 1e-12 * scale:
         raise ContractError("operator is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh((M + M.conj().T) / 2.0)
+    evals, evecs = np.linalg.eigh((M + adjoint) / 2.0)
     resid = np.linalg.norm(M @ evecs - evecs * evals, axis=0)
-    if np.any(resid > 1e-9 * scale):
+    if resid.max(initial=0.0) > 1e-9 * scale:
         raise ContractError("eigenpair reconstruction residual too large")
     return evals, evecs
 
 
+def _parity_blocks(op, flip):
+    """The dense blocks of a sector operator that maps spin parity P to
+    flip * P: one (P, block) pair per parity block of the domain, the block's
+    rows being the codomain columns of parity flip * P (possibly none).
+
+    Raises ContractError if the entries outside these blocks have a norm
+    above 1e-12 * scale, scale = max(1, ||M||).
+    """
+    M = op.matrix
+    blocks, mixed = [], 0.0
+    for p, cols in op.domain.parity_blocks:
+        rows = np.zeros(0, dtype=np.intp)
+        for q, q_cols in op.codomain.parity_blocks:
+            if q == flip * p:
+                rows = q_cols
+            else:
+                mixed += np.linalg.norm(M.take(q_cols, 0).take(cols, 1)) ** 2
+        blocks.append((p, M.take(rows, 0).take(cols, 1)))
+    if mixed and math.sqrt(mixed) > 1e-12 * max(1.0, np.linalg.norm(M)):
+        raise ContractError("operator mixes the spin parity blocks of its sectors")
+    return blocks
+
+
 def spectrum(op):
-    """Ascending eigenvalues of a Hermitian square sector operator."""
+    """Ascending eigenvalues of a Hermitian square sector operator that
+    conserves the spin parity: the sorted union of its block spectra."""
     if op.matrix.shape[0] != op.matrix.shape[1]:
         raise ContractError("spectrum requires a square operator (domain = codomain)")
-    return _eigh_checked(op.matrix)[0]
+    levels = [_eigh_checked(block)[0] for _, block in _parity_blocks(op, 1)]
+    return np.sort(np.concatenate([np.zeros(0), *levels]))
 
 
 def rescaled_spectrum(n, zeta, sector):

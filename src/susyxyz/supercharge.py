@@ -27,6 +27,7 @@ from .spinchain import (
     _check_record,
     _eigh_checked,
     _group_levels,
+    _parity_blocks,
     _rank,
     build_sector_basis,
     common_levels,
@@ -156,9 +157,15 @@ def conserved_charge_C(n, zeta):
     return SectorOperator(domain=sector, codomain=sector, matrix=C)
 
 
-def _rank_with_warning(M, context):
-    """SVD rank with an honesty check: warn when singular values straddle the cut."""
-    s = np.linalg.svd(M, compute_uv=False)
+def _block_ranks(op, context):
+    """{P: rank of the block from spin parity P to -P} of a supercharge, one
+    SVD per block. The cut is the whole matrix's, _RANK_CUT times its largest
+    singular value, and the whole matrix's singular values (the blocks',
+    padded with zeros) are checked for honesty: warn when they straddle the cut."""
+    svals = {p: np.linalg.svd(block, compute_uv=False) for p, block in _parity_blocks(op, -1)}
+    s = np.zeros(min(op.matrix.shape))
+    found = np.concatenate([np.zeros(0), *svals.values()])
+    s[:len(found)] = np.sort(found)[::-1]
     rank = _rank(s)
     if 0 < rank < len(s):
         gap = s[rank - 1] / max(s[rank], np.finfo(float).tiny)
@@ -168,18 +175,23 @@ def _rank_with_warning(M, context):
                 f"{s[rank - 1]:.3e} / {s[rank]:.3e} straddle the threshold",
                 stacklevel=3,
             )
-    return rank
+    s_max = s[0] if len(s) else 0.0
+    return {p: _rank(v, s_max) for p, v in svals.items()}
 
 
 def cohomology_dimension(n, zeta):
-    """dim ker Q_N - rank Q_{N-1} on the momentum sector t_N = (-1)^{N+1}."""
+    """(dim H on spin parity P = +1, dim H on P = -1) of the complex of Q on
+    the momentum sector t_N = (-1)^{N+1}: dim ker Q_N - rank Q_{N-1} per
+    parity block. Q maps parity P to -P, so the image of Q_{N-1} in the P
+    block comes from its -P block."""
     if n < 2:
         raise DomainError("cohomology needs n >= 2")
-    Qn = build_supercharges(n, zeta).q_plain.matrix
-    dim = Qn.shape[1]
-    rank_n = _rank_with_warning(Qn, f"Q_{n}")
-    rank_dn = _rank_with_warning(build_supercharges(n - 1, zeta).q_plain.matrix, f"Q_{n - 1}")
-    return dim - rank_n - rank_dn
+    Qn = build_supercharges(n, zeta).q_plain
+    rank_n = _block_ranks(Qn, f"Q_{n}")
+    rank_dn = _block_ranks(build_supercharges(n - 1, zeta).q_plain, f"Q_{n - 1}")
+    dims = {p: len(cols) - rank_n[p] - rank_dn.get(-p, 0)
+            for p, cols in Qn.domain.parity_blocks}
+    return dims.get(1, 0), dims.get(-1, 0)
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,16 @@ def test_criterion_02_cohomology_dimensions():
     t0 = time.time()
     failures = []
     for n in range(3, 12):
-        expected = 2 if n % 2 else 0
+        # one zero-energy state in each spin-parity block at odd n
+        expected = (1, 1) if n % 2 else (0, 0)
         for zeta in (0.3, 1.0, 1.9):
-            dim = cohomology_dimension(n, zeta)
-            if dim != expected:
-                failures.append((n, zeta, dim, expected))
+            dims = cohomology_dimension(n, zeta)
+            if dims != expected:
+                failures.append((n, zeta, dims, expected))
     elapsed = time.time() - t0
     if elapsed > 300:
         failures.append(f"runtime {elapsed:.1f}s exceeds 5 minutes")
-    _verdict("criterion 2: cohomology dims 2 (odd) / 0 (even), n=3..11", failures)
+    _verdict("criterion 2: cohomology dims 1 + 1 (odd) / 0 (even), n=3..11", failures)
 
 
 def test_criterion_03_quadruplets_and_singlets():

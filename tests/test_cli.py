@@ -227,6 +227,21 @@ def test_check_cohomology(capsys):
     assert report["dims"] == {"3": 2, "4": 0, "5": 2, "6": 0}
 
 
+def test_check_cohomology_splits_by_spin_parity(capsys, monkeypatch):
+    # one zero-energy state in each spin-parity block at odd n
+    code, out, _ = run(capsys, "check", "cohomology", "--n", "3..6", "--zeta", "0.4,2.1")
+    assert code == 0
+    report = json.loads(out)
+    assert list(report) == ["suite", "zetas", "dims", "dims_by_parity", "pass"]
+    assert report["dims_by_parity"] == {"3": [1, 1], "4": [0, 0], "5": [1, 1], "6": [0, 0]}
+    # the right total with both states in one block fails
+    monkeypatch.setattr(cli, "cohomology_dimension", lambda n, zeta: (2, 0) if n % 2 else (0, 0))
+    code, out, _ = run(capsys, "check", "cohomology", "--n", "3..4", "--zeta", "0.7")
+    report = json.loads(out)
+    assert code == 1 and not report["pass"]
+    assert report["dims"] == {"3": 2, "4": 0}
+
+
 def test_check_fermion_compare(capsys):
     code, out, _ = run(capsys, "check", "fermion-compare", "--m", "2", "--zeta", "2")
     assert code == 0
@@ -347,3 +362,11 @@ def test_repo_argvs_parse(capsys, monkeypatch):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"the CLI rejects {argv}")
+
+
+def test_bethe_scan_without_height_paths_exit_code(capsys):
+    # no height path of 3 steps has 2 down steps, so every Bethe vector vanishes
+    assert _load("scripts/bethe_root_scan.py").main(["--n", "3", "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -648,3 +648,16 @@ def test_bethe_scan_stays_within_theta_reach(n, m, nome):
     assert roots
     for br in roots:
         assert max(abs(r) for r in bethe_residual(br, ctx)) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bethe_search_needs_height_paths_with_m_down_steps(n):
+    # a closed height path has n - 2m = 0 mod 3; for other (n, m) every Bethe
+    # vector vanishes (at n = 3, m = 2 the scan used to return such sets), so
+    # the search refuses them before any Newton step
+    for m in (1, 2):
+        admissible = any(p.m == m for p in path_states(n))
+        assert admissible == ((n - 2 * m) % 3 == 0)
+        if not admissible:
+            with pytest.raises(DomainError, match="height path"):
+                find_bethe_roots(n, m, OMEGAS[0], CTX)

@@ -25,7 +25,7 @@ from susyxyz.fermion import (
     translation_matrix,
     y_of_zeta,
 )
-from susyxyz.spinchain import SectorBasis, project, spectrum
+from susyxyz.spinchain import SectorBasis, _eigh_checked, project, spectrum
 
 
 def test_hardcore_state_validation():
@@ -139,6 +139,23 @@ def test_fermion_spectrum_is_spectrum_of_projection(boundary, sigma):
                              boundary=boundary, m=m)
         op = project(fermion_hamiltonian(model), t3_sector_basis(n_f, m, sigma, boundary))
         assert np.array_equal(fermion_spectrum(n_f, 0.61, m, boundary, sigma), spectrum(op))
+
+
+@pytest.mark.parametrize("n_f", [6, 9, 12])
+def test_t3_sectors_are_one_parity_block(n_f):
+    # every hard-core mask of a sector has m set bits, so the spin-parity
+    # split leaves one block, and the spectrum is the whole matrix's
+    for m in range(1, n_f // 2 + 1):
+        for boundary in ("ramond", "neveu-schwarz"):
+            model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
+                                 boundary=boundary, m=m)
+            for sigma in (1, -1):
+                basis = t3_sector_basis(n_f, m, sigma, boundary)
+                assert [p for p, _ in basis.parity_blocks] == ([(-1) ** m] if basis.dim else [])
+                if basis.dim:
+                    assert np.array_equal(basis.parity_blocks[0][1], np.arange(basis.dim))
+                op = project(fermion_hamiltonian(model), basis)
+                assert np.array_equal(spectrum(op), _eigh_checked(op.matrix)[0])
 
 
 # ---------------------------------------------------------------------------

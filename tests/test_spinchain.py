@@ -349,3 +349,58 @@ def test_eigh_checked_bound_is_1e12_relative():
                 _eigh_checked(M)
         else:
             _eigh_checked(M)
+
+
+# ---------------------------------------------------------------------------
+# spin-parity blocks; the dense whole-sector eigensolve is the reference
+
+
+def _real_momentum_sectors(n):
+    """The momentum 0 sector, and at even n the momentum pi sector."""
+    return [build_sector_basis(n, t) for t in ((1.0, -1.0) if n % 2 == 0 else (1.0,))]
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_parity_blocks_follow_the_popcount_of_every_orbit_state(n):
+    for basis in _real_momentum_sectors(n):
+        labels = np.zeros(basis.dim, dtype=int)
+        for p, cols in basis.parity_blocks:
+            labels[cols] = p
+        assert [p for p, _ in basis.parity_blocks] in ([1, -1], [1], [-1])
+        assert np.array_equal(np.sort(np.concatenate([c for _, c in basis.parity_blocks])),
+                              np.arange(basis.dim))
+        B = basis.embedding.tocoo()
+        downs = np.array([bin(int(s)).count("1") for s in B.row])
+        assert np.array_equal((-1) ** downs, labels[B.col])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_block_spectrum_matches_whole_sector_eigensolve(n):
+    for zeta in (0.7, 2.3):
+        for basis in _real_momentum_sectors(n):
+            op = xyz_hamiltonian(n, CouplingLine(zeta), basis)
+            ref = np.linalg.eigvalsh(op.matrix)
+            got = spectrum(op)
+            assert len(got) == basis.dim
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(op.matrix))
+
+
+def test_spectrum_rejects_an_operator_that_flips_the_spin_parity():
+    # sum_j sigma^x_j commutes with translation and is Hermitian, but maps
+    # P to -P, so its sector matrix lies wholly outside the diagonal blocks
+    n = 6
+    states = np.arange(1 << n)
+    rows = np.concatenate([states ^ (1 << j) for j in range(n)])
+    sx = sp.csr_matrix((np.ones(n << n), (rows, np.tile(states, n))), shape=(1 << n, 1 << n))
+    op = project(sx, build_sector_basis(n, 1.0))
+    assert np.linalg.norm(op.matrix) > 1.0
+    _eigh_checked(op.matrix)
+    with pytest.raises(ContractError, match="spin parity"):
+        spectrum(op)
+
+
+def test_parity_refined_sectors_are_one_block():
+    for parity in (1, -1):
+        basis = build_sector_basis(8, 1.0, parity=parity)
+        ((p, cols),) = basis.parity_blocks
+        assert p == 0 and np.array_equal(cols, np.arange(basis.dim))

@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from susyxyz.errors import DomainError
-from susyxyz.spinchain import CouplingLine, spectrum, xyz_hamiltonian
+from susyxyz.spinchain import CouplingLine, SectorOperator, _rank, spectrum, xyz_hamiltonian
 from susyxyz.supercharge import (
+    _block_ranks,
     build_supercharges,
     cohomology_dimension,
     conserved_charge_C,
@@ -57,14 +58,14 @@ def test_conserved_charge_square_zero_and_commutes():
 @pytest.mark.parametrize("n,expected", [(3, 2), (4, 0), (5, 2), (6, 0), (7, 2)])
 def test_cohomology_dimension_small_sizes(n, expected):
     for zeta in (0.2, 1.0):
-        assert cohomology_dimension(n, zeta) == expected
+        assert sum(cohomology_dimension(n, zeta)) == expected
 
 
 def test_cohomology_counts_zero_modes():
     # dim of the cohomology equals the number of E=0 states in the sector
     for n in (3, 5):
         evals = spectrum(xyz_hamiltonian(n, CouplingLine(0.8), susy_sector(n)))
-        assert sum(1 for e in evals if abs(e) < 1e-9) == cohomology_dimension(n, 0.8)
+        assert sum(1 for e in evals if abs(e) < 1e-9) == sum(cohomology_dimension(n, 0.8))
 
 
 def test_quadruplet_pattern_121_at_3_plus_zeta_squared():
@@ -166,3 +167,46 @@ def test_local_q_equals_loop_reference(n, zeta):
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)
+
+
+def _parity_labels(basis):
+    labels = np.zeros(basis.dim, dtype=int)
+    for p, cols in basis.parity_blocks:
+        labels[cols] = p
+    return labels
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_forbidden_parity_blocks_are_exactly_zero(n):
+    # H keeps P = (-1)^{#down}, Q maps (n, P) to (n+1, -P), Qt to (n+1, P)
+    for zeta in (0.7, 2.3):
+        pair = build_supercharges(n, zeta)
+        H = xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n))
+        for op, flip in ((H, 1), (pair.q_plain, -1), (pair.q_tilde, 1)):
+            dom, cod = _parity_labels(op.domain), _parity_labels(op.codomain)
+            allowed = cod[:, None] == flip * dom[None, :]
+            assert np.all(op.matrix[~allowed] == 0.0)
+            assert np.any(op.matrix[allowed] != 0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_block_ranks_equal_the_whole_svd_rank(n):
+    for zeta in (0.7, 2.3):
+        for q in (build_supercharges(n, zeta).q_plain, build_supercharges(n - 1, zeta).q_plain):
+            whole = _rank(np.linalg.svd(q.matrix, compute_uv=False))
+            assert sum(_block_ranks(q, "Q").values()) == whole
+
+
+def test_block_ranks_cut_and_warn_on_the_whole_matrix():
+    # the cut is 1e-10 times the largest singular value of the whole matrix,
+    # here in the other block, and a gap below 10 across it warns
+    dom, cod = susy_sector(3), susy_sector(4)
+    (plus, cols_plus), (minus, cols_minus) = dom.parity_blocks
+    rows = dict(cod.parity_blocks)
+    M = np.zeros((cod.dim, dom.dim))
+    M[rows[minus][0], cols_plus[0]] = 1.0
+    M[rows[plus][0], cols_minus[0]] = 2e-10
+    M[rows[plus][1], cols_minus[1]] = 5e-11
+    op = SectorOperator(domain=dom, codomain=cod, matrix=M)
+    with pytest.warns(UserWarning, match="ill-conditioned rank for Q_3"):
+        assert _block_ranks(op, "Q_3") == {1: 1, -1: 1}
