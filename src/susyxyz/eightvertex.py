@@ -186,14 +186,14 @@ def path_translate(p):
 
 
 # A path is also the integer code ell << n | mask, where bit x-1 of the mask
-# marks a down step at x; the codes of all admissible paths ascend.
+# marks a down step at x; the numerical routines index paths in ascending code
+# order, the order of `_path_codes`.
 
 
 def _path_codes(n):
     """Ascending codes of the admissible paths of n sites."""
     masks = np.arange(1 << n)
-    downs = sum((masks >> j) & 1 for j in range(n))
-    masks = masks[(n - 2 * downs) % 3 == 0]
+    masks = masks[(n - 2 * np.bitwise_count(masks).astype(np.int64)) % 3 == 0]
     return np.concatenate([(ell << n) | masks for ell in range(3)])
 
 
@@ -238,34 +238,36 @@ def _local_vector_table(ctx, n, shift):
     return table
 
 
-def path_state_vector(p, ctx, inhomogeneities=None):
-    """Tensor product of local two-component vectors (site 1 = lowest bit)."""
+def path_vectors(codes, n, ctx, inhomogeneities=None):
+    """The (2^n, len(codes)) matrix of the path vectors of the given path codes.
+
+    A path vector is the tensor product of one local two-component vector per
+    site (site 1 = lowest bit); the factors are taken one site at a time for
+    every path at once, each as a new leading axis.
+    """
     _require_independent(ctx)
-    if inhomogeneities is not None and len(inhomogeneities) != p.n:
+    if inhomogeneities is not None and len(inhomogeneities) != n:
         raise DomainError("need one inhomogeneity per site")
-    hs = p.heights()
-    down = set(p.positions)
-    vec = np.ones(1)
-    for j in range(1, p.n + 1):
-        shift = inhomogeneities[j - 1] if inhomogeneities is not None else 0.0
-        table = _local_vector_table(ctx, p.n, shift)
-        if j in down:
-            comp = table[1, hs[j] + p.n]  # height after the down step
-        else:
-            comp = table[0, hs[j - 1] + p.n]
-        vec = np.outer(comp, vec).ravel()
-    return vec
+    codes = np.asarray(codes)
+    height = codes >> n  # the height before the current step
+    vecs = np.ones((1, len(codes)))
+    for j in range(n):
+        shift = inhomogeneities[j] if inhomogeneities is not None else 0.0
+        down = (codes >> j) & 1
+        # the step's vector sits at the lower of its two heights
+        comp = _local_vector_table(ctx, n, shift)[down, height - down + n]
+        height = height + 1 - 2 * down
+        vecs = (comp.T[:, None, :] * vecs).reshape(-1, len(codes))
+    return vecs
 
 
 def path_matrix(n, ctx, inhomogeneities=None):
-    """(states, matrix) with one column per admissible path."""
+    """(states, matrix) with one column per admissible path, in code order."""
     if n < 2:
         raise DomainError(f"the path basis needs n >= 2, got {n}")
-    states = path_states(n)
-    M = np.column_stack(
-        [path_state_vector(p, ctx, inhomogeneities) for p in states]
-    )
-    return states, M
+    codes = _path_codes(n)
+    states = [_path_of_code(c, n) for c in codes.tolist()]
+    return states, path_vectors(codes, n, ctx, inhomogeneities)
 
 
 def _path_blocks(n, ctx, inhomogeneities=None):
@@ -284,11 +286,8 @@ def _path_blocks(n, ctx, inhomogeneities=None):
     if inhomogeneities is not None:
         return [(sp.identity(1 << n, format="csc"), path_matrix(n, ctx, inhomogeneities)[1])]
     step = lambda codes: (_translate_path_codes(codes, n), 1.0)
-    orbits = _orbit_sector(_path_codes(n), n, step, 1.0).orbit_reps
-    periods = np.array([p for _, p in orbits])
-    R = np.column_stack(
-        [path_state_vector(_path_of_code(r, n), ctx) for r, _ in orbits]
-    ) * np.sqrt(periods)
+    reps, periods = np.array(_orbit_sector(_path_codes(n), n, step, 1.0).orbit_reps).T
+    R = path_vectors(reps, n, ctx) * np.sqrt(periods)
     blocks = []
     for k in range(n):
         B = build_sector_basis(n, cmath.exp(2j * math.pi * k / n)).embedding
@@ -335,40 +334,32 @@ def path_rank(n, ctx, inhomogeneities=None):
     return path_rank_complement(n, ctx, inhomogeneities, complement=False)[0]
 
 
-def path_complement(n, ctx, inhomogeneities=None):
-    """Orthonormal basis of the orthogonal complement of the path span."""
-    return path_rank_complement(n, ctx, inhomogeneities)[1]
-
-
 # ---------------------------------------------------------------------------
 # supercharge on path coordinates
 
 
 def hatQ_dagger(n, ctx):
     """Matrix of the particle-inserting supercharge on path coordinates,
-    mapping paths of n sites (m down steps) to paths of n-1 sites (m+1).
+    mapping paths of n sites (m down steps) to paths of n-1 sites (m+1), with
+    rows and columns in code order.
 
-    Insertion of a down step at x between particles x_{r-1} and x_r carries
-    the weight (-1)^x h(w_{ell_{x+1}})^2, with ell_{x+1} the local height of
+    A down step enters at x in place of the up steps at x and x+1, with the
+    weight (-1)^x h(w_{ell_{x+1}})^2, where ell_{x+1} is the local height of
     the incoming path just after position x.
     """
     if n < 3:
         raise DomainError("hatQ needs n >= 3")
-    src = path_states(n)
-    dst = path_states(n - 1)
-    index = {(p.ell, p.positions): i for i, p in enumerate(dst)}
+    src, dst = _path_codes(n), _path_codes(n - 1)
+    ell, mask = src >> n, src & ((1 << n) - 1)
+    hw2 = np.array([h(w(e, ctx), ctx) ** 2 for e in range(3)])
     Qd = np.zeros((len(dst), len(src)))
-    hw = [h(w(ell, ctx), ctx) for ell in range(3)]
-    for col, p in enumerate(src):
-        xs = p.positions
-        m = p.m
-        bounds = (0,) + xs + (n + 1,)
-        for r in range(1, m + 2):
-            for x in range(bounds[r - 1] + 1, bounds[r] - 1):
-                new_pos = xs[: r - 1] + (x,) + tuple(xi - 1 for xi in xs[r - 1:])
-                height = (p.ell + x - 2 * (r - 1)) % 3
-                weight = (-1.0) ** x * hw[height] ** 2
-                Qd[index[(p.ell, new_pos)], col] += weight
+    for x in range(1, n):
+        cols = np.flatnonzero((mask >> (x - 1)) & 3 == 0)
+        low = mask[cols] & ((1 << (x - 1)) - 1)
+        new = low | 1 << (x - 1) | (mask[cols] >> (x + 1)) << x
+        rows = np.searchsorted(dst, ell[cols] << (n - 1) | new)
+        height = (ell[cols] + x - 2 * np.bitwise_count(low).astype(np.int64)) % 3
+        Qd[rows, cols] = (-1.0) ** x * hw2[height]
     return Qd
 
 
@@ -728,15 +719,12 @@ def bethe_vector(br, ctx):
         roots=tuple(-r for r in br.roots), omega=1.0 / br.omega, n=br.n
     )
     n = br.n
-    vec = np.zeros(1 << n, dtype=complex)
-    for p in path_states(n):
-        if p.m != br.m:
-            continue
-        psi = bethe_wavefunction(flipped, ctx, p.ell, p.positions)
-        if psi == 0:
-            continue
-        vec = vec + (flipped.omega ** p.ell) * psi * path_state_vector(p, ctx)
-    return vec
+    codes = _path_codes(n)
+    codes = codes[np.bitwise_count(codes & ((1 << n) - 1)) == br.m]
+    paths = [_path_of_code(c, n) for c in codes.tolist()]
+    coeffs = [flipped.omega ** p.ell * bethe_wavefunction(flipped, ctx, p.ell, p.positions)
+              for p in paths]
+    return path_vectors(codes, n, ctx) @ np.array(coeffs, dtype=complex)
 
 
 def scattering_ratio(u1, u2, ctx):
@@ -817,14 +805,12 @@ def appendixB_decomposition(ctx):
     phi = np.zeros(4)
     phi[2], phi[1] = 1.0, -1.0
 
-    states3, M3 = path_matrix(3, ctx)
-    _, M2 = path_matrix(2, ctx)
-    idx3 = {(p.ell, p.positions): i for i, p in enumerate(states3)}
-    chi1_coord = np.zeros(len(states3))
-    chi2_coord = np.zeros(len(states3))
-    for ell in range(3):
-        chi1_coord[idx3[(ell, ())]] = 1.0
-        chi2_coord[idx3[(ell, (1, 2, 3))]] = 1.0
+    codes3 = _path_codes(3)
+    M3 = path_vectors(codes3, 3, ctx)
+    M2 = path_vectors(_path_codes(2), 2, ctx)
+    # the all-up and the all-down paths, at every base height
+    chi1_coord = (codes3 & 0b111 == 0).astype(float)
+    chi2_coord = (codes3 & 0b111 == 0b111).astype(float)
     chi = np.column_stack(
         [
             M3 @ chi1_coord,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,39 +80,27 @@ def supercharge_full(n, zeta):
 
 @dataclass(frozen=True)
 class SuperchargePair:
-    """Q_N and its spin-reversed partner, restricted to the momentum sectors."""
+    """Q_N and its spin-reversed partner, restricted to the momentum sectors;
+    `full` is the sparse full-space Q_N, and Qt_N is projected when first read."""
 
     n: int
     zeta: float
     q_plain: SectorOperator
-    q_tilde: SectorOperator
+    full: sp.csr_matrix = field(repr=False, compare=False)
+
+    @cached_property
+    def q_tilde(self):
+        R_out = symmetry_operator("spin_reversal", self.n + 1)
+        R_in = symmetry_operator("spin_reversal", self.n)
+        return project(R_out @ self.full @ R_in, self.q_plain.domain, self.q_plain.codomain)
 
 
 def build_supercharges(n, zeta):
-    """Sector-restricted Q_N and Qt_N = R_{N+1} Q_N R_N."""
+    """Sector-restricted Q_N; its partner Qt_N = R_{N+1} Q_N R_N is built on demand."""
     CouplingLine(zeta)  # raises DomainError for a non-finite zeta
-    dom = susy_sector(n)
-    cod = susy_sector(n + 1)
     Q = supercharge_full(n, zeta)
-    R_out = symmetry_operator("spin_reversal", n + 1)
-    R_in = symmetry_operator("spin_reversal", n)
-    return SuperchargePair(
-        n=n,
-        zeta=zeta,
-        q_plain=project(Q, dom, cod),
-        q_tilde=project(R_out @ Q @ R_in, dom, cod),
-    )
-
-
-def _hamiltonian_residual(H, up, dn, tilde):
-    """||H - (A^dag A + B B^dag)|| with A from the pair `up` (Q_N) and B from
-    `dn` (Q_{N-1}; None drops the term), both plain or both tilde."""
-    A = up.q_tilde.matrix if tilde else up.q_plain.matrix
-    rhs = A.conj().T @ A
-    if dn is not None:
-        B = dn.q_tilde.matrix if tilde else dn.q_plain.matrix
-        rhs = rhs + B @ B.conj().T
-    return np.linalg.norm(H - rhs)
+    return SuperchargePair(n=n, zeta=zeta, full=Q,
+                           q_plain=project(Q, susy_sector(n), susy_sector(n + 1)))
 
 
 def verify_algebra(n, zeta, tol=ALGEBRA_TOL, pairs=None):
@@ -141,8 +130,8 @@ def verify_algebra(n, zeta, tol=ALGEBRA_TOL, pairs=None):
         ("cross_charge_left", np.linalg.norm(Qt.conj().T @ Q + q @ qt.conj().T)),
         ("cross_charge_right", np.linalg.norm(Q.conj().T @ Qt + qt @ q.conj().T)),
         ("mixed_nilpotency", np.linalg.norm(Qt @ q + Q @ qt)),
-        ("hamiltonian_plain", _hamiltonian_residual(H, up, dn, tilde=False)),
-        ("hamiltonian_tilde", _hamiltonian_residual(H, up, dn, tilde=True)),
+        ("hamiltonian_plain", np.linalg.norm(H - (Q.conj().T @ Q + q @ q.conj().T))),
+        ("hamiltonian_tilde", np.linalg.norm(H - (Qt.conj().T @ Qt + qt @ qt.conj().T))),
     ]
     return [_check_record(name, n, zeta, r, r < max(tol, 1e-16)) for name, r in checks]
 

@@ -17,8 +17,8 @@ from susyxyz.eightvertex import (
     hamiltonian_from_transfer,
     hatQ_dagger,
     intertwining_residual,
-    path_complement,
     path_rank,
+    path_rank_complement,
     path_states,
     tq_eigenvalue,
     transfer_matrix,
@@ -168,7 +168,7 @@ def test_criterion_06_path_basis():
         if rank != expected:
             failures.append(("rank", n, rank, expected))
     for n in (3, 5, 7, 9):
-        comp = path_complement(n, ctx)
+        comp = path_rank_complement(n, ctx)[1]
         if comp.shape != (2 ** n, 2):
             failures.append(("complement dim", n, comp.shape))
             continue
@@ -183,7 +183,7 @@ def test_criterion_06_path_basis():
     rng = np.random.default_rng(11)
     for n in (3, 5, 7):
         shifts = tuple(rng.uniform(-0.15, 0.15, size=n))
-        comp = path_complement(n, ctx, inhomogeneities=shifts)
+        comp = path_rank_complement(n, ctx, inhomogeneities=shifts)[1]
         for u in (0.5, 1.0):
             T = transfer_matrix(n, u, ctx, inhomogeneities=shifts)
             lam = np.prod([h(u - s, ctx) for s in shifts])

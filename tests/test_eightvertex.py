@@ -26,11 +26,9 @@ from susyxyz.eightvertex import (
     hatQ_dagger,
     hatQ_spin,
     intertwining_residual,
-    path_complement,
     path_matrix,
     path_rank,
     path_rank_complement,
-    path_state_vector,
     path_states,
     path_translate,
     scattering_ratio,
@@ -163,7 +161,7 @@ def test_even_chain_path_matrix_spans_everything():
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_complement_is_susy_ground_space(n):
-    comp = path_complement(n, CTX)
+    comp = path_rank_complement(n, CTX)[1]
     assert comp.shape == (2 ** n, 2)
     H = xyz_hamiltonian_full(n, CouplingLine(zeta_of_nome(CTX.nome))).toarray()
     assert np.linalg.norm(H @ comp) < 1e-8 * max(1.0, np.linalg.norm(H))
@@ -177,7 +175,7 @@ def test_complement_inhomogeneous_variant():
     n = 3
     rng = np.random.default_rng(7)
     shifts = tuple(rng.uniform(-0.2, 0.2, size=n))
-    comp = path_complement(n, CTX, inhomogeneities=shifts)
+    comp = path_rank_complement(n, CTX, inhomogeneities=shifts)[1]
     assert comp.shape[1] == 2
     for u in (0.45, 1.1):
         T = transfer_matrix(n, u, CTX, inhomogeneities=shifts)
@@ -186,7 +184,7 @@ def test_complement_inhomogeneous_variant():
 
 
 def _path_state_vector_per_site(p, ctx, inhomogeneities=None):
-    """The former path_state_vector: two theta calls for every site."""
+    """Reference path vector, one site at a time with two theta calls per site."""
     hs = p.heights()
     vec = np.ones(1)
     for j in range(1, p.n + 1):
@@ -201,13 +199,14 @@ def _path_state_vector_per_site(p, ctx, inhomogeneities=None):
 
 @pytest.mark.parametrize("n", [2, 3, 6, 7])
 def test_cached_local_vectors_match_per_site_build(n):
+    # every column of the path matrix, bit for bit, in code order
     ctx = ThetaContext(nome=0.35, s=0.21, t=-0.64)
     shifts = tuple(np.random.default_rng(n).uniform(-0.2, 0.2, size=n))
-    for p in path_states(n):
-        for inh in (None, shifts):
-            assert np.array_equal(
-                path_state_vector(p, ctx, inh), _path_state_vector_per_site(p, ctx, inh)
-            )
+    for inh in (None, shifts):
+        states, M = path_matrix(n, ctx, inh)
+        assert states == [_path_of_code(c, n) for c in _path_codes(n).tolist()]
+        ref = np.column_stack([_path_state_vector_per_site(p, ctx, inh) for p in states])
+        assert np.array_equal(M, ref)
 
 
 def test_path_matrix_theta_call_count(monkeypatch):
@@ -230,8 +229,6 @@ def test_path_matrix_theta_call_count(monkeypatch):
 
 def test_complement_requires_odd_size():
     with pytest.raises(DomainError):
-        path_complement(4, CTX)
-    with pytest.raises(DomainError):
         path_rank_complement(4, CTX)
 
 
@@ -243,7 +240,7 @@ def test_rank_and_complement_from_one_svd(n):
         assert comp is None
     else:
         # the complement is unique up to a unitary rotation of its 2 columns
-        ref = path_complement(n, CTX)
+        ref = _dense_path_svd(n, CTX)[2]
         assert np.allclose(comp @ comp.conj().T, ref @ ref.conj().T, atol=1e-12)
 
 
@@ -251,7 +248,7 @@ def test_complement_dimension_is_checked(monkeypatch):
     # a cut above every singular value leaves the whole space as "complement"
     monkeypatch.setattr(spinchain, "_RANK_CUT", 2.0)
     with pytest.raises(InvariantViolation):
-        path_complement(3, CTX)
+        path_rank_complement(3, CTX)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -325,7 +322,7 @@ def test_homogeneous_path_rank_builds_no_path_matrix(monkeypatch):
 
     monkeypatch.setattr(eightvertex, "path_matrix", no_path_matrix)
     assert path_rank(10, CTX) == 1024
-    assert path_complement(9, CTX).shape == (512, 2)
+    assert path_rank_complement(9, CTX)[1].shape == (512, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +336,34 @@ def test_hatQ_nilpotent(n):
     assert np.linalg.norm(B @ A) < 1e-12 * max(1.0, np.linalg.norm(A) ** 2)
 
 
+def _hatQ_dagger_per_path(n, ctx):
+    """Reference hatQ^dag, one path at a time: a down step enters at x between
+    the down steps x_{r-1} and x_r; rows and columns in code order."""
+    src = [_path_of_code(c, n) for c in _path_codes(n).tolist()]
+    dst = [_path_of_code(c, n - 1) for c in _path_codes(n - 1).tolist()]
+    index = {p: i for i, p in enumerate(dst)}
+    Qd = np.zeros((len(dst), len(src)))
+    hw = [h(elliptic.w(ell, ctx), ctx) for ell in range(3)]
+    for col, p in enumerate(src):
+        bounds = (0,) + p.positions + (n + 1,)
+        for r in range(1, p.m + 2):
+            for x in range(bounds[r - 1] + 1, bounds[r] - 1):
+                new_pos = p.positions[: r - 1] + (x,) + tuple(xi - 1 for xi in p.positions[r - 1:])
+                height = (p.ell + x - 2 * (r - 1)) % 3
+                Qd[index[PathState(p.ell, new_pos, n - 1)], col] += (-1.0) ** x * hw[height] ** 2
+    return Qd
+
+
 def test_hatQ_lowers_size_and_raises_particle_number():
-    A = hatQ_dagger(4, CTX)
-    src = path_states(4)
-    dst = path_states(3)
-    assert A.shape == (len(dst), len(src))
-    for i, pd in enumerate(dst):
-        for j, ps in enumerate(src):
-            if A[i, j] != 0.0:
-                assert pd.m == ps.m + 1
-                assert pd.ell == ps.ell
+    for n in range(3, 9):
+        A = hatQ_dagger(n, CTX)
+        assert np.array_equal(A, _hatQ_dagger_per_path(n, CTX))
+        src = [_path_of_code(c, n) for c in _path_codes(n).tolist()]
+        dst = [_path_of_code(c, n - 1) for c in _path_codes(n - 1).tolist()]
+        assert A.shape == (len(dst), len(src))
+        for i, j in zip(*np.nonzero(A)):
+            assert dst[i].m == src[j].m + 1
+            assert dst[i].ell == src[j].ell
 
 
 def test_hatQ_smallest_size():
@@ -364,10 +379,17 @@ def test_intertwining(n, charge):
 
 
 def test_hatQ_spin_consistent_with_path_action():
-    # the spin lift must intertwine exactly like the path-coordinate matrix
-    n = 4
-    X = hatQ_spin(n, CTX)
-    assert X.shape == (2 ** n, 2 ** (n - 1))
+    # the spin lift acts on path vectors as hatQ^dag acts on path coordinates,
+    # which holds only if path_matrix and hatQ_dagger share one path order
+    for nome in (0.2, 0.35):
+        ctx = ThetaContext(nome=nome)
+        for n in range(3, 9):
+            X = hatQ_spin(n, ctx)
+            assert X.shape == (2 ** n, 2 ** (n - 1))
+            _, M_n = path_matrix(n, ctx)
+            _, M_dn = path_matrix(n - 1, ctx)
+            image = M_dn @ hatQ_dagger(n, ctx)
+            assert np.linalg.norm(X.conj().T @ M_n - image) <= 1e-12 * np.linalg.norm(image)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +453,29 @@ def test_bethe_vectors_are_eigenvectors(m1_solutions):
         lam = tq_eigenvalue(u, br, CTX)
         T = transfer_matrix(n, u, CTX)
         assert np.linalg.norm(T @ v - lam * v) < 1e-7 * max(1.0, abs(lam))
+
+
+def _bethe_vector_per_path(br, ctx):
+    """Reference Bethe vector, accumulated one path at a time over path_states."""
+    flipped = BetheRoots(roots=tuple(-r for r in br.roots), omega=1.0 / br.omega, n=br.n)
+    vec = np.zeros(1 << br.n, dtype=complex)
+    for p in path_states(br.n):
+        if p.m == br.m:
+            psi = bethe_wavefunction(flipped, ctx, p.ell, p.positions)
+            vec = vec + flipped.omega ** p.ell * psi * _path_state_vector_per_site(p, ctx)
+    return vec
+
+
+@pytest.mark.parametrize("n,m", [(5, 1), (4, 2)])
+def test_bethe_vector_matches_per_path_sum(n, m):
+    found = 0
+    for omega in (1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)):
+        for br in find_bethe_roots(n, m, omega, CTX):
+            v = bethe_vector(br, CTX)
+            err = np.linalg.norm(v - _bethe_vector_per_path(br, CTX))
+            assert err <= 1e-12 * max(1.0, np.linalg.norm(v))
+            found += 1
+    assert found
 
 
 def test_extension_by_pi(m1_solutions):

@@ -53,7 +53,6 @@ TEST_ONLY = {
     "multiplet_report": "paper claim: every positive-energy state sits in a quadruplet",
     "parity_covariance_check": "paper claim: Q is parity covariant (acceptance criterion 4)",
     "intertwining_residual": "paper claim: T(u) intertwines the supercharges",
-    "path_complement": "paper claim: the odd-n path span misses two zero-energy states",
     "scattering_ratio": "paper claim: coincident rapidities scatter with amplitude -1",
     "theta_couplings": "paper claim: the theta-function coupling conjecture",
     "path_to_hardcore": "paper claim: the map from height paths to hard-core states",

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from susyxyz import supercharge
 from susyxyz.errors import DomainError
-from susyxyz.spinchain import CouplingLine, SectorOperator, _rank, spectrum, xyz_hamiltonian
+from susyxyz.spinchain import (
+    CouplingLine,
+    SectorOperator,
+    _rank,
+    project,
+    spectrum,
+    symmetry_operator,
+    xyz_hamiltonian,
+)
 from susyxyz.supercharge import (
     _block_ranks,
     build_supercharges,
@@ -12,6 +21,7 @@ from susyxyz.supercharge import (
     local_q,
     multiplet_report,
     parity_covariance_check,
+    supercharge_full,
     susy_sector,
     verify_algebra,
 )
@@ -53,6 +63,26 @@ def test_conserved_charge_square_zero_and_commutes():
     scale = max(1.0, np.linalg.norm(C))
     assert np.linalg.norm(C @ C) < 1e-10 * scale ** 2
     assert np.linalg.norm(C @ H - H @ C) < 1e-10 * scale * max(1.0, np.linalg.norm(H))
+
+
+def test_cohomology_builds_no_tilde_charge(monkeypatch):
+    # the cohomology reads Q only: Qt = R Q R is never projected
+    pairs = []
+
+    def recording_build(*args):
+        pairs.append(build_supercharges(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(supercharge, "build_supercharges", recording_build)
+    assert cohomology_dimension(5, 0.7) == (1, 1)
+    assert [p.n for p in pairs] == [5, 4]
+    assert all("q_tilde" not in vars(p) for p in pairs)
+    # read on demand, it is R Q R projected onto the same sectors
+    pair = pairs[0]
+    R_out = symmetry_operator("spin_reversal", 6)
+    R_in = symmetry_operator("spin_reversal", 5)
+    ref = project(R_out @ supercharge_full(5, 0.7) @ R_in, pair.q_plain.domain, pair.q_plain.codomain)
+    assert np.array_equal(pair.q_tilde.matrix, ref.matrix)
 
 
 @pytest.mark.parametrize("n,expected", [(3, 2), (4, 0), (5, 2), (6, 0), (7, 2)])
