@@ -87,11 +87,12 @@ def transfer_matrix(n, u, ctx, inhomogeneities=None):
         raise DomainError("need one inhomogeneity per site")
     # G[x, m, A', A]: open horizontal indices (first bond x, current bond m)
     # and the vertical indices of the first j sites (site 1 = lowest bit).
+    shifts = tuple(inhomogeneities) if inhomogeneities is not None else (0.0,) * n
+    # one vertex tensor per distinct shift: a homogeneous chain builds one
+    tensors = {shift: weight_tensor(u - shift, ctx) for shift in set(shifts)}
     G = np.eye(2).reshape(2, 2, 1, 1)
-    for j in range(n):
-        shift = inhomogeneities[j] if inhomogeneities is not None else 0.0
-        W = weight_tensor(u - shift, ctx)
-        G = np.einsum("xmpq,manb->xnbpaq", G, W)
+    for shift in shifts:
+        G = np.einsum("xmpq,manb->xnbpaq", G, tensors[shift])
         dim = G.shape[3] * 2
         G = G.reshape(2, 2, dim, dim)
     return np.einsum("xxpq->pq", G)
@@ -197,13 +198,6 @@ def _path_codes(n):
     return np.concatenate([(ell << n) | masks for ell in range(3)])
 
 
-def _path_of_code(code, n):
-    """The PathState of a path code."""
-    return PathState(
-        ell=code >> n, positions=tuple(x + 1 for x in range(n) if code >> x & 1), n=n
-    )
-
-
 def _translate_path_codes(codes, n):
     """`path_translate` on an integer array of path codes."""
     mask, ell = codes & ((1 << n) - 1), codes >> n
@@ -262,12 +256,10 @@ def path_vectors(codes, n, ctx, inhomogeneities=None):
 
 
 def path_matrix(n, ctx, inhomogeneities=None):
-    """(states, matrix) with one column per admissible path, in code order."""
+    """The path matrix: one column per admissible path, in code order."""
     if n < 2:
         raise DomainError(f"the path basis needs n >= 2, got {n}")
-    codes = _path_codes(n)
-    states = [_path_of_code(c, n) for c in codes.tolist()]
-    return states, path_vectors(codes, n, ctx, inhomogeneities)
+    return path_vectors(_path_codes(n), n, ctx, inhomogeneities)
 
 
 def _path_blocks(n, ctx, inhomogeneities=None):
@@ -284,7 +276,7 @@ def _path_blocks(n, ctx, inhomogeneities=None):
     if n < 2:
         raise DomainError(f"the path basis needs n >= 2, got {n}")
     if inhomogeneities is not None:
-        return [(sp.identity(1 << n, format="csc"), path_matrix(n, ctx, inhomogeneities)[1])]
+        return [(sp.identity(1 << n, format="csc"), path_matrix(n, ctx, inhomogeneities))]
     step = lambda codes: (_translate_path_codes(codes, n), 1.0)
     reps, periods = np.array(_orbit_sector(_path_codes(n), n, step, 1.0).orbit_reps).T
     R = path_vectors(reps, n, ctx) * np.sqrt(periods)
@@ -370,9 +362,7 @@ def hatQ_spin(n, ctx):
     projects onto the path span, consistent with the convention that the two
     complement states at odd length are annihilated.
     """
-    _, M_n = path_matrix(n, ctx)
-    _, M_dn = path_matrix(n - 1, ctx)
-    Y = M_dn @ hatQ_dagger(n, ctx) @ np.linalg.pinv(M_n)
+    Y = path_matrix(n - 1, ctx) @ hatQ_dagger(n, ctx) @ np.linalg.pinv(path_matrix(n, ctx))
     return Y.conj().T
 
 
@@ -664,17 +654,6 @@ def find_bethe_roots(n, m, omega, ctx):
 # Bethe wave functions
 
 
-def single_particle_g(uj, ell, x, ctx):
-    """Baxter's single-particle function g(ell, x) for rapidity u_j."""
-    eta = ctx.eta
-    eik = h(uj + eta, ctx) / h(uj - eta, ctx)
-    return (
-        eik ** x
-        * h(w(ell + x - 1, ctx) - eta - uj, ctx)
-        / (h(w(ell + x - 2, ctx), ctx) * h(w(ell + x - 1, ctx), ctx))
-    )
-
-
 def bethe_amplitudes(roots, ctx):
     """A_pi = sgn(pi) prod_{i<j} h(u_{pi(i)} - u_{pi(j)} + 2 eta)."""
     eta = ctx.eta
@@ -692,20 +671,16 @@ def bethe_amplitudes(roots, ctx):
     return amps
 
 
-def bethe_wavefunction(br, ctx, ell, positions):
-    """psi(ell; x_1 .. x_m) in Bethe-ansatz form."""
-    amps = bethe_amplitudes(br.roots, ctx)
-    total = 0.0j
-    for perm, A in amps.items():
-        term = A
-        for slot, x in enumerate(positions):
-            term *= single_particle_g(br.roots[perm[slot]], ell - 2 * slot, x, ctx)
-        total += term
-    return total
-
-
 def bethe_vector(br, ctx):
-    """Transfer eigenvector sum_ell omega^ell sum_x psi(ell; x) |ell; x>.
+    """Transfer eigenvector sum_ell omega^ell sum_x psi(ell; x) |ell; x>, with
+    psi(ell; x) = sum_pi A_pi prod_slot g_{pi(slot)}(ell - 2 slot, x_slot) and
+    Baxter's single-particle function
+        g_j(L, x) = e^{i k_j x} h(w_{L+x-1} - eta - u_j) / (h(w_{L+x-2}) h(w_{L+x-1})),
+    e^{i k_j} = h(u_j + eta)/h(u_j - eta).
+
+    w_{k+3} = w_k + 2 pi and h has period 2 pi, so every h in g is read from a
+    table over k mod 3 built once per root set; the coefficients of all paths
+    with m down steps then come from one pass over their codes.
 
     The tensor-product orientation used here (site 1 = least significant
     bit) traverses paths in the direction opposite to the one implicit in
@@ -715,16 +690,25 @@ def bethe_vector(br, ctx):
     translation eigenvalues are tq_eigenvalue / translation_eigenvalue of
     the original roots.
     """
-    flipped = BetheRoots(
-        roots=tuple(-r for r in br.roots), omega=1.0 / br.omega, n=br.n
-    )
-    n = br.n
+    n, m, eta = br.n, br.m, ctx.eta
+    roots = -np.array(br.roots, dtype=complex)
+    omega = 1.0 / br.omega
     codes = _path_codes(n)
-    codes = codes[np.bitwise_count(codes & ((1 << n) - 1)) == br.m]
-    paths = [_path_of_code(c, n) for c in codes.tolist()]
-    coeffs = [flipped.omega ** p.ell * bethe_wavefunction(flipped, ctx, p.ell, p.positions)
-              for p in paths]
-    return path_vectors(codes, n, ctx) @ np.array(coeffs, dtype=complex)
+    codes = codes[np.bitwise_count(codes & ((1 << n) - 1)) == m]
+    ell, slots = codes >> n, np.arange(m)
+    # X[p, slot]: the position of the slot-th down step of path p
+    X = np.nonzero((codes[:, None] >> np.arange(n)) & 1)[1].reshape(len(codes), m) + 1
+    shifted = ell[:, None] - 2 * slots + X  # L + x
+    k1, k2 = (shifted - 1) % 3, (shifted - 2) % 3
+    ws = w(np.arange(3), ctx)
+    hw = h(ws, ctx)
+    num = h(ws - eta - roots[:, None], ctx)  # (m, 3)
+    eik = h(roots + eta, ctx) / h(roots - eta, ctx)
+    # G[p, slot, j] = g_j(ell_p - 2 slot, X[p, slot])
+    G = eik ** X[:, :, None] * num[:, k1].transpose(1, 2, 0) / (hw[k2] * hw[k1])[:, :, None]
+    psi = sum(A * np.prod(G[:, slots, perm], axis=1)
+              for perm, A in bethe_amplitudes(roots, ctx).items())
+    return path_vectors(codes, n, ctx) @ (omega ** ell * psi)
 
 
 def scattering_ratio(u1, u2, ctx):

@@ -12,14 +12,12 @@ from susyxyz.eightvertex import (
     _newton_starts,
     _path_blocks,
     _path_codes,
-    _path_of_code,
     _translate_path_codes,
     PathState,
     appendixB_decomposition,
     bethe_amplitudes,
     bethe_residual,
     bethe_vector,
-    bethe_wavefunction,
     extend_by_pi,
     find_bethe_roots,
     hamiltonian_from_transfer,
@@ -123,6 +121,28 @@ def test_transfer_rejects_bad_input():
         transfer_matrix(3, 0.3, CTX, inhomogeneities=(0.1,))
 
 
+def _count_theta_calls(monkeypatch):
+    """The list that every later elliptic.theta call appends its kind to."""
+    calls = []
+    real_theta = elliptic.theta
+
+    def counting_theta(*args, **kwargs):
+        calls.append(args[0])
+        return real_theta(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "theta", counting_theta)
+    return calls
+
+
+def test_transfer_matrix_builds_one_vertex_tensor(monkeypatch):
+    # a homogeneous chain builds its vertex tensor once, whatever its length
+    calls = _count_theta_calls(monkeypatch)
+    transfer_matrix(3, 0.37, CTX)
+    short = len(calls)
+    transfer_matrix(9, 0.37, CTX)
+    assert len(calls) - short == short
+
+
 # ---------------------------------------------------------------------------
 # path basis
 
@@ -155,7 +175,7 @@ def test_path_rank(n):
 
 
 def test_even_chain_path_matrix_spans_everything():
-    _, M = path_matrix(4, CTX)
+    M = path_matrix(4, CTX)
     assert np.linalg.matrix_rank(M, tol=1e-10) == 16
 
 
@@ -183,6 +203,13 @@ def test_complement_inhomogeneous_variant():
         assert np.linalg.norm(T @ comp - lam * comp) < 1e-8 * max(1.0, abs(lam))
 
 
+def _path_of_code(code, n):
+    """Reference: the PathState of a path code."""
+    return PathState(
+        ell=code >> n, positions=tuple(x + 1 for x in range(n) if code >> x & 1), n=n
+    )
+
+
 def _path_state_vector_per_site(p, ctx, inhomogeneities=None):
     """Reference path vector, one site at a time with two theta calls per site."""
     hs = p.heights()
@@ -203,25 +230,18 @@ def test_cached_local_vectors_match_per_site_build(n):
     ctx = ThetaContext(nome=0.35, s=0.21, t=-0.64)
     shifts = tuple(np.random.default_rng(n).uniform(-0.2, 0.2, size=n))
     for inh in (None, shifts):
-        states, M = path_matrix(n, ctx, inh)
-        assert states == [_path_of_code(c, n) for c in _path_codes(n).tolist()]
-        ref = np.column_stack([_path_state_vector_per_site(p, ctx, inh) for p in states])
+        ref = np.column_stack([_path_state_vector_per_site(_path_of_code(c, n), ctx, inh)
+                               for c in _path_codes(n).tolist()])
+        M = path_matrix(n, ctx, inh)
         assert np.array_equal(M, ref)
 
 
 def test_path_matrix_theta_call_count(monkeypatch):
     # a context no other test uses, so neither cache is warm
     ctx = ThetaContext(nome=0.27, s=0.3117, t=-0.6931)
-    calls = []
-    real_theta = elliptic.theta
-
-    def counting_theta(*args, **kwargs):
-        calls.append(args[0])
-        return real_theta(*args, **kwargs)
-
-    monkeypatch.setattr(elliptic, "theta", counting_theta)
-    states, M = path_matrix(10, ctx)
-    assert M.shape == (1024, len(states))
+    calls = _count_theta_calls(monkeypatch)
+    M = path_matrix(10, ctx)
+    assert M.shape == (1024, len(_path_codes(10)))
     # 14 for the independence check and 2 for the local-vector table; without
     # either cache the count grows with the 1026 paths
     assert len(calls) <= 32
@@ -264,7 +284,8 @@ def test_path_code_step_is_path_translate(n):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_translation_permutes_path_vectors(n):
     # S|p> = |path_translate(p)>, the symmetry behind the momentum blocks
-    states, M = path_matrix(n, CTX)
+    states = [_path_of_code(c, n) for c in _path_codes(n).tolist()]
+    M = path_matrix(n, CTX)
     index = {p: i for i, p in enumerate(states)}
     image = M[:, [index[path_translate(p)] for p in states]]
     S = symmetry_operator("translation", n)
@@ -275,8 +296,7 @@ def test_translation_permutes_path_vectors(n):
 def _dense_path_svd(n, ctx):
     """Reference: rank, padded singular values and complement (odd n) from
     one SVD of the whole 2^n x #paths path matrix."""
-    _, M = path_matrix(n, ctx)
-    u, s, _ = np.linalg.svd(M)
+    u, s, _ = np.linalg.svd(path_matrix(n, ctx))
     rank = spinchain._rank(s)
     return rank, np.pad(s, (0, (1 << n) - len(s))), u[:, rank:]
 
@@ -386,10 +406,9 @@ def test_hatQ_spin_consistent_with_path_action():
         for n in range(3, 9):
             X = hatQ_spin(n, ctx)
             assert X.shape == (2 ** n, 2 ** (n - 1))
-            _, M_n = path_matrix(n, ctx)
-            _, M_dn = path_matrix(n - 1, ctx)
-            image = M_dn @ hatQ_dagger(n, ctx)
-            assert np.linalg.norm(X.conj().T @ M_n - image) <= 1e-12 * np.linalg.norm(image)
+            image = path_matrix(n - 1, ctx) @ hatQ_dagger(n, ctx)
+            err = np.linalg.norm(X.conj().T @ path_matrix(n, ctx) - image)
+            assert err <= 1e-12 * np.linalg.norm(image)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +474,35 @@ def test_bethe_vectors_are_eigenvectors(m1_solutions):
         assert np.linalg.norm(T @ v - lam * v) < 1e-7 * max(1.0, abs(lam))
 
 
+def _single_particle_g(uj, ell, x, ctx):
+    """Reference: Baxter's single-particle function g(ell, x) for rapidity u_j."""
+    eta = ctx.eta
+    eik = h(uj + eta, ctx) / h(uj - eta, ctx)
+    return (
+        eik ** x
+        * h(elliptic.w(ell + x - 1, ctx) - eta - uj, ctx)
+        / (h(elliptic.w(ell + x - 2, ctx), ctx) * h(elliptic.w(ell + x - 1, ctx), ctx))
+    )
+
+
+def _bethe_wavefunction(br, ctx, ell, positions):
+    """Reference: psi(ell; x_1 .. x_m) in Bethe-ansatz form, one path at a time."""
+    total = 0.0j
+    for perm, A in bethe_amplitudes(br.roots, ctx).items():
+        term = A
+        for slot, x in enumerate(positions):
+            term *= _single_particle_g(br.roots[perm[slot]], ell - 2 * slot, x, ctx)
+        total += term
+    return total
+
+
 def _bethe_vector_per_path(br, ctx):
     """Reference Bethe vector, accumulated one path at a time over path_states."""
     flipped = BetheRoots(roots=tuple(-r for r in br.roots), omega=1.0 / br.omega, n=br.n)
     vec = np.zeros(1 << br.n, dtype=complex)
     for p in path_states(br.n):
         if p.m == br.m:
-            psi = bethe_wavefunction(flipped, ctx, p.ell, p.positions)
+            psi = _bethe_wavefunction(flipped, ctx, p.ell, p.positions)
             vec = vec + flipped.omega ** p.ell * psi * _path_state_vector_per_site(p, ctx)
     return vec
 
@@ -476,6 +517,22 @@ def test_bethe_vector_matches_per_path_sum(n, m):
             assert err <= 1e-12 * max(1.0, np.linalg.norm(v))
             found += 1
     assert found
+
+
+def test_bethe_vector_theta_calls_do_not_grow_with_the_paths(monkeypatch):
+    # the per-root tables cost the same for the 63 paths of (7, 2) as for the
+    # 18 of (4, 2); both local-vector caches start cold for each count
+    omega = np.exp(2j * np.pi / 3)
+    counts = []
+    for n in (4, 7):
+        br = find_bethe_roots(n, 2, omega, CTX)[0]
+        eightvertex._require_independent.cache_clear()
+        eightvertex._local_vector_table.cache_clear()
+        calls = _count_theta_calls(monkeypatch)
+        bethe_vector(br, CTX)
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
 
 
 def test_extension_by_pi(m1_solutions):
@@ -520,7 +577,7 @@ def test_scattering_matches_amplitude_ratio():
 
 def test_equal_roots_annihilate_wavefunction():
     br = BetheRoots(roots=(0.5, 0.5), omega=1.0, n=4)
-    assert bethe_wavefunction(br, CTX, 0, (1, 3)) == pytest.approx(0.0, abs=1e-13)
+    assert not np.any(bethe_vector(br, CTX))
 
 
 def test_residual_rejects_coincident_roots():

@@ -117,3 +117,27 @@ def test_one_eigensolve():
                   if isinstance(fn, ast.FunctionDef) and fn.name == "_eigh_checked"]
     assert calls
     assert calls == [(spin, line) for line in _eig_calls(checked)]
+
+
+def _path_state_builders(path):
+    """The top-level definitions of a module that construct a PathState."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for call in ast.walk(top)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) == "PathState"
+             or getattr(call.func, "attr", None) == "PathState")
+    })
+
+
+def test_path_state_only_for_the_path_listing():
+    # the numerical routines take integer path codes; a PathState, the
+    # validated view of a path, is built only by path_states (the pathbasis
+    # listing and the path count) and path_translate (a test reference)
+    builders = [(path.relative_to(ROOT).as_posix(), name)
+                for path in sorted((ROOT / "src").rglob("*.py"))
+                for name in _path_state_builders(path)]
+    assert builders == [("src/susyxyz/eightvertex.py", "path_states"),
+                        ("src/susyxyz/eightvertex.py", "path_translate")]
