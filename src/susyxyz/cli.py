@@ -22,6 +22,7 @@ from .eightvertex import (
     path_rank,
     path_rank_complement,
     path_states,
+    transfer_apply,
     transfer_matrix,
 )
 from .elliptic import ThetaContext, h, zeta_of_nome
@@ -224,11 +225,11 @@ def check_conjectures(args):
                                             r_energy < tol * max(1.0, np.linalg.norm(Hfull.data))))
                 r_transfer = 0.0
                 for u in (0.35, 0.8, 1.3):
-                    T = transfer_matrix(n, u, ctx)
                     lam = h(u, ctx) ** n
                     r_transfer = max(
                         r_transfer,
-                        np.linalg.norm(T @ comp - lam * comp) / max(1.0, abs(lam)),
+                        np.linalg.norm(transfer_apply(n, u, ctx, comp) - lam * comp)
+                        / max(1.0, abs(lam)),
                     )
                 checks.append(_check_record("complement_transfer_eigenvalue", n, zeta,
                                             r_transfer, r_transfer < tol))

@@ -63,7 +63,8 @@ def vertex_weights(u, ctx):
 def weight_tensor(u, ctx):
     """Vertex tensor W[mu_in, alpha_bottom, mu_out, alpha_top] (0 = spin +)."""
     vw = vertex_weights(u, ctx)
-    W = np.zeros((2, 2, 2, 2))
+    # complex for a complex u; float64 (and unchanged) for a real one
+    W = np.zeros((2, 2, 2, 2), dtype=np.result_type(vw.a, vw.b, vw.c, vw.d))
     for mu in (0, 1):
         for al in (0, 1):
             # both lines conserved
@@ -73,16 +74,20 @@ def weight_tensor(u, ctx):
     return W
 
 
+def _require_transfer_args(n, u):
+    if n < 2:
+        raise DomainError(f"transfer matrix needs n >= 2, got {n}")
+    if not cmath.isfinite(u):
+        raise DomainError(f"spectral parameter u must be finite, got {u}")
+
+
 def transfer_matrix(n, u, ctx, inhomogeneities=None):
     """Row-to-row transfer matrix on the full 2^n space.
 
     Entry [alpha', alpha] sums over horizontal bond spins; site j is bit j-1
     of the bitmask. Optional per-site shifts u -> u - u_j.
     """
-    if n < 2:
-        raise DomainError(f"transfer matrix needs n >= 2, got {n}")
-    if not cmath.isfinite(u):
-        raise DomainError(f"spectral parameter u must be finite, got {u}")
+    _require_transfer_args(n, u)
     if inhomogeneities is not None and len(inhomogeneities) != n:
         raise DomainError("need one inhomogeneity per site")
     # G[x, m, A', A]: open horizontal indices (first bond x, current bond m)
@@ -91,11 +96,36 @@ def transfer_matrix(n, u, ctx, inhomogeneities=None):
     # one vertex tensor per distinct shift: a homogeneous chain builds one
     tensors = {shift: weight_tensor(u - shift, ctx) for shift in set(shifts)}
     G = np.eye(2).reshape(2, 2, 1, 1)
-    for shift in shifts:
+    for shift in shifts[:-1]:
         G = np.einsum("xmpq,manb->xnbpaq", G, tensors[shift])
         dim = G.shape[3] * 2
         G = G.reshape(2, 2, dim, dim)
-    return np.einsum("xxpq->pq", G)
+    # the last site's outgoing bond is the first bond: the trace closes here
+    dim = G.shape[3] * 2
+    return np.einsum("xmpq,maxb->bpaq", G, tensors[shifts[-1]]).reshape(dim, dim)
+
+
+def transfer_apply(n, u, ctx, V):
+    """T(u) @ V for the homogeneous transfer matrix, without forming T.
+
+    V has 2^n rows. The bottom vertical indices are contracted one site at a
+    time, lowest bit first, while the first and the current horizontal bond
+    stay open; each new top index moves to the front, so after n sites the
+    rows are in the usual bit order again, and the last site closes the trace.
+    """
+    _require_transfer_args(n, u)
+    V = np.asarray(V)
+    if V.shape[:1] != (1 << n,):
+        raise DomainError(f"T acts on arrays with 2^{n} rows, got shape {V.shape}")
+    W = weight_tensor(u, ctx)
+    # X[x, m, r, a, k]: first bond x, current bond m, the other rows r (new
+    # top indices first) and the next bottom index a to contract
+    # (optimize=True contracts each site as one BLAS product)
+    shape = (2, 2, 1 << (n - 1), 2, V.size >> n)
+    X = np.einsum("rak,xanb->xnbrk", V.reshape(shape[2:]), W, optimize=True)
+    for _ in range(n - 2):
+        X = np.einsum("xmrak,manb->xnbrk", X.reshape(shape), W, optimize=True)
+    return np.einsum("xmrak,maxb->brk", X.reshape(shape), W, optimize=True).reshape(V.shape)
 
 
 def hamiltonian_from_transfer(n, ctx):
@@ -293,28 +323,26 @@ def path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
 
     The singular values of M are the union of those of the blocks
     (`_path_blocks`), so one cut against the largest of them all gives the
-    rank. With complement=False only the singular values are computed and the
-    complement is None. The complement is the orthonormal basis of the
-    orthogonal complement of the path span, the union over the blocks of B
-    times the left singular vectors past the block's count above the cut; it
-    exists only for odd n, where it must have dimension 2.
+    rank. With complement=False the complement is None. The complement is the
+    orthonormal basis of the orthogonal complement of the path span, the union
+    over the blocks of B times the left singular vectors past the block's count
+    above the cut; it exists only for odd n, where it must have dimension 2.
+    Singular vectors are computed only for the blocks with fewer counts than
+    rows, the only ones that contribute to it.
     """
     if complement and n % 2 == 0:
         raise DomainError("the path span has a complement only for odd n")
     blocks = _path_blocks(n, ctx, inhomogeneities)
-    if complement:
-        svds = [np.linalg.svd(M) for _, M in blocks]
-    else:
-        svds = [(None, np.linalg.svd(M, compute_uv=False), None) for _, M in blocks]
-    s_max = max(s[0] for _, s, _ in svds if len(s))
-    counts = [_rank(s, s_max) for _, s, _ in svds]
+    svals = [np.linalg.svd(M, compute_uv=False) for _, M in blocks]
+    s_max = max(s[0] for s in svals if len(s))
+    counts = [_rank(s, s_max) for s in svals]
     rank = sum(counts)
     if not complement:
         return rank, None
     # only blocks that miss some direction join, so the complement is float64
     # when those blocks are real; with fewer paths than states, one always does
-    comp = np.hstack([B @ u[:, c:] for (B, _), (u, _, _), c in zip(blocks, svds, counts)
-                      if c < u.shape[1]])
+    comp = np.hstack([B @ np.linalg.svd(M)[0][:, c:] for (B, M), c in zip(blocks, counts)
+                      if c < M.shape[0]])
     if comp.shape[1] != 2:
         raise InvariantViolation(
             f"path complement at n={n} has dimension {comp.shape[1]}, expected 2"

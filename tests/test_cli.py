@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyxyz import cli, supercharge
+from susyxyz import cli, eightvertex, supercharge
 from susyxyz.cli import (
     build_parser,
     main,
@@ -184,6 +184,19 @@ def test_conjectures_unmatched_odd_level_fails(capsys, monkeypatch, even, residu
     assert check["relation"] == "parity_spectral_inclusion"
     assert check["pass"] is False
     assert check["residual"] == residual
+
+
+def test_conjectures_build_no_dense_transfer_matrix(capsys, monkeypatch):
+    # the complement's transfer eigenvalue reads only T applied to 2 columns
+    def no_transfer_matrix(*args, **kwargs):
+        raise AssertionError("dense transfer matrix built")
+
+    monkeypatch.setattr(eightvertex, "transfer_matrix", no_transfer_matrix)
+    monkeypatch.setattr(cli, "transfer_matrix", no_transfer_matrix)
+    code, out, _ = run(capsys, "check", "conjectures", "--n", "3,5", "--nomes", "0.2")
+    assert code == 0
+    relations = [c["relation"] for c in json.loads(out)["checks"]]
+    assert relations.count("complement_transfer_eigenvalue") == 2
 
 
 def test_fig1_csv_shape(capsys):

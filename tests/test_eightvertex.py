@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from susyxyz.eightvertex import (
     scattering_ratio,
     theta_triple_product,
     tq_eigenvalue,
+    transfer_apply,
     transfer_matrix,
     translation_eigenvalue,
     vertex_weights,
@@ -119,6 +122,85 @@ def test_transfer_rejects_bad_input():
         transfer_matrix(1, 0.3, CTX)
     with pytest.raises(DomainError):
         transfer_matrix(3, 0.3, CTX, inhomogeneities=(0.1,))
+
+
+def _transfer_matrix_reference(n, u, ctx, inhomogeneities=None):
+    """Reference: every site contracted into a tensor 4x the size of T, whose
+    open pair of horizontal bonds is then traced out."""
+    shifts = tuple(inhomogeneities) if inhomogeneities is not None else (0.0,) * n
+    G = np.eye(2).reshape(2, 2, 1, 1)
+    for shift in shifts:
+        G = np.einsum("xmpq,manb->xnbpaq", G, weight_tensor(u - shift, ctx))
+        dim = G.shape[3] * 2
+        G = G.reshape(2, 2, dim, dim)
+    return np.einsum("xxpq->pq", G)
+
+
+@pytest.mark.parametrize("nome", [0.05, 0.2, 0.45])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_transfer_matrix_matches_reference_bit_for_bit(n, nome):
+    ctx = ThetaContext(nome=nome)
+    shifts = tuple(np.random.default_rng(n).uniform(-0.2, 0.2, size=n))
+    for u in (0.35, math.pi / 3, 1.3):
+        for inhomogeneities in (None, shifts):
+            T = transfer_matrix(n, u, ctx, inhomogeneities)
+            assert np.array_equal(T, _transfer_matrix_reference(n, u, ctx, inhomogeneities))
+
+
+def test_transfer_matrix_peak_memory():
+    # the trace closes inside the last contraction: no 4x-sized tensor
+    transfer_matrix(10, 0.4, CTX)  # warm the theta caches
+    tracemalloc.start()
+    try:
+        T = transfer_matrix(10, 0.4, CTX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * T.nbytes
+
+
+def test_complex_spectral_parameter_keeps_imaginary_parts():
+    # brute force: T[a', a] = sum over the horizontal spins m_1..m_n of
+    # prod_j W[m_j, a_j, m_{j+1}, a'_j] with m_{n+1} = m_1
+    n, u, ctx = 3, 0.9 + 0.2j, ThetaContext(nome=0.3)
+    W = weight_tensor(u, ctx)
+    assert W.dtype == np.complex128
+    ref = np.zeros((1 << n, 1 << n), dtype=complex)
+    for top in range(1 << n):
+        for bottom in range(1 << n):
+            for m in itertools.product((0, 1), repeat=n):
+                ref[top, bottom] += np.prod([
+                    W[m[j], bottom >> j & 1, m[(j + 1) % n], top >> j & 1] for j in range(n)
+                ])
+    assert np.abs(ref.imag).max() > 1e-3
+    T = transfer_matrix(n, u, ctx)
+    assert np.allclose(T, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+    V = np.random.default_rng(3).standard_normal((1 << n, 2))
+    assert np.allclose(transfer_apply(n, u, ctx, V), ref @ V, rtol=0,
+                       atol=1e-14 * np.linalg.norm(ref @ V))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_transfer_apply_matches_dense(n):
+    rng = np.random.default_rng(n)
+    T = transfer_matrix(n, 0.73, CTX)
+    for k in (1, 2, 5):
+        for V in (rng.standard_normal((1 << n, k)),
+                  rng.standard_normal((1 << n, k)) + 1j * rng.standard_normal((1 << n, k))):
+            got, ref = transfer_apply(n, 0.73, CTX, V), T @ V
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_transfer_apply_rejects_bad_input():
+    with pytest.raises(DomainError):
+        transfer_apply(1, 0.3, CTX, np.ones((2, 1)))
+    with pytest.raises(DomainError):
+        transfer_apply(3, float("nan"), CTX, np.ones((8, 1)))
+    with pytest.raises(DomainError):
+        transfer_apply(3, 0.3, CTX, np.ones((4, 2)))
+    with pytest.raises(DomainError):
+        transfer_apply(3, 0.3, CTX, np.float64(1.0))
 
 
 def _count_theta_calls(monkeypatch):
@@ -262,6 +344,26 @@ def test_rank_and_complement_from_one_svd(n):
         # the complement is unique up to a unitary rotation of its 2 columns
         ref = _dense_path_svd(n, CTX)[2]
         assert np.allclose(comp @ comp.conj().T, ref @ ref.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 12, 2))
+def test_rank_with_complement_is_path_rank(n):
+    assert path_rank_complement(n, CTX)[0] == path_rank(n, CTX)
+
+
+def test_complement_takes_singular_vectors_of_one_block(monkeypatch):
+    # at odd n both complement states lie in one block; only its SVD needs U
+    with_u = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            with_u.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert path_rank_complement(9, CTX)[1].shape == (512, 2)
+    assert len(with_u) == 1
 
 
 def test_complement_dimension_is_checked(monkeypatch):
