@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .eightvertex import (
+    _path_codes,
     appendixB_decomposition,
     hamiltonian_from_transfer,
     path_rank,
@@ -208,7 +209,7 @@ def check_conjectures(args):
         ctx = ThetaContext(nome=nome, s=args.s, t=args.t)
         zeta = zeta_of_nome(nome)
         for n in args.n:
-            count = len(path_states(n))
+            count = len(_path_codes(n))
             expected = 2 ** n + 2 * (-1) ** n
             checks.append(_check_record("path_count", n, zeta, abs(count - expected),
                                         count == expected))

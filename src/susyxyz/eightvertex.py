@@ -310,11 +310,15 @@ def _path_blocks(n, ctx, inhomogeneities=None):
     step = lambda codes: (_translate_path_codes(codes, n), 1.0)
     reps, periods = np.array(_orbit_sector(_path_codes(n), n, step, 1.0).orbit_reps).T
     R = path_vectors(reps, n, ctx) * np.sqrt(periods)
-    blocks = []
-    for k in range(n):
-        B = build_sector_basis(n, cmath.exp(2j * math.pi * k / n)).embedding
+    blocks = [None] * n
+    for g in sorted({math.gcd(k, n) for k in range(n)}):
+        # the orbits admitted at k depend on k through g = gcd(k, n) alone;
         # compress keeps the columns C-ordered, which the sparse product needs
-        blocks.append((B, B.conj().T @ R.compress(k * periods % n == 0, axis=1)))
+        admitted = R.compress(g * periods % n == 0, axis=1)
+        for k in range(n):
+            if math.gcd(k, n) == g:
+                B = build_sector_basis(n, cmath.exp(2j * math.pi * k / n)).embedding
+                blocks[k] = (B, B.conj().T @ admitted)
     return blocks
 
 

@@ -6,15 +6,19 @@ A sector is built from the orbits of a step, here translation with eigenvalue
 t: each basis vector is the phased orbit sum of a representative state, so its
 embedding is a sparse CSC matrix whose rows index the model's basis states,
 with one nonzero per state of the orbit (Lin, PRB 42, 6561 (1990); Sandvik,
-arXiv:1101.3281). The same orbit-sum builder, for any signed permutation of
-bitmask states, gives the hard-core fermion ring its T^3 sectors over the
-hard-core masks. Every sector operator is a full operator, sparse or dense,
-projected through that embedding, and every sector spectrum comes from one
-checked eigensolve; only the small dim x dim result is dense. Translation
-keeps the number of down spins, so every orbit sum has a definite spin parity
-P = (-1)^{#down}; a sector records which columns have which P, and operators
-that conserve P (the XYZ H) or flip it (the supercharge Q) are diagonalised or
-ranked one parity block at a time. The dtype follows t: a real t (= +-1, the
+arXiv:1101.3281, section 4), and a per-state table read from it gives the
+orbit sum that holds a state and its amplitude there. The same orbit-sum
+builder, for any signed permutation of bitmask states, gives the hard-core
+fermion ring its T^3 sectors over the hard-core masks. Translation keeps the
+number of down spins, so every orbit sum has a definite spin parity
+P = (-1)^{#down}; a sector records which columns have which P. The XYZ H
+(which keeps P) and the supercharges (which flip it) are built straight in
+sector coordinates, one allowed parity block at a time, by applying their
+local terms to orbit states and folding the images onto columns through the
+table; no full-space operator is formed on that path. Operators given on the
+full space (the fermion H, the parity, the transfer matrix) are projected
+through the embedding. Every sector spectrum comes from one checked
+eigensolve per parity block. The dtype follows t: a real t (= +-1, the
 sectors of the supercharges and of T^3) gives float64 embeddings and sector
 operators, so their eigensolves and SVDs run in real arithmetic; any other t
 gives complex128.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,9 +73,10 @@ class SectorBasis:
     (translation, or T^3), and `orbit_reps` holds the (representative,
     period) of every admitted orbit. Without a parity refinement column i is
     the orbit sum of orbit_reps[i], so nnz equals the number of states in the
-    admitted orbits; a parity refinement mixes these orbit sums. A real t
-    (|Im t| <= 1e-12, stored snapped to +-1) gives a float64 embedding,
-    otherwise it is complex128.
+    admitted orbits; a parity refinement mixes these orbit sums, and holds
+    `refinement` = (the unrefined basis, V) with embedding = its embedding
+    times V. A real t (|Im t| <= 1e-12, stored snapped to +-1) gives a
+    float64 embedding, otherwise it is complex128.
 
     `parity_blocks` holds one (P, column indices) pair per spin parity
     P = (-1)^popcount present among the orbit representatives, P = +1 first;
@@ -87,6 +92,7 @@ class SectorBasis:
     dim: int
     embedding: sp.csc_matrix = field(repr=False, compare=False)
     parity_blocks: tuple = field(repr=False, compare=False)
+    refinement: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def adjoint(self):
@@ -94,23 +100,74 @@ class SectorBasis:
         which shares B's arrays."""
         return self.embedding.conj().T if np.iscomplexobj(self.embedding) else self.embedding.T
 
+    @cached_property
+    def orbit_arrays(self):
+        """(representatives, periods) of the admitted orbits, as int64 arrays."""
+        return np.array(self.orbit_reps, dtype=np.int64).reshape(-1, 2).T
 
-@dataclass(frozen=True)
+    @cached_property
+    def state_table(self):
+        """(column, amplitude) per row of the embedding of an unrefined
+        sector: the orbit sum that holds the state, or -1 if its orbit is not
+        admitted, and the state's coefficient in that orbit sum (0 for -1)."""
+        S = self.embedding
+        column = np.full(S.shape[0], -1, dtype=np.intp)
+        column[S.indices] = np.repeat(np.arange(S.shape[1]), np.diff(S.indptr))
+        amplitude = np.zeros(S.shape[0], dtype=S.dtype)
+        amplitude[S.indices] = S.data
+        return column, amplitude
+
+    @cached_property
+    def block_position(self):
+        """The position of every column within its spin parity block."""
+        position = np.empty(self.dim, dtype=np.intp)
+        for _, cols in self.parity_blocks:
+            position[cols] = np.arange(len(cols))
+        return position
+
+
+def _parity_columns(basis, parity):
+    """The columns of a sector with spin parity `parity` (possibly none)."""
+    return dict(basis.parity_blocks).get(parity, np.zeros(0, dtype=np.intp))
+
+
 class SectorOperator:
-    """A dense matrix tagged with its domain and codomain bases: float64 when
-    both bases have a real t (= +-1) and the full-space operator is real,
-    otherwise complex128."""
+    """A matrix from one sector basis to another, codomain.dim x domain.dim:
+    float64 when both bases have a real t (= +-1) and the operator is real,
+    otherwise complex128.
 
-    domain: SectorBasis
-    codomain: SectorBasis
-    matrix: np.ndarray = field(repr=False, compare=False)
+    An operator built in sector coordinates holds `blocks`, a function that
+    builds its blocks one at a time: one (P, block) pair per spin parity
+    block of the domain, the block's rows being the codomain columns of
+    parity flip * P (possibly none); the entries outside these blocks are
+    zero by construction. The blocks are built again on every read and not
+    kept, so a reader that takes them in turn (`spectrum`, the cohomology
+    ranks) holds one at a time; `matrix`, the whole dense matrix, is
+    assembled from them when first read, and kept. An operator given as a
+    whole `matrix` (from `project`, or the permuted Qt) has no blocks and is
+    split, with a check, by `_parity_blocks`.
+    """
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.codomain.dim, self.domain.dim):
-            raise DomainError(
-                f"matrix shape {self.matrix.shape} does not match bases "
-                f"({self.codomain.dim}, {self.domain.dim})"
-            )
+    def __init__(self, domain, codomain, matrix=None, blocks=None, flip=None):
+        if (matrix is None) == (blocks is None):
+            raise DomainError("a sector operator takes either a matrix or its parity blocks")
+        self.domain, self.codomain, self.blocks, self.flip = domain, codomain, blocks, flip
+        if matrix is not None:
+            if matrix.shape != (codomain.dim, domain.dim):
+                raise DomainError(
+                    f"matrix shape {matrix.shape} does not match bases "
+                    f"({codomain.dim}, {domain.dim})"
+                )
+            self.matrix = matrix
+
+    @cached_property
+    def matrix(self):
+        M = np.zeros((self.codomain.dim, self.domain.dim),
+                     dtype=np.result_type(self.domain.embedding, self.codomain.embedding))
+        for p, block in self.blocks():
+            rows = _parity_columns(self.codomain, self.flip * p)
+            M[np.ix_(rows, _parity_columns(self.domain, p))] = block
+        return M
 
 
 def rotate_left(bits, n):
@@ -226,7 +283,8 @@ def _refine_parity(basis, parity):
     keep = np.where(np.abs(evals - parity) < 1e-8)[0]
     refined = basis.embedding @ sp.csc_matrix(evecs[:, keep])
     return replace(basis, parity_eigenvalue=parity, dim=len(keep), embedding=refined,
-                   parity_blocks=((0, np.arange(len(keep))),))
+                   parity_blocks=((0, np.arange(len(keep))),),
+                   refinement=(basis, evecs[:, keep]))
 
 
 def project(full_op, domain, codomain=None):
@@ -234,11 +292,7 @@ def project(full_op, domain, codomain=None):
     B_cod^H (A B_dom); a sparse product is densified only at dim x dim."""
     codomain = codomain if codomain is not None else domain
     matrix = codomain.adjoint @ (full_op @ domain.embedding)
-    return SectorOperator(
-        domain=domain,
-        codomain=codomain,
-        matrix=matrix.toarray() if sp.issparse(matrix) else matrix,
-    )
+    return SectorOperator(domain, codomain, matrix.toarray() if sp.issparse(matrix) else matrix)
 
 
 def xyz_hamiltonian_full(n, coupling):
@@ -272,11 +326,67 @@ def xyz_hamiltonian_full(n, coupling):
     return H
 
 
+def _fold(block, codomain, parity, src, images, values):
+    """Add the images of a local term to a parity block of a sector operator.
+
+    Source i, at block column src[i], has the term image images[i] (a spin
+    state) with weight values[i]; the image's orbit sum, if admitted, gets
+    values[i] * conj(amplitude) in the block row of its column. Images whose
+    orbit is not admitted have no component in the sector and are dropped.
+    Raises ContractError if an image has spin parity other than `parity`,
+    that of the block's rows.
+    """
+    if np.any(_spin_parity(images) != parity):
+        raise ContractError(f"a term maps a state out of the spin parity block P = {parity}")
+    column, amplitude = codomain.state_table
+    cols = column[images]
+    keep = cols >= 0
+    weights = values[keep] * np.conj(amplitude[images[keep]])
+    # block is C-contiguous, so the flat view adds into it
+    flat = codomain.block_position[cols[keep]] * block.shape[1] + src[keep]
+    np.add.at(block.reshape(-1), flat, weights)
+
+
 def xyz_hamiltonian(n, coupling, sector):
-    """Hermitian restriction of H_N to a sector basis."""
+    """Hermitian restriction of H_N (with its constant shift) to a sector
+    basis, built in sector coordinates one spin parity block at a time.
+
+    H commutes with translation, so for orbit sums r~ and s~ of a momentum
+    sector <s~|H|r~> = sqrt(p_r) <s~|H|r>: the n bond terms are applied to
+    the representatives r alone and their images folded onto the columns
+    (`_fold`). A parity refinement V of a sector gets V^T H V.
+    """
     if sector.n != n:
         raise DomainError(f"sector has n={sector.n}, expected {n}")
-    return project(xyz_hamiltonian_full(n, coupling), sector)
+    if n < 2:
+        raise DomainError(f"the XYZ chain needs n >= 2 sites, got {n}")
+    return SectorOperator(sector, sector, blocks=partial(_xyz_blocks, n, coupling, sector), flip=1)
+
+
+def _xyz_blocks(n, coupling, sector):
+    """The parity blocks of `xyz_hamiltonian`, built one at a time."""
+    if sector.refinement is not None:
+        parent, V = sector.refinement
+        yield 0, V.T @ xyz_hamiltonian(n, coupling, parent).matrix @ V
+        return
+    jx, jy, jz = coupling.jx, coupling.jy, coupling.jz
+    all_reps, all_periods = sector.orbit_arrays
+    # bond j joins sites j and j + 1 (mod n), bits j and jn
+    j = np.arange(n)[:, None]
+    jn = (j + 1) % n
+    for p, cols in sector.parity_blocks:
+        reps, src = all_reps[cols], np.arange(len(cols))
+        block = np.zeros((len(cols), len(cols)), dtype=sector.embedding.dtype)
+        bj, bk = (reps >> j) & 1, (reps >> jn) & 1  # one row per bond
+        zz = (1.0 - 2.0 * bj) * (1.0 - 2.0 * bk)
+        coeff = np.where(bj == bk, -(jx - jy) / 2.0, -(jx + jy) / 2.0)
+        _fold(block, sector, p, np.tile(src, n), (reps ^ (1 << j | 1 << jn)).ravel(),
+              (np.sqrt(all_periods[cols]) * coeff).ravel())
+        diag = np.full(len(cols), n * (jx + jy + jz) / 2.0)
+        for bond in zz:  # one bond at a time, as in the full-space H
+            diag -= 0.5 * jz * bond
+        block[src, src] += diag
+        yield p, block
 
 
 def _eigh_checked(M):
@@ -299,9 +409,15 @@ def _parity_blocks(op, flip):
     flip * P: one (P, block) pair per parity block of the domain, the block's
     rows being the codomain columns of parity flip * P (possibly none).
 
-    Raises ContractError if the entries outside these blocks have a norm
-    above 1e-12 * scale, scale = max(1, ||M||).
+    An operator built in blocks returns them, and raises ContractError if it
+    was built for another flip. A whole matrix is split, and raises
+    ContractError if the entries outside these blocks have a norm above
+    1e-12 * scale, scale = max(1, ||M||).
     """
+    if op.blocks is not None:
+        if op.flip != flip:
+            raise ContractError(f"operator maps spin parity P to {op.flip} * P, not {flip} * P")
+        return op.blocks()
     M = op.matrix
     blocks, mixed = [], 0.0
     for p, cols in op.domain.parity_blocks:
@@ -320,7 +436,7 @@ def _parity_blocks(op, flip):
 def spectrum(op):
     """Ascending eigenvalues of a Hermitian square sector operator that
     conserves the spin parity: the sorted union of its block spectra."""
-    if op.matrix.shape[0] != op.matrix.shape[1]:
+    if op.domain.dim != op.codomain.dim:
         raise ContractError("spectrum requires a square operator (domain = codomain)")
     levels = [_eigh_checked(block)[0] for _, block in _parity_blocks(op, 1)]
     return np.sort(np.concatenate([np.zeros(0), *levels]))

@@ -8,6 +8,12 @@ sectors t_N = (-1)^{N+1} and t_{N+1} = (-1)^{N+2}, squares to zero, and
 builds the XYZ Hamiltonian as an anticommutator. The spin-reversed partner
 Qt_N = R_{N+1} Q_N R_N completes the algebra; their interplay organizes all
 positive-energy states into quadruplets spanning three chain lengths.
+
+Q_N is not translation covariant on the full space, so it is built in sector
+coordinates by applying the n + 1 local terms q_j to every state of each
+domain orbit and folding the images onto the codomain's orbit sums, one spin
+parity block at a time. Spin reversal maps orbit sums to orbit sums, so Qt_N
+is Q_N with its rows and columns permuted and signed.
 """
 
 from __future__ import annotations
@@ -15,10 +21,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, InvariantViolation
 from .spinchain import (
@@ -27,9 +32,12 @@ from .spinchain import (
     SectorOperator,
     _check_record,
     _eigh_checked,
+    _fold,
     _group_levels,
     _parity_blocks,
+    _parity_columns,
     _rank,
+    _spin_parity,
     build_sector_basis,
     common_levels,
     project,
@@ -46,61 +54,84 @@ def susy_sector(n):
     return build_sector_basis(n, float((-1) ** (n + 1)))
 
 
-def local_q(j, n, zeta):
-    """Sparse 2^{n+1} x 2^n matrix of the pair-creation operator q_j.
+def _q_term(j, n, zeta, x):
+    """q_j on the states x: (on, images, weights), the mask of the states it
+    acts on, then the images of those states with the ++ pair (weight sign)
+    followed by their images with the -- pair (weight -zeta * sign).
 
     For 1 <= j <= n the operator acts on a down spin at site j; j = 0 acts on
     a down spin at the last site and creates the pair on sites (n+1, 1).
     """
-    if not (0 <= j <= n):
-        raise DomainError(f"local charge index must satisfy 0 <= j <= n, got {j}")
-    states = np.arange(1 << n)
     if j == 0:
-        b = states[(states >> (n - 1)) & 1 == 1]
-        base = (b & ((1 << (n - 1)) - 1)) << 1
-        pair = 1 | (1 << n)  # pair on sites (n+1, 1)
-        sign = -1.0
+        on = (x >> (n - 1)) & 1 == 1
+        base, pair, sign = (x[on] & ((1 << (n - 1)) - 1)) << 1, 1 | (1 << n), -1.0
     else:
-        b = states[(states >> (j - 1)) & 1 == 1]
+        on = (x >> (j - 1)) & 1 == 1
+        b = x[on]
         base = (b & ((1 << (j - 1)) - 1)) | ((b >> j) << (j + 1))
-        pair = 0b11 << (j - 1)  # pair on sites (j, j+1)
-        sign = (-1.0) ** (j - 1)
-    # per state b: the ++ pair (weight sign), then the -- pair (weight -zeta*sign)
-    rows = np.column_stack([base, base | pair]).ravel()
-    cols = np.repeat(b, 2)
-    vals = np.tile([sign, -zeta * sign], len(b))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(1 << (n + 1), 1 << n))
+        pair, sign = 0b11 << (j - 1), (-1.0) ** (j - 1)
+    return on, np.concatenate([base, base | pair]), np.repeat([sign, -zeta * sign], len(base))
 
 
-def supercharge_full(n, zeta):
-    """Full-space Q_N = sqrt(N/(N+1)) sum_{j=0}^{N} q_j (before sector restriction)."""
-    total = sum(local_q(j, n, zeta) for j in range(n + 1))
-    return math.sqrt(n / (n + 1)) * total
+def _spin_reversal(basis):
+    """(perm, sign) with R|c~> = sign[c] |perm[c]~> for the orbit sums c~ of
+    a real-t sector: R commutes with translation, so it maps the orbit of r
+    onto that of R r, of the same period, with the sign of R r in its orbit sum."""
+    column, amplitude = basis.state_table
+    reps = basis.orbit_arrays[0]
+    images = reps ^ ((1 << basis.n) - 1)
+    perm = column[images]
+    return perm, amplitude[images] / amplitude[reps[perm]]
 
 
 @dataclass(frozen=True)
 class SuperchargePair:
-    """Q_N and its spin-reversed partner, restricted to the momentum sectors;
-    `full` is the sparse full-space Q_N, and Qt_N is projected when first read."""
+    """Q_N and its spin-reversed partner Qt_N = R_{N+1} Q_N R_N on the momentum
+    sectors. Q_N is held as parity blocks; Qt_N, formed when first read, is
+    the whole Q_N with its rows and columns permuted and signed
+    (`_spin_reversal`). R_N maps spin parity P to (-1)^N P, so Qt_N maps P
+    to P."""
 
     n: int
     zeta: float
     q_plain: SectorOperator
-    full: sp.csr_matrix = field(repr=False, compare=False)
 
     @cached_property
     def q_tilde(self):
-        R_out = symmetry_operator("spin_reversal", self.n + 1)
-        R_in = symmetry_operator("spin_reversal", self.n)
-        return project(R_out @ self.full @ R_in, self.q_plain.domain, self.q_plain.codomain)
+        Q = self.q_plain
+        perm_in, sign_in = _spin_reversal(Q.domain)
+        perm_out, sign_out = _spin_reversal(Q.codomain)
+        Qt = sign_out[:, None] * Q.matrix[np.ix_(perm_out, perm_in)] * sign_in
+        return SectorOperator(Q.domain, Q.codomain, Qt)
 
 
 def build_supercharges(n, zeta):
-    """Sector-restricted Q_N; its partner Qt_N = R_{N+1} Q_N R_N is built on demand."""
+    """Q_N = sqrt(N/(N+1)) sum_{j=0}^{N} q_j on the momentum sectors, as parity
+    blocks built when read; its partner Qt_N is formed on demand."""
     CouplingLine(zeta)  # raises DomainError for a non-finite zeta
-    Q = supercharge_full(n, zeta)
-    return SuperchargePair(n=n, zeta=zeta, full=Q,
-                           q_plain=project(Q, susy_sector(n), susy_sector(n + 1)))
+    q = SectorOperator(susy_sector(n), susy_sector(n + 1), blocks=partial(_q_blocks, n, zeta),
+                       flip=-1)
+    return SuperchargePair(n=n, zeta=zeta, q_plain=q)
+
+
+def _q_blocks(n, zeta):
+    """The blocks of Q_N, one at a time. Each term is applied to every state
+    x of the domain's orbit sums, with the state's amplitude, and its images
+    are folded onto the codomain's columns (`_fold`); q_j maps spin parity P
+    to -P."""
+    dom, cod = susy_sector(n), susy_sector(n + 1)
+    column, amplitude = dom.state_table
+    states = np.flatnonzero(column >= 0)  # the states of the admitted orbits
+    parity = _spin_parity(states)
+    scale = math.sqrt(n / (n + 1))
+    for p, cols in dom.parity_blocks:
+        x = states[parity == p]
+        src, amp = dom.block_position[column[x]], scale * amplitude[x]
+        block = np.zeros((len(_parity_columns(cod, -p)), len(cols)))
+        for j in range(n + 1):
+            on, images, weights = _q_term(j, n, zeta, x)
+            _fold(block, cod, -p, np.tile(src[on], 2), images, weights * np.tile(amp[on], 2))
+        yield p, block
 
 
 def verify_algebra(n, zeta, tol=ALGEBRA_TOL, pairs=None):
@@ -152,7 +183,7 @@ def _block_ranks(op, context):
     singular value, and the whole matrix's singular values (the blocks',
     padded with zeros) are checked for honesty: warn when they straddle the cut."""
     svals = {p: np.linalg.svd(block, compute_uv=False) for p, block in _parity_blocks(op, -1)}
-    s = np.zeros(min(op.matrix.shape))
+    s = np.zeros(min(op.codomain.dim, op.domain.dim))
     found = np.concatenate([np.zeros(0), *svals.values()])
     s[:len(found)] = np.sort(found)[::-1]
     rank = _rank(s)

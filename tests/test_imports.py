@@ -119,25 +119,53 @@ def test_one_eigensolve():
     assert calls == [(spin, line) for line in _eig_calls(checked)]
 
 
-def _path_state_builders(path):
-    """The top-level definitions of a module that construct a PathState."""
+def _callers(path, callee):
+    """The top-level definitions of a module that call `callee` by name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return sorted({
         getattr(top, "name", "<module>")
         for top in tree.body
         for call in ast.walk(top)
         if isinstance(call, ast.Call)
-        and (getattr(call.func, "id", None) == "PathState"
-             or getattr(call.func, "attr", None) == "PathState")
+        and (getattr(call.func, "id", None) == callee
+             or getattr(call.func, "attr", None) == callee)
     })
+
+
+def _src_callers(callee):
+    return [(path.relative_to(ROOT).as_posix(), name)
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for name in _callers(path, callee)]
 
 
 def test_path_state_only_for_the_path_listing():
     # the numerical routines take integer path codes; a PathState, the
     # validated view of a path, is built only by path_states (the pathbasis
-    # listing and the path count) and path_translate (a test reference)
-    builders = [(path.relative_to(ROOT).as_posix(), name)
-                for path in sorted((ROOT / "src").rglob("*.py"))
-                for name in _path_state_builders(path)]
-    assert builders == [("src/susyxyz/eightvertex.py", "path_states"),
-                        ("src/susyxyz/eightvertex.py", "path_translate")]
+    # listing) and path_translate (a test reference)
+    assert _src_callers("PathState") == [("src/susyxyz/eightvertex.py", "path_states"),
+                                         ("src/susyxyz/eightvertex.py", "path_translate")]
+
+
+def test_full_space_operators_only_where_the_input_is_full_space():
+    # the spin-sector H, Q and Qt are built from the orbit tables; a
+    # full-space operator is projected only where it is the input: the
+    # fermion T^3 side, the parity refinement and covariance, and the
+    # transfer-matrix intertwining
+    assert _src_callers("project") == [
+        ("src/susyxyz/eightvertex.py", "intertwining_residual"),
+        ("src/susyxyz/fermion.py", "fermion_spectrum"),
+        ("src/susyxyz/spinchain.py", "_refine_parity"),
+        ("src/susyxyz/supercharge.py", "parity_covariance_check"),
+    ]
+    # the full-space H acts on the transfer-matrix checks and on the path
+    # complement, a full-space vector
+    assert _src_callers("xyz_hamiltonian_full") == [("src/susyxyz/cli.py", "check_conjectures"),
+                                                    ("src/susyxyz/cli.py", "check_transfer")]
+    # the full-space supercharge is a test reference
+    definitions = [(path.relative_to(ROOT).parts[0], node.name)
+                   for top in ("src", "tests")
+                   for path in sorted((ROOT / top).rglob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("local_q", "supercharge_full")]
+    assert sorted(definitions) == [("tests", "local_q"), ("tests", "supercharge_full")]

@@ -10,6 +10,7 @@ from susyxyz.spinchain import (
     CouplingLine,
     SectorOperator,
     _eigh_checked,
+    _fold,
     _group_levels,
     build_sector_basis,
     common_levels,
@@ -23,7 +24,7 @@ from susyxyz.spinchain import (
     xyz_hamiltonian,
     xyz_hamiltonian_full,
 )
-from susyxyz.supercharge import build_supercharges, supercharge_full, susy_sector
+from susyxyz.supercharge import susy_sector
 
 
 def test_coupling_line_identity():
@@ -278,12 +279,31 @@ def test_sector_operators_match_dense_projection(n):
     t = float((-1) ** (n + 1))
     ref = _dense_projection(xyz_hamiltonian_full(n, CouplingLine(zeta)), (n, t), (n, t))
     _assert_close(xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n)), ref)
-    pair = build_supercharges(n, zeta)
-    Q = supercharge_full(n, zeta)
-    R_out = symmetry_operator("spin_reversal", n + 1)
-    R_in = symmetry_operator("spin_reversal", n)
-    _assert_close(pair.q_plain, _dense_projection(Q, (n, t), (n + 1, -t)))
-    _assert_close(pair.q_tilde, _dense_projection(R_out @ Q @ R_in, (n, t), (n + 1, -t)))
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_hamiltonian_matches_projected_reference(n):
+    # H from the representatives against the projection of the full-space H,
+    # on every momentum sector and on both parity refinements of t = +-1
+    for zeta in (0.0, 0.7, 2.5):
+        coupling = CouplingLine(zeta)
+        H = xyz_hamiltonian_full(n, coupling)
+        for basis in _all_sectors(n):
+            ref = project(H, basis).matrix
+            got = xyz_hamiltonian(n, coupling, basis).matrix
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+def test_block_builder_rejects_a_term_that_leaves_the_parity_block():
+    # a term that flips one spin maps P to -P
+    sector = build_sector_basis(6, 1.0)
+    for p, cols in sector.parity_blocks:
+        reps = sector.orbit_arrays[0][cols]
+        block = np.zeros((len(cols), len(cols)))
+        with pytest.raises(ContractError, match="spin parity"):
+            _fold(block, sector, p, np.arange(len(cols)), reps ^ 1, np.ones(len(cols)))
+        assert not block.any()
 
 
 def _real_sectors(n):

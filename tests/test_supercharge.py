@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +10,7 @@ from susyxyz.errors import DomainError
 from susyxyz.spinchain import (
     CouplingLine,
     SectorOperator,
+    _parity_blocks,
     _rank,
     project,
     spectrum,
@@ -18,13 +22,43 @@ from susyxyz.supercharge import (
     build_supercharges,
     cohomology_dimension,
     conserved_charge_C,
-    local_q,
     multiplet_report,
     parity_covariance_check,
-    supercharge_full,
     susy_sector,
     verify_algebra,
 )
+
+
+def local_q(j, n, zeta):
+    """Reference: sparse 2^{n+1} x 2^n matrix of the pair-creation operator q_j.
+
+    For 1 <= j <= n the operator acts on a down spin at site j; j = 0 acts on
+    a down spin at the last site and creates the pair on sites (n+1, 1).
+    """
+    if not (0 <= j <= n):
+        raise DomainError(f"local charge index must satisfy 0 <= j <= n, got {j}")
+    states = np.arange(1 << n)
+    if j == 0:
+        b = states[(states >> (n - 1)) & 1 == 1]
+        base = (b & ((1 << (n - 1)) - 1)) << 1
+        pair = 1 | (1 << n)  # pair on sites (n+1, 1)
+        sign = -1.0
+    else:
+        b = states[(states >> (j - 1)) & 1 == 1]
+        base = (b & ((1 << (j - 1)) - 1)) | ((b >> j) << (j + 1))
+        pair = 0b11 << (j - 1)  # pair on sites (j, j+1)
+        sign = (-1.0) ** (j - 1)
+    # per state b: the ++ pair (weight sign), then the -- pair (weight -zeta*sign)
+    rows = np.column_stack([base, base | pair]).ravel()
+    cols = np.repeat(b, 2)
+    vals = np.tile([sign, -zeta * sign], len(b))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(1 << (n + 1), 1 << n))
+
+
+def supercharge_full(n, zeta):
+    """Reference: the full-space Q_N = sqrt(N/(N+1)) sum_{j=0}^{N} q_j."""
+    total = sum(local_q(j, n, zeta) for j in range(n + 1))
+    return math.sqrt(n / (n + 1)) * total
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -77,12 +111,58 @@ def test_cohomology_builds_no_tilde_charge(monkeypatch):
     assert cohomology_dimension(5, 0.7) == (1, 1)
     assert [p.n for p in pairs] == [5, 4]
     assert all("q_tilde" not in vars(p) for p in pairs)
-    # read on demand, it is R Q R projected onto the same sectors
+    # read on demand, it is R Q R on the same sectors: R is a signed
+    # permutation of the orbit sums, so Qt is Q with its rows and columns
+    # permuted and signed, exactly
     pair = pairs[0]
-    R_out = symmetry_operator("spin_reversal", 6)
-    R_in = symmetry_operator("spin_reversal", 5)
-    ref = project(R_out @ supercharge_full(5, 0.7) @ R_in, pair.q_plain.domain, pair.q_plain.codomain)
-    assert np.array_equal(pair.q_tilde.matrix, ref.matrix)
+    S_out, S_in = (np.rint(project(symmetry_operator("spin_reversal", b.n), b).matrix)
+                   for b in (pair.q_plain.codomain, pair.q_plain.domain))
+    for S in (S_out, S_in):
+        assert np.array_equal(np.abs(S).sum(axis=0), np.ones(len(S)))
+    assert np.array_equal(pair.q_tilde.matrix, S_out @ pair.q_plain.matrix @ S_in)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_supercharges_match_projected_references(n):
+    # Q and Qt = R Q R from the orbit tables against the projections of the
+    # full-space references
+    dom, cod = susy_sector(n), susy_sector(n + 1)
+    R_out, R_in = symmetry_operator("spin_reversal", n + 1), symmetry_operator("spin_reversal", n)
+    for zeta in (0.0, 0.3, 0.7, 1.0, 2.5, 3.0):
+        pair = build_supercharges(n, zeta)
+        Q = supercharge_full(n, zeta)
+        for op, full in ((pair.q_plain, Q), (pair.q_tilde, R_out @ Q @ R_in)):
+            ref = project(full, dom, cod).matrix
+            assert op.matrix.shape == ref.shape
+            assert np.abs(op.matrix - ref).max() <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+def _traced_peak(build):
+    """Peak bytes that tracemalloc sees while build() runs, after a first
+    call has filled the caches of the sector bases."""
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_supercharge_peak_memory():
+    # no full-space Q and no projection: the two parity blocks are about half
+    # of the whole dense matrix, and the images of one term are small
+    n = 13
+    whole = 8 * susy_sector(n + 1).dim * susy_sector(n).dim
+    peak = _traced_peak(lambda: list(_parity_blocks(build_supercharges(n, 0.7).q_plain, -1)))
+    assert peak <= 0.75 * whole
+
+
+def test_hamiltonian_peak_memory():
+    n = 13
+    sector = susy_sector(n)
+    peak = _traced_peak(lambda: list(_parity_blocks(xyz_hamiltonian(n, CouplingLine(0.7), sector), 1)))
+    assert peak <= 1.0 * 8 * sector.dim ** 2
 
 
 @pytest.mark.parametrize("n,expected", [(3, 2), (4, 0), (5, 2), (6, 0), (7, 2)])
