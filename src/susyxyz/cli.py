@@ -218,12 +218,13 @@ def check_conjectures(args):
             checks.append(_check_record("path_rank", n, zeta, abs(rank - exp_rank),
                                         rank == exp_rank))
             if n % 2 == 1:
-                # the complement lives in the full space; act with the sparse full
-                # H, whose Frobenius norm is that of its (duplicate-free) entries
+                # the complement lives in the full space; act with the full H's
+                # triplets, whose Frobenius norm is that of their (duplicate-free)
+                # values at n >= 3
                 Hfull = xyz_hamiltonian_full(n, CouplingLine(zeta))
                 r_energy = np.linalg.norm(Hfull @ comp)
                 checks.append(_check_record("complement_zero_energy", n, zeta, r_energy,
-                                            r_energy < tol * max(1.0, np.linalg.norm(Hfull.data))))
+                                            r_energy < tol * max(1.0, np.linalg.norm(Hfull.vals))))
                 r_transfer = 0.0
                 for u in (0.35, 0.8, 1.3):
                     lam = h(u, ctx) ** n

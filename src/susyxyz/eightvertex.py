@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .elliptic import h, theta_and_derivative, theta_reach, w, zeta_of_nome
 from .errors import (
@@ -26,7 +25,15 @@ from .errors import (
     InvariantViolation,
     PoleError,
 )
-from .spinchain import _orbit_sector, _rank, build_sector_basis, project, rotate_left
+from .spinchain import (
+    _orbit_sector,
+    _rank,
+    build_sector_basis,
+    embed,
+    project,
+    restrict,
+    rotate_left,
+)
 from .supercharge import build_supercharges, susy_sector
 
 
@@ -43,13 +50,19 @@ class VertexWeights:
     d: float
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_normalization(ctx):
+    """(rho, theta_1(2 eta, q^2), theta_4(2 eta, q^2)): the u-independent
+    factors of the vertex weights, computed once per context."""
+    rho = 2.0 / (ctx.theta(2, 0.0) * ctx.theta_sq(4, 0.0))
+    return rho, ctx.theta_sq(1, 2 * ctx.eta), ctx.theta_sq(4, 2 * ctx.eta)
+
+
 def vertex_weights(u, ctx):
     """Zero-field weights a,b,c,d at spectral parameter u, normalized so that
     a(u) + b(u) = theta_1(u, q)."""
     eta = ctx.eta
-    rho = 2.0 / (ctx.theta(2, 0.0) * ctx.theta_sq(4, 0.0))
-    t1 = ctx.theta_sq(1, 2 * eta)
-    t4 = ctx.theta_sq(4, 2 * eta)
+    rho, t1, t4 = _weight_normalization(ctx)
     um, up = u - eta, u + eta
     return VertexWeights(
         u=u,
@@ -293,32 +306,34 @@ def path_matrix(n, ctx, inhomogeneities=None):
 
 
 def _path_blocks(n, ctx, inhomogeneities=None):
-    """The path matrix M as blocks [(B, M_B)], with M M^H = sum_B B M_B M_B^H B^H.
+    """The path matrix M as blocks [(sector, M_B)], with
+    M M^H = sum_B B M_B M_B^H B^H for the embedding B of the sector.
 
     A one-site translation S permutes the paths, S|p> = |path_translate(p)>,
-    so M M^H commutes with S and splits over its eigenspaces: B is the
-    embedding of the momentum sector with S = t, and M_B = B^H [sqrt(p_r) |r>]
-    over the representatives r of the path orbits whose period p_r has
-    t^{p_r} = 1 (an orbit of another period has no component at t). Only the
+    so M M^H commutes with S and splits over its eigenspaces: the sector is
+    the momentum sector with S = t, and M_B = B^H [sqrt(p_r) |r>] over the
+    representatives r of the path orbits whose period p_r has t^{p_r} = 1
+    (an orbit of another period has no component at t). Only the
     representatives' path vectors are built. An inhomogeneous chain has no
-    translation symmetry and is one block: the identity and the whole M.
+    translation symmetry and is one block: the whole M, on the sector of the
+    identity step, whose orbits are single states and whose B is the identity.
     """
     if n < 2:
         raise DomainError(f"the path basis needs n >= 2, got {n}")
     if inhomogeneities is not None:
-        return [(sp.identity(1 << n, format="csc"), path_matrix(n, ctx, inhomogeneities))]
+        identity = _orbit_sector(np.arange(1 << n), n, lambda x: (x, 1.0), 1.0)
+        return [(identity, path_matrix(n, ctx, inhomogeneities))]
     step = lambda codes: (_translate_path_codes(codes, n), 1.0)
     reps, periods = np.array(_orbit_sector(_path_codes(n), n, step, 1.0).orbit_reps).T
     R = path_vectors(reps, n, ctx) * np.sqrt(periods)
     blocks = [None] * n
     for g in sorted({math.gcd(k, n) for k in range(n)}):
-        # the orbits admitted at k depend on k through g = gcd(k, n) alone;
-        # compress keeps the columns C-ordered, which the sparse product needs
+        # the orbits admitted at k depend on k through g = gcd(k, n) alone
         admitted = R.compress(g * periods % n == 0, axis=1)
         for k in range(n):
             if math.gcd(k, n) == g:
-                B = build_sector_basis(n, cmath.exp(2j * math.pi * k / n)).embedding
-                blocks[k] = (B, B.conj().T @ admitted)
+                sector = build_sector_basis(n, cmath.exp(2j * math.pi * k / n))
+                blocks[k] = (sector, restrict(sector, admitted))
     return blocks
 
 
@@ -329,8 +344,8 @@ def path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
     (`_path_blocks`), so one cut against the largest of them all gives the
     rank. With complement=False the complement is None. The complement is the
     orthonormal basis of the orthogonal complement of the path span, the union
-    over the blocks of B times the left singular vectors past the block's count
-    above the cut; it exists only for odd n, where it must have dimension 2.
+    over the blocks of the embedded left singular vectors past the block's
+    count above the cut; it exists only for odd n, where it must have dimension 2.
     Singular vectors are computed only for the blocks with fewer counts than
     rows, the only ones that contribute to it.
     """
@@ -345,8 +360,8 @@ def path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
         return rank, None
     # only blocks that miss some direction join, so the complement is float64
     # when those blocks are real; with fewer paths than states, one always does
-    comp = np.hstack([B @ np.linalg.svd(M)[0][:, c:] for (B, M), c in zip(blocks, counts)
-                      if c < M.shape[0]])
+    comp = np.hstack([embed(sector, np.linalg.svd(M)[0][:, c:])
+                      for (sector, M), c in zip(blocks, counts) if c < M.shape[0]])
     if comp.shape[1] != 2:
         raise InvariantViolation(
             f"path complement at n={n} has dimension {comp.shape[1]}, expected 2"

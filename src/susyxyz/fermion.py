@@ -9,13 +9,13 @@ operator on it is assembled with vectorised bit operations. With period-3
 staggered couplings the Hamiltonian commutes with translation by three sites.
 T^3 is a signed permutation of the masks (a particle crossing the seam picks
 up the boundary sign), so its eigenspaces are `SectorBasis` objects from the
-spin chain's orbit-sum builder: their rows index the m-particle masks and t is
-the T^3 eigenvalue. The sparse Hamiltonian is restricted to them and
-diagonalised by the spin chain's `project` and `spectrum`. The
-spectral-coincidence harness compares these sectors against the XYZ chain at
-momentum 0 or pi under the change of variables zeta^2 = 1 + 8 y^2. A
-combinatorial map sends height paths to hard-particle configurations and
-motivates theta-function couplings.
+spin chain's orbit-sum builder: their orbit tables run over the m-particle
+masks and t is the T^3 eigenvalue. The Hamiltonian, held as COO triplets, is
+restricted to them and diagonalised by the spin chain's `project` and
+`spectrum`. The spectral-coincidence harness compares these sectors against
+the XYZ chain at momentum 0 or pi under the change of variables
+zeta^2 = 1 + 8 y^2. A combinatorial map sends height paths to hard-particle
+configurations and motivates theta-function couplings.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .elliptic import w
 from .errors import ConfigurationError, DomainError, InvariantViolation
 from .spinchain import (
     SPECTRAL_TOL,
     CouplingLine,
+    FullOperator,
     _group_levels,
     _orbit_sector,
     _spin_parity,
@@ -170,7 +170,7 @@ def supercharge_matrix(n_f, couplings, m):
 
 
 def fermion_hamiltonian(model):
-    """Sparse (CSR) Hamiltonian on the m-particle basis.
+    """Hamiltonian on the m-particle basis as COO triplets.
 
     Ramond: H = {Q, Q^dag}; the hop across the seam then carries the string
     sign (-1)^(m-1). Neveu-Schwarz flips the sign of the seam hop term,
@@ -199,10 +199,8 @@ def fermion_hamiltonian(model):
     rows.append(index)
     cols.append(index)
     vals.append(diag)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(states), len(states)),
-    )
+    return FullOperator(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                        (len(states), len(states)))
 
 
 def translation_matrix(n_f, m, boundary="ramond"):
@@ -217,7 +215,7 @@ def translation_matrix(n_f, m, boundary="ramond"):
 
 def t3_sector_basis(n_f, m, sigma, boundary="ramond"):
     """The T^3 eigenspace with eigenvalue sigma = +-1, as a `SectorBasis`
-    with n = n_f whose embedding rows index the m-particle masks.
+    with n = n_f whose orbit table runs over the m-particle masks.
 
     T^3 is a signed permutation of the hard-core masks; each basis vector is
     the phased orbit sum of `spinchain._orbit_sector`, and an orbit

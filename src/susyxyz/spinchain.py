@@ -3,25 +3,27 @@
 Basis states are bitmasks: bit j-1 set means spin "-" at site j (site 1 is the
 least significant bit), so the translation operator is a cyclic bit rotation.
 A sector is built from the orbits of a step, here translation with eigenvalue
-t: each basis vector is the phased orbit sum of a representative state, so its
-embedding is a sparse CSC matrix whose rows index the model's basis states,
-with one nonzero per state of the orbit (Lin, PRB 42, 6561 (1990); Sandvik,
-arXiv:1101.3281, section 4), and a per-state table read from it gives the
-orbit sum that holds a state and its amplitude there. The same orbit-sum
-builder, for any signed permutation of bitmask states, gives the hard-core
-fermion ring its T^3 sectors over the hard-core masks. Translation keeps the
-number of down spins, so every orbit sum has a definite spin parity
-P = (-1)^{#down}; a sector records which columns have which P. The XYZ H
-(which keeps P) and the supercharges (which flip it) are built straight in
-sector coordinates, one allowed parity block at a time, by applying their
-local terms to orbit states and folding the images onto columns through the
-table; no full-space operator is formed on that path. Operators given on the
-full space (the fermion H, the parity, the transfer matrix) are projected
-through the embedding. Every sector spectrum comes from one checked
-eigensolve per parity block. The dtype follows t: a real t (= +-1, the
-sectors of the supercharges and of T^3) gives float64 embeddings and sector
-operators, so their eigensolves and SVDs run in real arithmetic; any other t
-gives complex128.
+t: each basis vector is the phased orbit sum of a representative state, and
+the sector is its orbit table, which gives every state of the model's basis
+the orbit sum that holds it and its amplitude there (Lin, PRB 42, 6561 (1990);
+Sandvik, arXiv:1101.3281, section 4). The embedding B has one nonzero per
+row, so `embed` (B X) and `restrict` (B^H Y) act through the table in
+O(rows * columns of X). The same orbit-sum builder, for any signed
+permutation of bitmask states, gives the hard-core fermion ring its T^3
+sectors over the hard-core masks. Translation keeps the number of down spins,
+so every orbit sum has a definite spin parity P = (-1)^{#down}; a sector
+records which columns have which P. The XYZ H (which keeps P) and the
+supercharges (which flip it) are built straight in sector coordinates, one
+allowed parity block at a time, by applying their local terms to orbit states
+and folding the images onto columns through the table; no full-space
+operator is formed on that path. Operators given on the
+full space are projected: a sparse one (the fermion H, the parity), held as
+COO triplets, is folded onto the columns through the tables in the same way,
+and a dense one (the transfer matrix) goes through `embed` and `restrict`.
+Every sector spectrum comes from one checked eigensolve per parity block.
+The dtype follows t: a real t (= +-1, the sectors of the supercharges and of
+T^3) gives float64 amplitudes and sector operators, so their eigensolves and
+SVDs run in real arithmetic; any other t gives complex128.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractError, DomainError
 
@@ -67,16 +68,17 @@ class SectorBasis:
     a momentum sector of the spin chain (optionally refined by parity) or a
     T^3 sector of the hard-core fermion ring.
 
-    `embedding` is the sparse CSC matrix whose rows index the model's basis
-    (the 2^n spin states, or the hard-core masks) and whose dim columns are
-    the basis vectors; t_eigenvalue is the eigenvalue of the orbit step
-    (translation, or T^3), and `orbit_reps` holds the (representative,
-    period) of every admitted orbit. Without a parity refinement column i is
-    the orbit sum of orbit_reps[i], so nnz equals the number of states in the
-    admitted orbits; a parity refinement mixes these orbit sums, and holds
-    `refinement` = (the unrefined basis, V) with embedding = its embedding
-    times V. A real t (|Im t| <= 1e-12, stored snapped to +-1) gives a
-    float64 embedding, otherwise it is complex128.
+    The basis is its orbit table over the model's basis (the 2^n spin
+    states, or the hard-core masks): `column` holds, per state, the orbit sum
+    that holds it, or -1 if its orbit is not admitted, and `amplitude` the
+    state's coefficient in that orbit sum (0 for -1). t_eigenvalue is the
+    eigenvalue of the orbit step (translation, or T^3), and `orbit_reps`
+    holds the (representative, period) of every admitted orbit; column i is
+    the orbit sum of orbit_reps[i]. A parity refinement mixes these orbit
+    sums: it shares the table of the unrefined basis and holds `refinement`
+    = (the unrefined basis, V), its basis vectors being the orbit sums
+    combined by the columns of V. A real t (|Im t| <= 1e-12, stored snapped
+    to +-1) gives float64 amplitudes, otherwise they are complex128.
 
     `parity_blocks` holds one (P, column indices) pair per spin parity
     P = (-1)^popcount present among the orbit representatives, P = +1 first;
@@ -90,15 +92,10 @@ class SectorBasis:
     parity_eigenvalue: int | None
     orbit_reps: tuple
     dim: int
-    embedding: sp.csc_matrix = field(repr=False, compare=False)
+    column: np.ndarray = field(repr=False, compare=False)
+    amplitude: np.ndarray = field(repr=False, compare=False)
     parity_blocks: tuple = field(repr=False, compare=False)
     refinement: tuple | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def adjoint(self):
-        """The sparse B^H of the embedding B; for a real B, its transpose,
-        which shares B's arrays."""
-        return self.embedding.conj().T if np.iscomplexobj(self.embedding) else self.embedding.T
 
     @cached_property
     def orbit_arrays(self):
@@ -106,16 +103,18 @@ class SectorBasis:
         return np.array(self.orbit_reps, dtype=np.int64).reshape(-1, 2).T
 
     @cached_property
-    def state_table(self):
-        """(column, amplitude) per row of the embedding of an unrefined
-        sector: the orbit sum that holds the state, or -1 if its orbit is not
-        admitted, and the state's coefficient in that orbit sum (0 for -1)."""
-        S = self.embedding
-        column = np.full(S.shape[0], -1, dtype=np.intp)
-        column[S.indices] = np.repeat(np.arange(S.shape[1]), np.diff(S.indptr))
-        amplitude = np.zeros(S.shape[0], dtype=S.dtype)
-        amplitude[S.indices] = S.data
-        return column, amplitude
+    def orbit_members(self):
+        """(states, weights), two dim x (largest period) arrays: row c holds
+        the states of orbit sum c, ascending, and their conj(amplitude),
+        padded with state 0 and weight 0 past the orbit's period."""
+        periods = self.orbit_arrays[1]
+        rows = np.argsort(self.column, kind="stable")[len(self.column) - int(periods.sum()):]
+        cols = self.column[rows]
+        place = (cols, np.arange(len(rows)) - (np.cumsum(periods) - periods)[cols])
+        states = np.zeros((self.dim, periods.max(initial=0)), dtype=np.intp)
+        weights = np.zeros(states.shape, dtype=self.amplitude.dtype)
+        states[place], weights[place] = rows, np.conj(self.amplitude[rows])
+        return states, weights
 
     @cached_property
     def block_position(self):
@@ -124,6 +123,58 @@ class SectorBasis:
         for _, cols in self.parity_blocks:
             position[cols] = np.arange(len(cols))
         return position
+
+
+def _orbit_form(basis):
+    """(the unrefined basis, V) of a sector; V is None for an unrefined one."""
+    return basis.refinement or (basis, None)
+
+
+def embed(basis, X):
+    """B X: the columns of X (dim rows of sector coordinates) as vectors on
+    the model's basis, amplitude * X[column] per state (0 outside the
+    admitted orbits)."""
+    basis, V = _orbit_form(basis)
+    X = X if V is None else V @ X
+    rows = np.flatnonzero(basis.column >= 0)
+    out = np.zeros((len(basis.column), X.shape[1]), dtype=np.result_type(basis.amplitude, X))
+    out[rows] = basis.amplitude[rows, None] * X[basis.column[rows]]
+    return out
+
+
+def restrict(basis, Y):
+    """B^H Y: the sector coordinates of the columns of Y (one row per state
+    of the model's basis), conj(amplitude) * Y summed over each orbit, one
+    position in the orbits at a time."""
+    basis, V = _orbit_form(basis)
+    states, weights = basis.orbit_members
+    out = np.zeros((basis.dim, Y.shape[1]), dtype=np.result_type(weights, Y))
+    for j in range(states.shape[1]):
+        out += weights[:, j, None] * Y[states[:, j]]
+    return out if V is None else V.conj().T @ out
+
+
+@dataclass(frozen=True)
+class FullOperator:
+    """A sparse operator on a model's basis as COO triplets: entry
+    (rows[i], cols[i]) of a matrix of the given shape holds vals[i], and
+    repeated positions add up."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    def toarray(self):
+        A = np.zeros(self.shape, dtype=self.vals.dtype)
+        np.add.at(A, (self.rows, self.cols), self.vals)
+        return A
+
+    def __matmul__(self, X):
+        """A X for a dense matrix X with shape[1] rows."""
+        out = np.zeros((self.shape[0], X.shape[1]), dtype=np.result_type(self.vals, X))
+        np.add.at(out, self.rows, self.vals[:, None] * X[self.cols])
+        return out
 
 
 def _parity_columns(basis, parity):
@@ -163,7 +214,7 @@ class SectorOperator:
     @cached_property
     def matrix(self):
         M = np.zeros((self.codomain.dim, self.domain.dim),
-                     dtype=np.result_type(self.domain.embedding, self.codomain.embedding))
+                     dtype=np.result_type(self.domain.amplitude, self.codomain.amplitude))
         for p, block in self.blocks():
             rows = _parity_columns(self.codomain, self.flip * p)
             M[np.ix_(rows, _parity_columns(self.domain, p))] = block
@@ -195,9 +246,9 @@ def _orbit_sector(states, n, step, t):
     closed under `step`; step(x) returns (image, sign) elementwise. The
     smallest state of each orbit is its representative, and an orbit of
     period p is admitted iff t^p equals the product of the signs around it.
-    Column i of the embedding is the orbit sum
-    sum_{k<p} conj(t)^k s_k |step^k(rep_i)> / sqrt(p), where s_k is the sign
-    accumulated over the first k steps; its rows index `states`. The orbits
+    Column i is the orbit sum sum_{k<p} conj(t)^k s_k |step^k(rep_i)> / sqrt(p),
+    where s_k is the sign accumulated over the first k steps, and the orbit
+    table over `states` gives every state its column and amplitude. The orbits
     are ascending by representative, and the columns are split into spin
     parity blocks by the popcount of their representative, which the step
     keeps.
@@ -219,21 +270,18 @@ def _orbit_sector(states, n, step, t):
     keep = np.abs(t ** period[is_rep] - loop_sign[is_rep]) <= 1e-9
     reps, periods = states[is_rep][keep], period[is_rep][keep]
 
-    rows, cols, vals = [], [], []
+    column = np.full(len(states), -1, dtype=np.intp)
+    amplitude = np.zeros(len(states), dtype=np.result_type(np.conj(t), np.float64))
     index = np.arange(len(reps))
     x, acc = reps, np.ones(len(reps))
     tbar = np.conj(t)
     for k in range(walked):
         live = k < periods
-        rows.append(np.searchsorted(states, x[live]))
-        cols.append(index[live])
-        vals.append(tbar ** k * acc[live] / np.sqrt(periods[live]))
+        rows = np.searchsorted(states, x[live])
+        column[rows] = index[live]
+        amplitude[rows] = tbar ** k * acc[live] / np.sqrt(periods[live])
         x, sign = step(x)
         acc = acc * sign
-    B = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(states), len(reps)),
-    )
     parity = _spin_parity(reps)
     return SectorBasis(
         n=n,
@@ -241,23 +289,28 @@ def _orbit_sector(states, n, step, t):
         parity_eigenvalue=None,
         orbit_reps=tuple(zip(reps.tolist(), periods.tolist())),
         dim=len(reps),
-        embedding=B,
+        column=column,
+        amplitude=amplitude,
         parity_blocks=tuple((p, np.flatnonzero(parity == p)) for p in (1, -1)
                             if np.any(parity == p)),
     )
 
 
+def _permutation(image):
+    """The permutation |x> -> |image[x]> of the states 0..len(image)-1."""
+    dim = len(image)
+    return FullOperator(image, np.arange(dim), np.ones(dim), (dim, dim))
+
+
 def symmetry_operator(kind, n):
-    """Full-space operator (sparse) for translation, parity or spin reversal."""
-    dim = 1 << n
-    states = np.arange(dim)
+    """Full-space operator (COO triplets) for translation, parity or spin reversal."""
+    states = np.arange(1 << n)
     if kind == "translation":
-        return sp.csr_matrix((np.ones(dim), (rotate_left(states, n), states)), shape=(dim, dim))
+        return _permutation(rotate_left(states, n))
     if kind == "parity":
-        return sp.csr_matrix((np.ones(dim), (reverse_bits(states, n), states)), shape=(dim, dim))
+        return _permutation(reverse_bits(states, n))
     if kind == "spin_reversal":
-        rows = states ^ (dim - 1)
-        return sp.csr_matrix((np.ones(dim), (rows, states)), shape=(dim, dim))
+        return _permutation(states ^ ((1 << n) - 1))
     raise DomainError(f"unknown symmetry operator kind {kind!r}")
 
 
@@ -269,7 +322,7 @@ def build_sector_basis(n, t_eigenvalue, parity=None):
     if abs(t ** n - 1.0) > 1e-9:
         raise DomainError(f"t={t} is not an {n}-th root of unity")
     if abs(t.imag) <= 1e-12:
-        t = 1.0 if t.real > 0 else -1.0  # snap, so the embedding is float64
+        t = 1.0 if t.real > 0 else -1.0  # snap, so the amplitudes are float64
     elif parity is not None:
         raise DomainError("parity sectors require a real translation eigenvalue")
 
@@ -278,25 +331,40 @@ def build_sector_basis(n, t_eigenvalue, parity=None):
 
 
 def _refine_parity(basis, parity):
-    P = symmetry_operator("parity", basis.n)
-    evals, evecs = _eigh_checked(project(P, basis).matrix)
+    evals, evecs = _eigh_checked(project(symmetry_operator("parity", basis.n), basis).matrix)
     keep = np.where(np.abs(evals - parity) < 1e-8)[0]
-    refined = basis.embedding @ sp.csc_matrix(evecs[:, keep])
-    return replace(basis, parity_eigenvalue=parity, dim=len(keep), embedding=refined,
+    return replace(basis, parity_eigenvalue=parity, dim=len(keep),
                    parity_blocks=((0, np.arange(len(keep))),),
                    refinement=(basis, evecs[:, keep]))
 
 
 def project(full_op, domain, codomain=None):
-    """Restrict a full-space operator, sparse or dense, to sector coordinates,
-    B_cod^H (A B_dom); a sparse product is densified only at dim x dim."""
+    """Restrict a full-space operator to sector coordinates, B_cod^H A B_dom.
+
+    A `FullOperator` is folded onto the columns through the orbit tables, as
+    `_fold` folds the images of a local term: entry (r, s) with value v adds
+    v * amp(s) * conj(amp(r)) at (column(r), column(s)) when both orbits are
+    admitted, and a parity refinement applies its V on both sides. A dense
+    operator goes through `embed` and `restrict`.
+    """
     codomain = codomain if codomain is not None else domain
-    matrix = codomain.adjoint @ (full_op @ domain.embedding)
-    return SectorOperator(domain, codomain, matrix.toarray() if sp.issparse(matrix) else matrix)
+    if isinstance(full_op, np.ndarray):
+        matrix = restrict(codomain, full_op @ embed(domain, np.eye(domain.dim)))
+        return SectorOperator(domain, codomain, matrix)
+    (dom, Vd), (cod, Vc) = _orbit_form(domain), _orbit_form(codomain)
+    src = dom.column[full_op.cols]
+    keep = src >= 0
+    matrix = np.zeros((cod.dim, dom.dim),
+                      dtype=np.result_type(dom.amplitude, cod.amplitude, full_op.vals))
+    _add_images(matrix, np.arange(cod.dim), cod, src[keep], full_op.rows[keep],
+                full_op.vals[keep] * dom.amplitude[full_op.cols[keep]])
+    matrix = matrix if Vd is None else matrix @ Vd
+    return SectorOperator(domain, codomain, matrix if Vc is None else Vc.conj().T @ matrix)
 
 
 def xyz_hamiltonian_full(n, coupling):
-    """Sparse XYZ Hamiltonian on the full 2^n space, including the constant shift."""
+    """XYZ Hamiltonian on the full 2^n space as COO triplets, including the
+    constant shift."""
     if n < 2:
         raise DomainError(f"the XYZ chain needs n >= 2 sites, got {n}")
     jx, jy, jz = coupling.jx, coupling.jy, coupling.jz
@@ -319,11 +387,8 @@ def xyz_hamiltonian_full(n, coupling):
     rows.append(states)
     cols.append(states)
     vals.append(diag)
-    H = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return H
+    return FullOperator(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                        (dim, dim))
 
 
 def _fold(block, codomain, parity, src, images, values):
@@ -338,13 +403,18 @@ def _fold(block, codomain, parity, src, images, values):
     """
     if np.any(_spin_parity(images) != parity):
         raise ContractError(f"a term maps a state out of the spin parity block P = {parity}")
-    column, amplitude = codomain.state_table
-    cols = column[images]
+    _add_images(block, codomain.block_position, codomain, src, images, values)
+
+
+def _add_images(matrix, position, codomain, src, images, values):
+    """matrix[position[c], src[i]] += values[i] * conj(amplitude[images[i]])
+    for every image whose orbit sum c in the codomain is admitted."""
+    cols = codomain.column[images]
     keep = cols >= 0
-    weights = values[keep] * np.conj(amplitude[images[keep]])
-    # block is C-contiguous, so the flat view adds into it
-    flat = codomain.block_position[cols[keep]] * block.shape[1] + src[keep]
-    np.add.at(block.reshape(-1), flat, weights)
+    weights = values[keep] * np.conj(codomain.amplitude[images[keep]])
+    # matrix is C-contiguous, so the flat view adds into it
+    flat = position[cols[keep]] * matrix.shape[1] + src[keep]
+    np.add.at(matrix.reshape(-1), flat, weights)
 
 
 def xyz_hamiltonian(n, coupling, sector):
@@ -376,7 +446,7 @@ def _xyz_blocks(n, coupling, sector):
     jn = (j + 1) % n
     for p, cols in sector.parity_blocks:
         reps, src = all_reps[cols], np.arange(len(cols))
-        block = np.zeros((len(cols), len(cols)), dtype=sector.embedding.dtype)
+        block = np.zeros((len(cols), len(cols)), dtype=sector.amplitude.dtype)
         bj, bk = (reps >> j) & 1, (reps >> jn) & 1  # one row per bond
         zz = (1.0 - 2.0 * bj) * (1.0 - 2.0 * bk)
         coeff = np.where(bj == bk, -(jx - jy) / 2.0, -(jx + jy) / 2.0)

@@ -77,11 +77,10 @@ def _spin_reversal(basis):
     """(perm, sign) with R|c~> = sign[c] |perm[c]~> for the orbit sums c~ of
     a real-t sector: R commutes with translation, so it maps the orbit of r
     onto that of R r, of the same period, with the sign of R r in its orbit sum."""
-    column, amplitude = basis.state_table
     reps = basis.orbit_arrays[0]
     images = reps ^ ((1 << basis.n) - 1)
-    perm = column[images]
-    return perm, amplitude[images] / amplitude[reps[perm]]
+    perm = basis.column[images]
+    return perm, basis.amplitude[images] / basis.amplitude[reps[perm]]
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def _q_blocks(n, zeta):
     are folded onto the codomain's columns (`_fold`); q_j maps spin parity P
     to -P."""
     dom, cod = susy_sector(n), susy_sector(n + 1)
-    column, amplitude = dom.state_table
+    column, amplitude = dom.column, dom.amplitude
     states = np.flatnonzero(column >= 0)  # the states of the admitted orbits
     parity = _spin_parity(states)
     scale = math.sqrt(n / (n + 1))

@@ -64,6 +64,37 @@ def test_weight_sum_rule(u):
     assert wts.a + wts.b == pytest.approx(h(u, CTX), abs=1e-12)
 
 
+def test_weight_normalization_is_computed_once_per_context(monkeypatch):
+    # rho, theta_1(2 eta, q^2) and theta_4(2 eta, q^2) do not depend on u: a
+    # context computes them once, and the weights keep the bits of the
+    # formula that computes them on every call
+    calls = []
+    theta = elliptic.theta
+
+    def counting_theta(*args):
+        calls.append(args)
+        return theta(*args)
+
+    monkeypatch.setattr(elliptic, "theta", counting_theta)
+    eightvertex._weight_normalization.cache_clear()
+    for nome in (0.05, 0.2, 0.45, 0.9):
+        ctx = ThetaContext(nome=nome)
+        eta = ctx.eta
+        rho = 2.0 / (ctx.theta(2, 0.0) * ctx.theta_sq(4, 0.0))
+        t1, t4 = ctx.theta_sq(1, 2 * eta), ctx.theta_sq(4, 2 * eta)
+        for i, u in enumerate((0.1, 0.45, 1.3, -2.2, 0.3 + 0.2j)):
+            del calls[:]
+            vw = vertex_weights(u, ctx)
+            assert len(calls) == (12 if i == 0 else 8)
+            um, up = u - eta, u + eta
+            assert (vw.a, vw.b, vw.c, vw.d) == (
+                rho * t4 * ctx.theta_sq(4, um) * ctx.theta_sq(1, up),
+                rho * t4 * ctx.theta_sq(1, um) * ctx.theta_sq(4, up),
+                rho * t1 * ctx.theta_sq(4, um) * ctx.theta_sq(4, up),
+                rho * t1 * ctx.theta_sq(1, um) * ctx.theta_sq(1, up),
+            )
+
+
 def test_weight_tensor_conserves_arrow_parity():
     W = weight_tensor(0.4, CTX)
     for mu in range(2):

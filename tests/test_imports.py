@@ -1,7 +1,12 @@
 """Every imported name in src/ and tests/ is referenced somewhere in its file,
-and every import in src/ sits at module level."""
+every import in src/ sits at module level, and the package runs on numpy
+alone."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +48,46 @@ def test_no_imports_inside_functions():
     files = sorted((ROOT / "src").rglob("*.py"))
     assert files
     assert [hit for path in files for hit in _function_imports(path)] == []
+
+
+# one small run of every command: spectrum, fig1, each check suite, pathbasis
+# and transfer
+_CLI_RUNS = [
+    ["spectrum", "--n", "4", "--zeta", "0.7"],
+    ["fig1", "--zeta-grid", "0:0.2:0.1"],
+    ["check", "algebra", "--n", "3..4", "--zeta", "0.7"],
+    ["check", "cohomology", "--n", "3..4", "--zeta", "0.7"],
+    ["check", "conjectures", "--n", "3..4", "--zeta", "0.7", "--nomes", "0.2"],
+    ["check", "appendixB", "--nome", "0.2"],
+    ["check", "fermion-compare", "--m", "2", "--zeta", "1.5"],
+    ["pathbasis", "--n", "4"],
+    ["transfer", "--n", "3"],
+]
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # neither importing the CLI nor running any command loads a scipy module,
+    # so a process forked after the import pays for none either
+    script = f"""
+import json, sys
+import susyxyz.cli as cli
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+report = [("import", 0, scipy_modules())]
+for argv in {_CLI_RUNS!r}:
+    code = cli.main(argv + ["--out", {str(tmp_path / "out")!r}])
+    report.append((" ".join(argv), code, scipy_modules()))
+print(json.dumps(report))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    report = json.loads(run.stdout)
+    assert [step for step, _, _ in report] == ["import"] + [" ".join(a) for a in _CLI_RUNS]
+    assert [(step, code, loaded) for step, code, loaded in report
+            if code != 0 or loaded] == []
 
 
 # Top-level src/ names that only the tests use: paper claims checked by the

@@ -5,17 +5,24 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from susyxyz.eightvertex import _path_blocks, _path_codes, _translate_path_codes, path_vectors
+from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import ContractError, DomainError
+from susyxyz.fermion import FermionModel, fermion_hamiltonian, staggered_couplings, t3_sector_basis
 from susyxyz.spinchain import (
     CouplingLine,
+    FullOperator,
     SectorOperator,
     _eigh_checked,
     _fold,
     _group_levels,
+    _orbit_sector,
     build_sector_basis,
     common_levels,
+    embed,
     project,
     rescaled_spectrum,
+    restrict,
     reverse_bits,
     rotate_left,
     spectrum,
@@ -227,7 +234,7 @@ def _all_sectors(n):
 
 
 def _max_abs(M):
-    return np.abs(M.toarray() if sp.issparse(M) else M).max(initial=0.0)
+    return np.abs(M).max(initial=0.0)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -235,10 +242,9 @@ def test_sector_embeddings_sparse_orthonormal_and_translation_covariant(n):
     T = symmetry_operator("translation", n)
     P = symmetry_operator("parity", n)
     for basis in _all_sectors(n):
-        B = basis.embedding
-        assert sp.issparse(B) and B.format == "csc"
+        B = embed(basis, np.eye(basis.dim))
         assert B.shape == (1 << n, basis.dim)
-        assert _max_abs(B.conj().T @ B - sp.eye(basis.dim)) <= 1e-12
+        assert _max_abs(restrict(basis, B) - np.eye(basis.dim)) <= 1e-12
         assert _max_abs(T @ B - basis.t_eigenvalue * B) <= 1e-12
         if basis.parity_eigenvalue is not None:
             assert _max_abs(P @ B - basis.parity_eigenvalue * B) <= 1e-12
@@ -249,7 +255,8 @@ def test_unrefined_embedding_nnz_counts_orbit_states(n):
     for t in _roots_of_unity(n):
         basis = build_sector_basis(n, t)
         states = sum(period for _, period in basis.orbit_reps)
-        assert basis.embedding.nnz == states <= 2 ** n
+        assert np.count_nonzero(basis.column >= 0) == np.count_nonzero(basis.amplitude) == states
+        assert states <= 2 ** n
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -258,7 +265,42 @@ def test_sparse_embedding_matches_dense_reference(n):
         reps, dense = _dense_embedding(n, t)
         basis = build_sector_basis(n, t)
         assert basis.orbit_reps == tuple(reps)
-        assert _max_abs(basis.embedding.toarray() - dense) <= 1e-14
+        assert _max_abs(embed(basis, np.eye(basis.dim)) - dense) <= 1e-14
+
+
+def _scipy_embedding(basis):
+    """Reference: the sparse embedding B of an unrefined sector as a scipy
+    CSC matrix built from its orbit table, the former representation."""
+    rows = np.flatnonzero(basis.column >= 0)
+    return sp.csc_matrix((basis.amplitude[rows], (rows, basis.column[rows])),
+                         shape=(len(basis.column), basis.dim))
+
+
+def test_table_products_match_scipy_references():
+    # the fermion H folded through the T^3 orbit tables against B^H H B, and
+    # the path blocks restricted through the momentum tables against B^H R
+    for n_f, m in ((6, 2), (9, 3), (12, 4)):
+        for boundary in ("ramond", "neveu-schwarz"):
+            model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
+                                 boundary=boundary, m=m)
+            H = fermion_hamiltonian(model)
+            H_sp = sp.csr_matrix((H.vals, (H.rows, H.cols)), shape=H.shape)
+            for sigma in (1, -1):
+                basis = t3_sector_basis(n_f, m, sigma, boundary)
+                B = _scipy_embedding(basis)
+                ref = (B.conj().T @ H_sp @ B).toarray()
+                assert _max_abs(project(H, basis).matrix - ref) <= 1e-12 * max(1.0, _max_abs(ref))
+    ctx = ThetaContext(nome=0.3)
+    for n in range(2, 10):
+        codes = _path_codes(n)
+        orbits = _orbit_sector(codes, n, lambda c: (_translate_path_codes(c, n), 1.0), 1.0)
+        reps, periods = np.array(orbits.orbit_reps).T
+        R = path_vectors(reps, n, ctx) * np.sqrt(periods)
+        for k, (sector, M) in enumerate(_path_blocks(n, ctx)):
+            t = np.exp(2j * np.pi * k / n)
+            ref = _scipy_embedding(sector).conj().T @ R[:, np.abs(t ** periods - 1) < 1e-9]
+            assert M.shape == ref.shape
+            assert _max_abs(M - ref) <= 1e-12 * max(1.0, _max_abs(ref))
 
 
 def _dense_projection(full_op, dom, cod):
@@ -321,12 +363,12 @@ def test_real_t_sectors_are_float64(n):
     coupling = CouplingLine(0.7)
     for t, basis in _real_sectors(n):
         assert basis.t_eigenvalue in (1.0, -1.0) and abs(basis.t_eigenvalue - t) < 1e-12
-        assert basis.embedding.dtype == np.float64
+        assert embed(basis, np.eye(basis.dim)).dtype == np.float64
         assert xyz_hamiltonian(n, coupling, basis).matrix.dtype == np.float64
     for t in _roots_of_unity(n):
         if abs(t.imag) > 1e-12:
             basis = build_sector_basis(n, t)
-            assert basis.embedding.dtype == np.complex128
+            assert embed(basis, np.eye(basis.dim)).dtype == np.complex128
             assert xyz_hamiltonian(n, coupling, basis).matrix.dtype == np.complex128
 
 
@@ -389,9 +431,9 @@ def test_parity_blocks_follow_the_popcount_of_every_orbit_state(n):
         assert [p for p, _ in basis.parity_blocks] in ([1, -1], [1], [-1])
         assert np.array_equal(np.sort(np.concatenate([c for _, c in basis.parity_blocks])),
                               np.arange(basis.dim))
-        B = basis.embedding.tocoo()
-        downs = np.array([bin(int(s)).count("1") for s in B.row])
-        assert np.array_equal((-1) ** downs, labels[B.col])
+        rows = np.flatnonzero(basis.column >= 0)
+        downs = np.array([bin(int(s)).count("1") for s in rows])
+        assert np.array_equal((-1) ** downs, labels[basis.column[rows]])
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -411,7 +453,7 @@ def test_spectrum_rejects_an_operator_that_flips_the_spin_parity():
     n = 6
     states = np.arange(1 << n)
     rows = np.concatenate([states ^ (1 << j) for j in range(n)])
-    sx = sp.csr_matrix((np.ones(n << n), (rows, np.tile(states, n))), shape=(1 << n, 1 << n))
+    sx = FullOperator(rows, np.tile(states, n), np.ones(n << n), (1 << n, 1 << n))
     op = project(sx, build_sector_basis(n, 1.0))
     assert np.linalg.norm(op.matrix) > 1.0
     _eigh_checked(op.matrix)

@@ -9,6 +9,7 @@ from susyxyz import supercharge
 from susyxyz.errors import DomainError
 from susyxyz.spinchain import (
     CouplingLine,
+    FullOperator,
     SectorOperator,
     _parity_blocks,
     _rank,
@@ -127,12 +128,14 @@ def test_supercharges_match_projected_references(n):
     # Q and Qt = R Q R from the orbit tables against the projections of the
     # full-space references
     dom, cod = susy_sector(n), susy_sector(n + 1)
-    R_out, R_in = symmetry_operator("spin_reversal", n + 1), symmetry_operator("spin_reversal", n)
+    R_out, R_in = (symmetry_operator("spin_reversal", k) for k in (n + 1, n))
+    R_out, R_in = (sp.csr_matrix((R.vals, (R.rows, R.cols)), shape=R.shape) for R in (R_out, R_in))
     for zeta in (0.0, 0.3, 0.7, 1.0, 2.5, 3.0):
         pair = build_supercharges(n, zeta)
         Q = supercharge_full(n, zeta)
         for op, full in ((pair.q_plain, Q), (pair.q_tilde, R_out @ Q @ R_in)):
-            ref = project(full, dom, cod).matrix
+            full = full.tocoo()
+            ref = project(FullOperator(full.row, full.col, full.data, full.shape), dom, cod).matrix
             assert op.matrix.shape == ref.shape
             assert np.abs(op.matrix - ref).max() <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
