@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import h, theta_and_derivative, theta_reach, w, zeta_of_nome
+from .elliptic import h, theta1_from_exp, theta_reach, w, zeta_of_nome
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -541,14 +541,24 @@ def _bethe_entire(U, n, omega, ctx):
     h(-+2 eta) is a constant. h is odd and h' even, so h and h' at
     u_j - u_k + 2 eta are -h and h' at u_k - u_j - 2 eta, and only the
     arguments u -+ eta and u_j - u_k - 2 eta (j != k) are evaluated.
+
+    h and h' come from `theta1_from_exp`, on the exponentials e^{i arg} of
+    those 2m + m(m-1) arguments and of -2 eta: products of X = e^{iU}, taken
+    once per root, of 1/X and of the constants e^{+-i eta} and e^{-2i eta}.
+    Each argument's |Im| is read from U.
     """
     K, m = U.shape
-    eta = ctx.eta
     rows, cols = np.nonzero(~np.eye(m, dtype=bool))
-    args = np.concatenate([U + eta, U - eta, U[:, rows] - U[:, cols] - 2 * eta], axis=1)
-    val, der = theta_and_derivative(1, args, ctx.nome)
+    above, below, double = (cmath.exp(1j * ctx.eta), cmath.exp(-1j * ctx.eta),
+                            cmath.exp(-2j * ctx.eta))
+    X = np.exp(1j * U)
+    exps = np.concatenate([X * above, X * below, X[:, rows] * (1.0 / X)[:, cols] * double],
+                          axis=1)
+    y = np.abs(U.imag)
+    y = np.concatenate([y, y, np.abs(U.imag[:, rows] - U.imag[:, cols])], axis=1)
+    val, der = theta1_from_exp(exps, y, ctx.nome)
     # D[j, k] = h(u_j - u_k - 2 eta) and dD its h'; the diagonal of dD stays 0
-    D = np.full((K, m, m), h(-2 * eta, ctx), dtype=complex)
+    D = np.full((K, m, m), theta1_from_exp(double, 0.0, ctx.nome)[0])
     dD = np.zeros((K, m, m), dtype=complex)
     D[:, rows, cols], dD[:, rows, cols] = val[:, 2 * m:], der[:, 2 * m:]
     F = np.zeros((K, m), dtype=complex)
@@ -651,50 +661,60 @@ def find_bethe_roots(n, m, omega, ctx):
             f"no height path of n={n} steps has m={m} down steps (n - 2m must be 0 mod 3)"
         )
     omega = complex(omega)
-    U = _newton_polish(_newton_starts(m), n, omega, ctx)
+    return _root_sets(_newton_polish(_newton_starts(m), n, omega, ctx), n, omega, ctx)
 
-    found, forms = [], []
 
-    def canonical(us):
-        # shift each root's real part into [0, pi) -- h(u+pi) = -h(u) keeps
-        # the equations invariant -- and sort for permutation invariance
-        vals = []
-        for uu in us:
-            re = uu.real % math.pi
-            if re > math.pi - 1e-6:  # wrap values that land just below pi
-                re -= math.pi
-            vals.append(complex(re, uu.imag))
-        return sorted(vals, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+def _root_sets(U, n, omega, ctx):
+    """The distinct validated root sets among the Newton output rows U (K, m),
+    in row order, each represented by the first row that reaches it.
 
-    for row in U:
-        if not np.all(np.isfinite(row)):
-            continue
-        us = [complex(v) for v in row]
-        # keep only the fundamental strip: copies shifted by the imaginary
-        # quasi-period of the theta functions assemble to vanishing vectors
-        if any(abs(uu.imag) > _IMAG_WINDOW + 0.2 for uu in us):
-            continue
-        if m == 2 and abs(us[0].imag - us[1].imag) < 1e-6:
-            # coincident (mod pi) roots give a vanishing wave function; roots
-            # 2 eta apart (mod pi) put h(0) in a denominator of the Bethe
-            # equations, so bethe_residual could only reject them
-            d = (us[0] - us[1]).real
-            gaps = [(d - shift) % math.pi for shift in (0.0, 2 * ctx.eta, -2 * ctx.eta)]
-            if any(min(gap, math.pi - gap) < 1e-6 for gap in gaps):
-                continue
+    A row is dropped when it is not finite, leaves the strip
+    |Im u| <= _IMAG_WINDOW + 0.2, or (m = 2) holds two roots with equal
+    imaginary parts that coincide or lie 2 eta apart mod pi. The others are
+    compared in their canonical form: real parts shifted into [0, pi) --
+    h(u + pi) = -h(u) keeps the equations invariant -- and the roots sorted
+    by their real and imaginary parts rounded to 6 digits. A row within 1e-6
+    of an accepted form, root by root, is a copy and needs no validation;
+    a new one is accepted when bethe_residual is below 1e-9.
+    """
+    m = U.shape[1]
+    U = U[np.all(np.isfinite(U), axis=1)]
+    # keep only the fundamental strip: copies shifted by the imaginary
+    # quasi-period of the theta functions assemble to vanishing vectors
+    U = U[np.all(np.abs(U.imag) <= _IMAG_WINDOW + 0.2, axis=1)]
+    if m == 2:
+        # coincident (mod pi) roots give a vanishing wave function; roots
+        # 2 eta apart (mod pi) put h(0) in a denominator of the Bethe
+        # equations, so bethe_residual could only reject them
+        d = U[:, 0].real - U[:, 1].real
+        gaps = np.mod(d[:, None] - np.array([0.0, 2 * ctx.eta, -2 * ctx.eta]), math.pi)
+        apart = np.any(np.minimum(gaps, math.pi - gaps) < 1e-6, axis=1)
+        U = U[~(apart & (np.abs(U[:, 0].imag - U[:, 1].imag) < 1e-6))]
+    re = np.mod(U.real, math.pi)
+    re = np.where(re > math.pi - 1e-6, re - math.pi, re)  # wrap values just below pi
+    # Python's round, to the nearest decimal: numpy's can differ by an ulp
+    rounded = [np.array([[round(v, 6) for v in row] for row in part.tolist()]).reshape(U.shape)
+               for part in (U.imag, re)]
+    forms = np.empty_like(U)
+    forms.real, forms.imag = re, U.imag
+    forms = np.take_along_axis(forms, np.lexsort(rounded, axis=1), axis=1)
+
+    found, accepted = [], np.empty_like(forms)
+    for row, form in zip(U, forms):
         # a copy of a found (hence validated) set needs no validation
-        form = canonical(us)
-        if any(all(abs(a - b) < 1e-6 for a, b in zip(form, f)) for f in forms):
+        gap = accepted[:len(found)] - form
+        if np.any(np.all(np.hypot(gap.real, gap.imag) < 1e-6, axis=1)):
             continue
+        br = BetheRoots(tuple(complex(v) for v in row), omega, n)
         try:
-            resid = bethe_residual(BetheRoots(tuple(us), omega, n), ctx)
+            resid = bethe_residual(br, ctx)
         except (DomainError, PoleError):
             continue
         if max(abs(r) for r in resid) > 1e-9:
             continue
-        found.append(us)
-        forms.append(form)
-    return [BetheRoots(tuple(us), omega, n) for us in found]
+        accepted[len(found)] = form
+        found.append(br)
+    return found
 
 
 # ---------------------------------------------------------------------------

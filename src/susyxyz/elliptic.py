@@ -1,8 +1,10 @@
 """Jacobi theta functions and derived scalar quantities.
 
 All theta functions follow the Whittaker-Watson conventions and are evaluated
-by the plain q-series; `theta_and_derivative` sums theta' from the same
-series. The coefficients of a series depend only on (kind, nome) and are
+by the plain q-series; `theta1_from_exp` sums theta_1 and theta_1' from the
+same coefficients as powers of E = e^{iz}, for the Newton scan of the Bethe
+roots, where a whole system of arguments comes from one exp per root. The
+coefficients of a series depend only on (kind, nome) and are
 cached together with the bound on each next term. Each element of z is
 summed to its own term count, fixed from those bounds and its own |Im z|, so
 a value never depends on the other elements of its batch. No truncated sum
@@ -91,72 +93,68 @@ def _out_of_reach(kind, nome, y, derivative=False):
 def theta_reach(kind, nome, derivative=False):
     """The |Im z| at and beyond which `theta` raises RangeError for this
     kind and nome: below it some term count up to _MAX_TERMS meets _TRUNC_TOL.
-    With derivative=True, that of `theta_and_derivative`, which the theta'
-    series sets and which never exceeds the theta reach. Zero or negative
-    when even real z needs more terms. Raises DomainError where `theta` does:
-    unless kind is 1..4 and 0 <= nome < 1."""
+    With derivative=True, that of the theta' series, which never exceeds the
+    theta reach; for kind 1 it is where `theta1_from_exp` starts to raise.
+    Zero or negative when even real z needs more terms. Raises DomainError
+    where `theta` does: unless kind is 1..4 and 0 <= nome < 1."""
     _require_kind_and_nome(kind, nome)
     return float(_series(kind, float(nome))[2][1 if derivative else 0][-1])
 
 
-def _series_sum(kind, z, nome, derivative):
-    """[theta_kind(z)] of an array z, or [theta_kind(z), theta_kind'(z)] with
-    derivative=True, each element summed to its own term counts.
+def _term_plan(table, y, finite, kind, nome, derivative=False):
+    """(order, ends) of a per-element sum over the terms of a series.
 
-    The counts of theta and theta' are 1 + the number of entries <= |Im z| of
-    the reach tables of `_series`; a non-finite element takes the counts of
-    real z and stays non-finite. The elements are sorted by |Im z|, largest
-    first, so that term n applies to a leading run of them, the ones whose
-    count exceeds n; real z has one count and is not sorted. Each element
+    An element's term count is 1 + the number of entries <= y (its |Im z|)
+    of the reach table; a non-finite element takes the count of real z.
+    order puts the elements with the most terms first, so that term n applies
+    to a leading run of them: ends[n] is the number whose count exceeds n.
+    Raises RangeError when a finite element is at or past the reach (the
+    last entry)."""
+    counts = np.searchsorted(table, np.where(finite, y, 0.0), side="right") + 1
+    past = finite & (counts > _MAX_TERMS)
+    if past.any():
+        raise _out_of_reach(kind, nome, float(y[past].max()), derivative)
+    # small integers, which numpy sorts stably by radix
+    counts = np.minimum(counts, _MAX_TERMS).astype(np.int8)
+    order = np.argsort(-counts, kind="stable")
+    counts = counts[order]
+    return order, np.searchsorted(-counts, -np.arange(counts.max(initial=0)), side="left").tolist()
+
+
+def _in_input_order(values, order, shape):
+    """values, summed in the given order (None: input order), back in the
+    input order and shape; a 0-d result as a numpy scalar."""
+    if order is not None:
+        values[order] = values.copy()
+    values = values.reshape(shape)
+    return values[()] if values.ndim == 0 else values
+
+
+def _series_sum(kind, z, nome):
+    """theta_kind(z) of an array z, each element summed to its own term
+    count, that of `_term_plan` for the theta reach table of `_series`.
+
+    Real z has one count, that of y = 0, and is not reordered. Each element
     gets exactly the arithmetic of a per-term loop run to its own count.
-    Raises RangeError when a finite element is at or past the reach.
     """
     coefs, freqs, tables = _series(kind, nome)
     flat = z.ravel()
     is_complex = np.iscomplexobj(flat)
     if is_complex:
-        finite = np.isfinite(flat)
-        y = np.where(finite, np.abs(flat.imag), 0.0)
-        order = np.argsort(-y, kind="stable")
-        flat, y, finite = flat[order], y[order], finite[order]
-
-    def ends(table, of_derivative):
-        # ends[n]: the number of leading elements whose count exceeds n
-        if not is_complex:
-            # one count for all, that of y = 0, which matters only if an element is finite
-            count = bisect.bisect_right(table, 0.0) + 1
-            if count > _MAX_TERMS and np.isfinite(flat).any():
-                raise _out_of_reach(kind, nome, 0.0, of_derivative)
-            return [flat.size] * min(count, _MAX_TERMS)
-        counts = np.searchsorted(table, y, side="right") + 1
-        past = finite & (counts > _MAX_TERMS)
-        if past.any():
-            raise _out_of_reach(kind, nome, float(y[past].max()), of_derivative)
-        counts = np.minimum(counts, _MAX_TERMS)
-        return np.searchsorted(-counts, -np.arange(counts.max(initial=0)), side="left").tolist()
-
-    dtype = complex if is_complex else float
-    total = np.zeros(flat.shape, dtype=dtype)
+        order, ends = _term_plan(tables[0], np.abs(flat.imag), np.isfinite(flat), kind, nome)
+        flat = flat[order]
+    else:
+        # one count for all, that of y = 0, which matters only if an element is finite
+        order = None
+        count = bisect.bisect_right(tables[0], 0.0) + 1
+        if count > _MAX_TERMS and np.isfinite(flat).any():
+            raise _out_of_reach(kind, nome, 0.0)
+        ends = [flat.size] * min(count, _MAX_TERMS)
+    total = np.zeros(flat.shape, dtype=complex if is_complex else float)
     trig = np.sin if kind == 1 else np.cos
-    for n, end in enumerate(ends(tables[0], False)):
+    for n, end in enumerate(ends):
         total[:end] += coefs[n] * trig(freqs[n] * flat[:end]) if freqs[n] else coefs[n]
-    sums = [total]
-    if derivative:
-        # d/dz coef sin(f z) = coef f cos(f z); d/dz coef cos(f z) = -coef f sin(f z)
-        slope = np.zeros(flat.shape, dtype=dtype)
-        dtrig, sign = (np.cos, 1.0) if kind == 1 else (np.sin, -1.0)
-        for n, end in enumerate(ends(tables[1], True)):
-            if freqs[n]:
-                slope[:end] += sign * coefs[n] * freqs[n] * dtrig(freqs[n] * flat[:end])
-        sums.append(slope)
-
-    out = []
-    for values in sums:
-        if is_complex:
-            values[order] = values.copy()
-        values = values.reshape(z.shape)
-        out.append(values[()] if values.ndim == 0 else values)
-    return out
+    return _in_input_order(total, order, z.shape)
 
 
 def theta(kind, z, nome):
@@ -178,7 +176,7 @@ def theta(kind, z, nome):
     # finite Python and numpy scalars are summed with math/cmath; math.sin
     # and cmath.cos raise on inf where numpy returns nan
     if not (isinstance(z, (int, float, complex)) and cmath.isfinite(z)):
-        return _series_sum(kind, np.asarray(z), nome, derivative=False)[0]
+        return _series_sum(kind, np.asarray(z), nome)
 
     coefs, freqs, tables = _series(kind, nome)
     is_complex = isinstance(z, complex)
@@ -195,18 +193,47 @@ def theta(kind, z, nome):
     return np.complex128(total) if is_complex else np.float64(total)
 
 
-def theta_and_derivative(kind, z, nome):
-    """(theta_kind(z, q), d theta_kind / dz (z, q)) for scalar or array z.
+def theta1_from_exp(E, y, nome):
+    """(theta_1(z, q), theta_1'(z, q)) of an array of z given by E = e^{iz}
+    and y = |Im z|, without a trigonometric function.
 
-    theta is `theta`'s value, bit for bit on arrays; theta' is the
-    term-by-term derivative of the same series, summed per element to the
-    first N whose next-term bound, (2N+3) times theta's, falls below
-    _TRUNC_TOL. Raises RangeError for a finite entry with
-    |Im z| >= theta_reach(kind, nome, derivative=True), and DomainError
-    where `theta` does.
+    With c_n the theta_1 coefficients of `_series`,
+        theta_1 = -i sum_n c_n (E^(2n+1) - E^-(2n+1)) / 2,
+        theta_1' = sum_n c_n (2n+1) (E^(2n+1) + E^-(2n+1)) / 2;
+    the terms c_n E^(+-(2n+1)) are carried from one n to the next by a
+    multiplication with E^(+-2) c_(n+1) / c_n, so that no intermediate
+    overflows inside the reach. Each element is summed to its own term count,
+    that of the theta_1' reach table and its own y, so a value does not
+    depend on the other elements. A non-finite element (E NaN or y not
+    finite) takes the count of y = 0 and never raises; a NaN E gives NaN.
+    Raises RangeError for a finite element with
+    y >= theta_reach(1, nome, derivative=True), and DomainError unless
+    0 <= nome < 1. The values agree with `theta` to rounding, not bit
+    for bit.
     """
-    _require_kind_and_nome(kind, nome)
-    return tuple(_series_sum(kind, np.asarray(z), float(nome), derivative=True))
+    _require_kind_and_nome(1, nome)
+    nome = float(nome)
+    coefs, _, tables = _series(1, nome)
+    E = np.asarray(E, dtype=complex)
+    flat, y = E.ravel(), np.asarray(y, dtype=float).ravel()
+    order, ends = _term_plan(tables[1], y, np.isfinite(y) & ~np.isnan(flat), 1, nome,
+                             derivative=True)
+    flat = flat[order]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inverse = 1.0 / flat
+        steps = np.stack([flat * flat, inverse * inverse])
+        terms = coefs[0] * np.stack([flat, inverse])  # rows c_n E^(2n+1), c_n E^-(2n+1)
+        sums = np.zeros_like(terms)
+        slopes = np.zeros_like(terms)
+        for n, end in enumerate(ends):
+            if n:
+                terms[:, :end] *= steps[:, :end]
+                terms[:, :end] *= coefs[n] / coefs[n - 1] if coefs[n - 1] else 0.0
+            sums[:, :end] += terms[:, :end]
+            slopes[:, :end] += (2 * n + 1) * terms[:, :end]
+        value = -0.5j * (sums[0] - sums[1])
+        slope = 0.5 * (slopes[0] + slopes[1])
+    return _in_input_order(value, order, E.shape), _in_input_order(slope, order, E.shape)
 
 
 @dataclass(frozen=True)

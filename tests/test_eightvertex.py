@@ -14,6 +14,7 @@ from susyxyz.eightvertex import (
     _newton_starts,
     _path_blocks,
     _path_codes,
+    _root_sets,
     _translate_path_codes,
     PathState,
     appendixB_decomposition,
@@ -833,11 +834,83 @@ def test_newton_row_alone_matches_its_batch(nome, omegas):
         assert np.all(np.isfinite(batch[found]))
 
 
-@pytest.mark.parametrize("n,m,counts", [(5, 1, (7, 8, 8)), (4, 2, (12, 20, 20))])
+@pytest.mark.parametrize("n,m,counts", [
+    (5, 1, {0.2: (7, 8, 8), 0.45: (15, 15, 15)}),
+    (4, 2, {0.2: (12, 20, 20), 0.45: (51, 46, 46)}),
+])
 def test_bethe_scan_root_set_counts(n, m, counts):
-    # the root sets the scan finds at nome 0.2, per omega
-    ctx = ThetaContext(nome=0.2)
-    assert tuple(len(find_bethe_roots(n, m, omega, ctx)) for omega in OMEGAS) == counts
+    # the root sets the scan finds per omega, at the nome of the paper's
+    # Bethe checks and at one that needs the most theta terms
+    for nome, per_omega in counts.items():
+        ctx = ThetaContext(nome=nome)
+        assert tuple(len(find_bethe_roots(n, m, omega, ctx)) for omega in OMEGAS) == per_omega
+
+
+def _root_sets_loop(U, n, omega, ctx):
+    """The former root-set filter of find_bethe_roots: one Newton row at a
+    time, each new canonical form compared with every accepted one in Python."""
+    m = U.shape[1]
+    found, forms = [], []
+
+    def canonical(us):
+        vals = []
+        for uu in us:
+            re = uu.real % math.pi
+            if re > math.pi - 1e-6:
+                re -= math.pi
+            vals.append(complex(re, uu.imag))
+        return sorted(vals, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+
+    for row in U:
+        if not np.all(np.isfinite(row)):
+            continue
+        us = [complex(v) for v in row]
+        if any(abs(uu.imag) > eightvertex._IMAG_WINDOW + 0.2 for uu in us):
+            continue
+        if m == 2 and abs(us[0].imag - us[1].imag) < 1e-6:
+            d = (us[0] - us[1]).real
+            gaps = [(d - shift) % math.pi for shift in (0.0, 2 * ctx.eta, -2 * ctx.eta)]
+            if any(min(gap, math.pi - gap) < 1e-6 for gap in gaps):
+                continue
+        form = canonical(us)
+        if any(all(abs(a - b) < 1e-6 for a, b in zip(form, f)) for f in forms):
+            continue
+        try:
+            resid = bethe_residual(BetheRoots(tuple(us), omega, n), ctx)
+        except (DomainError, PoleError):
+            continue
+        if max(abs(r) for r in resid) > 1e-9:
+            continue
+        found.append(us)
+        forms.append(form)
+    return [BetheRoots(tuple(us), omega, n) for us in found]
+
+
+@pytest.mark.parametrize("nome,n,m", [(0.2, 5, 1), (0.2, 4, 2), (0.45, 4, 2), (0.9, 4, 2)])
+def test_root_set_filter_matches_per_row_loop(nome, n, m):
+    # the same sets, in the same order, with the same representatives, on the
+    # Newton output and on rows made to hit every branch: copies shifted by
+    # pi or with the roots swapped, real parts just below pi, roots 2 eta
+    # apart, rows outside the strip and non-finite rows
+    ctx = ThetaContext(nome=nome)
+    omega = complex(OMEGAS[1])
+    U = _newton_polish(_newton_starts(m), n, omega, ctx)
+    done = U[np.all(np.isfinite(U), axis=1)]
+    edge = done[::6].copy()
+    edge[:, 0] += 1j * (eightvertex._IMAG_WINDOW + 0.2 - edge[:, 0].imag + [0.0, 1e-9][m - 1])
+    # most sets hold a root with real part 0 mod pi, which done - 1e-12
+    # moves just below pi
+    extra = [done[::7] + math.pi, done[::5] - 2 * math.pi, done[::3, ::-1], done - 1e-12, edge]
+    if m == 2:
+        x = np.linspace(0.1, 3.0, 7)
+        for gap in (0.0, 2 * ctx.eta, -2 * ctx.eta, math.pi + 2 * ctx.eta, 2 * ctx.eta + 5e-7):
+            extra.append(np.stack([x + 0.3j, x - gap + 0.3j], axis=1))
+    extra.append(np.full((2, m), np.nan + 0j))
+    extra.append(np.full((2, m), 0.4 + 1.5j))
+    U = np.concatenate([U] + extra)
+    got = _root_sets(U, n, omega, ctx)
+    assert got
+    assert got == _root_sets_loop(U, n, omega, ctx)
 
 
 def _scan_with_residual_calls(monkeypatch, n, m, omega):

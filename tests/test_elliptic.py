@@ -8,9 +8,11 @@ from susyxyz.elliptic import (
     _MAX_TERMS,
     ETA_SUSY,
     ThetaContext,
+    _series,
+    _term_plan,
     h,
     theta,
-    theta_and_derivative,
+    theta1_from_exp,
     theta_reach,
     w,
     zeta_of_nome,
@@ -158,6 +160,36 @@ def _theta_per_term_loop(kind, z, nome, trunc_tol=1e-16):
     return total
 
 
+def _theta_and_derivative(kind, z, nome):
+    """The former theta_and_derivative: theta's value, and theta' as the
+    term-by-term derivative of the same series, one cos or sin of each
+    argument per term, each element summed to the term count of the theta'
+    reach table and its own |Im z|."""
+    z = np.asarray(z)
+    value = theta(kind, z, nome)
+    coefs, freqs, tables = _series(kind, float(nome))
+    flat = z.ravel()
+    is_complex = np.iscomplexobj(flat)
+    y = np.abs(flat.imag) if is_complex else np.zeros(flat.shape)
+    order, ends = _term_plan(tables[1], y, np.isfinite(flat), kind, nome, derivative=True)
+    flat = flat[order]
+    slope = np.zeros(flat.shape, dtype=complex if is_complex else float)
+    # d/dz coef sin(f z) = coef f cos(f z); d/dz coef cos(f z) = -coef f sin(f z)
+    dtrig, sign = (np.cos, 1.0) if kind == 1 else (np.sin, -1.0)
+    for n, end in enumerate(ends):
+        if freqs[n]:
+            slope[:end] += sign * coefs[n] * freqs[n] * dtrig(freqs[n] * flat[:end])
+    slope[order] = slope.copy()
+    slope = slope.reshape(z.shape)
+    return value, slope[()] if slope.ndim == 0 else slope
+
+
+def _from_exp(z, nome):
+    """theta1_from_exp at the points z."""
+    z = np.asarray(z)
+    return theta1_from_exp(np.exp(1j * z), np.abs(z.imag), nome)
+
+
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
 def test_theta_matches_per_term_loop(kind):
     rng = np.random.default_rng(kind)
@@ -207,12 +239,12 @@ def test_theta_of_an_element_does_not_depend_on_its_batch(kind):
         z = np.where(np.abs(z.imag) < theta_reach(kind, nome, derivative=True), z, z.real)
         with np.errstate(invalid="ignore"):
             batch = theta(kind, z, nome)
-            both = theta_and_derivative(kind, z.reshape(5, 8), nome)
+            both = _theta_and_derivative(kind, z.reshape(5, 8), nome)
             for i, zi in enumerate(z):
                 alone = theta(kind, np.array([zi]), nome)[0]
                 assert np.array_equal(alone, batch[i], equal_nan=True)
                 assert np.array_equal(theta(kind, np.array(zi), nome), alone, equal_nan=True)
-                pair = theta_and_derivative(kind, zi, nome)
+                pair = _theta_and_derivative(kind, zi, nome)
                 assert np.array_equal(pair[0], alone, equal_nan=True)
                 assert np.array_equal(pair[1], both[1].ravel()[i], equal_nan=True)
         assert np.array_equal(both[0].ravel(), batch, equal_nan=True)
@@ -220,13 +252,59 @@ def test_theta_of_an_element_does_not_depend_on_its_batch(kind):
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
 def test_theta_and_derivative_shapes_and_types(kind):
-    value, slope = theta_and_derivative(kind, 0.7, 0.3)
+    value, slope = _theta_and_derivative(kind, 0.7, 0.3)
     assert type(value) is type(slope) is np.float64
     assert value == theta(kind, np.array([0.7]), 0.3)[0]
-    value, slope = theta_and_derivative(kind, np.zeros((2, 0), dtype=complex), 0.3)
+    value, slope = _theta_and_derivative(kind, np.zeros((2, 0), dtype=complex), 0.3)
     assert value.shape == slope.shape == (2, 0)
-    value, slope = theta_and_derivative(kind, np.array([[0.4 + 0.2j]]), 0.3)
+    value, slope = _theta_and_derivative(kind, np.array([[0.4 + 0.2j]]), 0.3)
     assert value.shape == slope.shape == (1, 1) and value.dtype == complex
+    if kind == 1:
+        # theta1_from_exp takes E = e^{iz}, so its values are complex
+        value, slope = theta1_from_exp(np.exp(0.7j), 0.0, 0.3)
+        assert type(value) is type(slope) is np.complex128
+        value, slope = theta1_from_exp(np.zeros((2, 0), dtype=complex), np.zeros((2, 0)), 0.3)
+        assert value.shape == slope.shape == (2, 0)
+        value, slope = _from_exp(np.array([[0.4 + 0.2j]]), 0.3)
+        assert value.shape == slope.shape == (1, 1) and value.dtype == slope.dtype == complex
+
+
+def test_theta1_from_exp_of_an_element_does_not_depend_on_its_batch():
+    # each element gets the term count of its own y, so alone and in a batch
+    # the values agree bit for bit; a NaN E gives NaN and never raises
+    rng = np.random.default_rng(30)
+    z = rng.uniform(-4.0, 4.0, 40) + 1j * rng.choice([0.0, 0.3, 2.0, 6.5], 40)
+    for nome in (0.0, 0.2, 0.45, 0.9):
+        reach = theta_reach(1, nome, derivative=True)
+        zs = np.where(np.abs(z.imag) < reach, z, z.real)
+        E, y = np.exp(1j * zs), np.abs(zs.imag)
+        E[[3, 17]] = np.nan
+        y[[5, 17]] = [np.inf, np.nan]
+        E[8], y[8] = np.nan, 2 * reach + 1.0  # a non-finite element never raises
+        batch = theta1_from_exp(E.reshape(5, 8), y.reshape(5, 8), nome)
+        for i in range(len(z)):
+            alone = theta1_from_exp(E[i:i + 1], y[i:i + 1], nome)
+            scalar = theta1_from_exp(E[i], y[i], nome)
+            for k in range(2):
+                assert np.array_equal(alone[k][0], batch[k].ravel()[i], equal_nan=True)
+                assert np.array_equal(scalar[k], alone[k][0], equal_nan=True)
+        for part in batch:
+            part = part.ravel()
+            assert not np.any(np.isfinite(part[[3, 8, 17]]))
+            finite = np.ones(len(z), dtype=bool)
+            finite[[3, 5, 8, 17]] = False
+            assert np.all(np.isfinite(part[finite]))
+
+
+@pytest.mark.parametrize("nome", [0.0, 0.05, 0.2, 0.45])
+def test_theta1_from_exp_matches_the_series_reference(nome):
+    # within rounding of theta and of the theta' series with a cos per term
+    rng = np.random.default_rng(int(100 * nome))
+    z = rng.uniform(-6.0, 6.0, (20, 10)) + 1j * rng.uniform(-1.5, 1.5, (20, 10))
+    value, slope = _from_exp(z, nome)
+    ref_value, ref_slope = _theta_and_derivative(1, z, nome)
+    assert np.all(np.abs(value - ref_value) <= 1e-13 * np.maximum(1.0, np.abs(ref_value)))
+    assert np.all(np.abs(slope - ref_slope) <= 1e-13 * np.maximum(1.0, np.abs(ref_slope)))
 
 
 @given(kind=st.integers(1, 4), z=st.floats(-6, 6), q=st.floats(0, 0.95))
@@ -252,28 +330,29 @@ def test_theta_complex_against_mpmath(kind, x, y, q):
     assert abs(theta(kind, complex(x, y), q) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
-@given(kind=st.integers(1, 4), z=st.floats(-6, 6), q=st.floats(0, 0.95))
+@given(z=st.floats(-6, 6), q=st.floats(0, 0.95))
 @settings(max_examples=80, deadline=None)
-def test_theta_derivative_real_against_mpmath(kind, z, q):
+def test_theta_derivative_real_against_mpmath(z, q):
+    # theta_1 and theta_1' of theta1_from_exp, which the Newton scan uses
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        ref = float(mpmath.jtheta(kind, z, q, derivative=1))
-    assert abs(theta_and_derivative(kind, z, q)[1] - ref) <= 1e-13 * max(1.0, abs(ref))
+        refs = [float(mpmath.jtheta(1, z, q, derivative=d)) for d in (0, 1)]
+    for got, ref in zip(_from_exp(z, q), refs):
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 @given(
-    kind=st.integers(1, 4),
     x=st.floats(-6, 6),
     y=st.floats(-1.5, 1.5),
     q=st.floats(0, 0.5),
 )
 @settings(max_examples=80, deadline=None)
-def test_theta_derivative_complex_against_mpmath(kind, x, y, q):
+def test_theta_derivative_complex_against_mpmath(x, y, q):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        ref = complex(mpmath.jtheta(kind, mpmath.mpc(x, y), q, derivative=1))
-    got = theta_and_derivative(kind, complex(x, y), q)[1]
-    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+        refs = [complex(mpmath.jtheta(1, mpmath.mpc(x, y), q, derivative=d)) for d in (0, 1)]
+    for got, ref in zip(_from_exp(complex(x, y), q), refs):
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_theta_raises_instead_of_truncating():
@@ -326,12 +405,16 @@ def test_theta_derivative_reach_is_where_it_starts_to_raise(kind, q):
     ))
     assert reach <= theta_reach(kind, q)
     below = complex(0.4, reach * (1 - 1e-9))
-    assert all(np.isfinite(theta_and_derivative(kind, below, q)))
-    values = theta_and_derivative(kind, np.array([below, -below, math.nan]), q)
-    assert all(np.all(np.isfinite(v[:2])) for v in values)
-    with pytest.raises(RangeError, match="theta_"):
-        theta_and_derivative(kind, complex(0.4, reach), q)
-    with pytest.raises(RangeError):
-        theta_and_derivative(kind, np.array([0.1, complex(0.4, -reach)]), q)
-    with pytest.raises(RangeError):
-        theta_and_derivative(kind, 0.3, 0.999)  # even real z fails there
+    # the series reference for every kind, and theta1_from_exp for theta_1
+    evaluators = [lambda z, q: _theta_and_derivative(kind, z, q)]
+    evaluators += [_from_exp] if kind == 1 else []
+    for evaluate in evaluators:
+        assert all(np.isfinite(evaluate(below, q)))
+        values = evaluate(np.array([below, -below, math.nan]), q)
+        assert all(np.all(np.isfinite(v[:2])) for v in values)
+        with pytest.raises(RangeError, match="theta_"):
+            evaluate(complex(0.4, reach), q)
+        with pytest.raises(RangeError):
+            evaluate(np.array([0.1, complex(0.4, -reach)]), q)
+        with pytest.raises(RangeError):
+            evaluate(0.3, 0.999)  # even real z fails there

@@ -214,3 +214,15 @@ def test_full_space_operators_only_where_the_input_is_full_space():
                    if isinstance(node, ast.FunctionDef)
                    and node.name in ("local_q", "supercharge_full")]
     assert sorted(definitions) == [("tests", "local_q"), ("tests", "supercharge_full")]
+
+
+def test_bethe_system_takes_h_from_exponentials():
+    # the Newton system evaluates h and h' with theta1_from_exp on products of
+    # e^{iU}; no theta series with a sin or cos per term, and no complex trig
+    tree = ast.parse((ROOT / "src/susyxyz/eightvertex.py").read_text())
+    (entire,) = [fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_bethe_entire"]
+    called = {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+              for call in ast.walk(entire) if isinstance(call, ast.Call)}
+    assert "theta1_from_exp" in called
+    assert called & {"theta", "theta_and_derivative", "h", "sin", "cos", "tan"} == set()
