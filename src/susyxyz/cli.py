@@ -10,6 +10,7 @@ the linear algebra inside each of them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,6 @@ from .eightvertex import (
     hamiltonian_from_transfer,
     path_rank,
     path_rank_complement,
-    path_states,
     transfer_apply,
     transfer_matrix,
 )
@@ -265,11 +265,13 @@ def cmd_pathbasis(args):
     ctx = ThetaContext(nome=nome, s=args.s, t=args.t)
     lines = []
     for n in args.n:
-        states = path_states(n)
-        header = {"n": n, "count": len(states), "rank": path_rank(n, ctx)}
-        lines.append(json.dumps(header))
-        for p in states:
-            lines.append(json.dumps(p.to_json_dict()))
+        # every admissible path (n - 2m = 0 mod 3), by m, then ell, then positions
+        paths = [json.dumps({"ell": ell, "positions": list(xs), "n": n})
+                 for m in range(n + 1) if (n - 2 * m) % 3 == 0
+                 for ell in range(3)
+                 for xs in itertools.combinations(range(1, n + 1), m)]
+        lines.append(json.dumps({"n": n, "count": len(paths), "rank": path_rank(n, ctx)}))
+        lines.extend(paths)
     _emit(lines, args.out)
     return 0
 

@@ -166,72 +166,10 @@ def hamiltonian_from_transfer(n, ctx):
 # path basis
 
 
-@dataclass(frozen=True)
-class PathState:
-    """A height path: base height ell, down steps at the given positions."""
-
-    ell: int
-    positions: tuple
-    n: int
-
-    def __post_init__(self):
-        if self.ell not in (0, 1, 2):
-            raise DomainError(f"base height must be 0, 1 or 2, got {self.ell}")
-        xs = self.positions
-        if any(not (1 <= x <= self.n) for x in xs) or list(xs) != sorted(set(xs)):
-            raise DomainError(f"positions must be strictly increasing in 1..{self.n}")
-        if (self.n - 2 * len(xs)) % 3 != 0:
-            raise DomainError(
-                f"n - 2m = {self.n - 2 * len(xs)} must be a multiple of 3"
-            )
-
-    @property
-    def m(self):
-        return len(self.positions)
-
-    def heights(self):
-        """Local heights ell_1 .. ell_{n+1}."""
-        hs = [self.ell]
-        down = set(self.positions)
-        for j in range(1, self.n + 1):
-            hs.append(hs[-1] - 1 if j in down else hs[-1] + 1)
-        return hs
-
-    def to_json_dict(self):
-        return {"ell": self.ell, "positions": list(self.positions), "n": self.n}
-
-
-def path_states(n):
-    """All admissible paths: base height in {0,1,2}, n - 2m = 0 mod 3."""
-    states = []
-    for m in range(n + 1):
-        if (n - 2 * m) % 3 != 0:
-            continue
-        for ell in range(3):
-            for xs in itertools.combinations(range(1, n + 1), m):
-                states.append(PathState(ell=ell, positions=xs, n=n))
-    return states
-
-
-def path_translate(p):
-    """The path obtained by translating the chain one site to the right.
-
-    The last step is glued to the front; the new base height is reduced to
-    {0, 1, 2}, which is a shift by -1 (last step up) or +1 (last step down)
-    modulo 3.
-    """
-    if p.n in p.positions:
-        new_pos = (1,) + tuple(x + 1 for x in p.positions if x != p.n)
-        new_ell = (p.ell + 1) % 3
-    else:
-        new_pos = tuple(x + 1 for x in p.positions)
-        new_ell = (p.ell - 1) % 3
-    return PathState(ell=new_ell, positions=new_pos, n=p.n)
-
-
-# A path is also the integer code ell << n | mask, where bit x-1 of the mask
-# marks a down step at x; the numerical routines index paths in ascending code
-# order, the order of `_path_codes`.
+# A path of n steps has a base height ell in {0, 1, 2} and m down steps, with
+# n - 2m = 0 mod 3. It is the integer code ell << n | mask, where bit x-1 of the
+# mask marks a down step at x; the numerical routines index paths in ascending
+# code order, the order of `_path_codes`.
 
 
 def _path_codes(n):
@@ -242,7 +180,9 @@ def _path_codes(n):
 
 
 def _translate_path_codes(codes, n):
-    """`path_translate` on an integer array of path codes."""
+    """The paths of an integer array of codes translated one site to the
+    right: the last step is glued to the front, and the base height moves by
+    -1 (last step up) or +1 (last step down) modulo 3."""
     mask, ell = codes & ((1 << n) - 1), codes >> n
     down = mask >> (n - 1)
     return (((ell + 2 * down - 1) % 3) << n) | rotate_left(mask, n)
@@ -309,7 +249,7 @@ def _path_blocks(n, ctx, inhomogeneities=None):
     """The path matrix M as blocks [(sector, M_B)], with
     M M^H = sum_B B M_B M_B^H B^H for the embedding B of the sector.
 
-    A one-site translation S permutes the paths, S|p> = |path_translate(p)>,
+    A one-site translation S permutes the paths, S|p> = |Sp>,
     so M M^H commutes with S and splits over its eigenspaces: the sector is
     the momentum sector with S = t, and M_B = B^H [sqrt(p_r) |r>] over the
     representatives r of the path orbits whose period p_r has t^{p_r} = 1

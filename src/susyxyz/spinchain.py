@@ -459,14 +459,28 @@ def _xyz_blocks(n, coupling, sector):
         yield p, block
 
 
-def _eigh_checked(M):
-    """Ascending eigenpairs of the symmetrised M, the one eigensolve of the
-    package; raises ContractError if M is not Hermitian to 1e-12 * scale or a
-    residual exceeds 1e-9 * scale."""
-    scale = max(1.0, np.linalg.norm(M))
+def _eigh_checked(M, vectors=True):
+    """Ascending eigenpairs of the symmetrised M, or with vectors=False the
+    ascending eigenvalues of M alone: the one eigensolve of the package.
+
+    Raises ContractError if M is not Hermitian to 1e-12 * scale, scale =
+    max(1, ||M||_F). The eigenpairs are checked by their residuals, each within
+    1e-9 * scale. The eigenvalues alone are checked by two moments: sum(lambda)
+    = tr M within 1e-9 * scale and sum(lambda^2) = ||M||_F^2 within
+    1e-9 * scale^2. They come from one triangle of M, which by Weyl's
+    inequality moves them by at most the asymmetry, so M is not symmetrised.
+    """
+    norm = np.linalg.norm(M)
+    scale = max(1.0, norm)
     adjoint = M.conj().T if np.iscomplexobj(M) else M.T
     if np.linalg.norm(M - adjoint) > 1e-12 * scale:
         raise ContractError("operator is not Hermitian within tolerance")
+    if not vectors:
+        evals = np.linalg.eigvalsh(M)
+        if not (abs(evals.sum() - np.trace(M).real) <= 1e-9 * scale
+                and abs(evals @ evals - norm ** 2) <= 1e-9 * scale ** 2):
+            raise ContractError("eigenvalues miss the trace or the Frobenius norm of the operator")
+        return evals
     evals, evecs = np.linalg.eigh((M + adjoint) / 2.0)
     resid = np.linalg.norm(M @ evecs - evecs * evals, axis=0)
     if resid.max(initial=0.0) > 1e-9 * scale:
@@ -508,7 +522,7 @@ def spectrum(op):
     conserves the spin parity: the sorted union of its block spectra."""
     if op.domain.dim != op.codomain.dim:
         raise ContractError("spectrum requires a square operator (domain = codomain)")
-    levels = [_eigh_checked(block)[0] for _, block in _parity_blocks(op, 1)]
+    levels = [_eigh_checked(block, vectors=False) for _, block in _parity_blocks(op, 1)]
     return np.sort(np.concatenate([np.zeros(0), *levels]))
 
 

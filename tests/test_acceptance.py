@@ -19,7 +19,6 @@ from susyxyz.eightvertex import (
     intertwining_residual,
     path_rank,
     path_rank_complement,
-    path_states,
     tq_eigenvalue,
     transfer_matrix,
     translation_eigenvalue,
@@ -48,6 +47,8 @@ from susyxyz.supercharge import (
     susy_sector,
     verify_algebra,
 )
+
+from path_reference import path_states
 
 ZETAS = (0.0, 0.3, 1.0, 2.5)
 

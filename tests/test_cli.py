@@ -22,6 +22,8 @@ from susyxyz.eightvertex import BetheRoots
 from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import DomainError
 
+from path_reference import path_states
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -295,6 +297,17 @@ def test_pathbasis_output(capsys):
     states = [json.loads(line) for line in lines[1:]]
     assert len(states) == 6
     assert all(set(s) == {"ell", "positions", "n"} for s in states)
+    # one line per path, in the order of the reference listing: m, then ell,
+    # then the down-step positions
+    code, out, _ = run(capsys, "pathbasis", "--n", "2..9")
+    assert code == 0
+    expected = []
+    for n in range(2, 10):
+        paths = path_states(n)
+        expected.append(json.dumps({"n": n, "count": len(paths),
+                                    "rank": eightvertex.path_rank(n, ThetaContext(nome=0.2))}))
+        expected.extend(json.dumps(p.to_json_dict()) for p in paths)
+    assert out.splitlines() == expected
 
 
 def test_transfer_checks(capsys):

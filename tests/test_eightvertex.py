@@ -16,7 +16,6 @@ from susyxyz.eightvertex import (
     _path_codes,
     _root_sets,
     _translate_path_codes,
-    PathState,
     appendixB_decomposition,
     bethe_amplitudes,
     bethe_residual,
@@ -30,8 +29,6 @@ from susyxyz.eightvertex import (
     path_matrix,
     path_rank,
     path_rank_complement,
-    path_states,
-    path_translate,
     scattering_ratio,
     theta_triple_product,
     tq_eigenvalue,
@@ -44,6 +41,8 @@ from susyxyz.eightvertex import (
 from susyxyz.elliptic import ThetaContext, h, zeta_of_nome
 from susyxyz.errors import DomainError, InvariantViolation, PoleError
 from susyxyz.spinchain import CouplingLine, symmetry_operator, xyz_hamiltonian_full
+
+from path_reference import PathState, path_states, path_translate
 
 CTX = ThetaContext(nome=0.2)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyxyz.eightvertex import path_states, path_translate
 from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import ConfigurationError, DomainError
 from susyxyz.fermion import (
@@ -26,6 +25,8 @@ from susyxyz.fermion import (
     y_of_zeta,
 )
 from susyxyz.spinchain import SectorBasis, _eigh_checked, embed, project, spectrum
+
+from path_reference import path_states, path_translate
 
 
 def test_hardcore_state_validation():
@@ -156,7 +157,22 @@ def test_t3_sectors_are_one_parity_block(n_f):
                 if basis.dim:
                     assert np.array_equal(basis.parity_blocks[0][1], np.arange(basis.dim))
                 op = project(fermion_hamiltonian(model), basis)
-                assert np.array_equal(spectrum(op), _eigh_checked(op.matrix)[0])
+                assert np.array_equal(spectrum(op), _eigh_checked(op.matrix, vectors=False))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_t3_spectrum_matches_the_eigenpair_path(m):
+    # the sectors of the spectral comparison, N_f = 3m: the eigenvalues-only
+    # spectrum against the eigenvalues of the checked eigenpairs
+    n_f = 3 * m
+    for boundary in ("ramond", "neveu-schwarz"):
+        model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
+                             boundary=boundary, m=m)
+        for sigma in (1, -1):
+            op = project(fermion_hamiltonian(model), t3_sector_basis(n_f, m, sigma, boundary))
+            ref = _eigh_checked(op.matrix)[0]
+            assert np.abs(spectrum(op) - ref).max(initial=0.0) <= 1e-12 * max(
+                1.0, np.linalg.norm(op.matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,6 @@ TEST_ONLY = {
     "scattering_ratio": "paper claim: coincident rapidities scatter with amplitude -1",
     "theta_couplings": "paper claim: the theta-function coupling conjecture",
     "path_to_hardcore": "paper claim: the map from height paths to hard-core states",
-    "path_translate": ("reference: translation of a path, against the vectorised code "
-                       "step and the spin translation"),
     "supercharge_matrix": "reference: the fermion Q, against H = {Q, Q^dag}",
     "translation_matrix": "reference: the fermion translation, against the T^3 sectors",
 }
@@ -183,12 +181,16 @@ def _src_callers(callee):
             for name in _callers(path, callee)]
 
 
-def test_path_state_only_for_the_path_listing():
-    # the numerical routines take integer path codes; a PathState, the
-    # validated view of a path, is built only by path_states (the pathbasis
-    # listing) and path_translate (a test reference)
-    assert _src_callers("PathState") == [("src/susyxyz/eightvertex.py", "path_states"),
-                                         ("src/susyxyz/eightvertex.py", "path_translate")]
+def test_no_path_state_in_src():
+    # the numerical routines take paths as integer codes, and the pathbasis
+    # listing is written straight from the combinations of down steps;
+    # PathState, the validated view of a path, path_states and path_translate
+    # are test references
+    names = {node.name for path in sorted((ROOT / "src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert names & {"PathState", "path_states", "path_translate"} == set()
+    assert _src_callers("PathState") == []
 
 
 def test_full_space_operators_only_where_the_input_is_full_space():

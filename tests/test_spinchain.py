@@ -17,6 +17,7 @@ from susyxyz.spinchain import (
     _fold,
     _group_levels,
     _orbit_sector,
+    _parity_blocks,
     build_sector_basis,
     common_levels,
     embed,
@@ -390,10 +391,12 @@ def test_real_sector_spectra_match_complex_dense_reference(n):
 def test_eigh_checked_rejects_real_nonsymmetric():
     M = np.diag([1.0, 2.0, 3.0])
     M[0, 2] = 1e-3
-    with pytest.raises(ContractError):
-        _eigh_checked(M)
+    for vectors in (True, False):
+        with pytest.raises(ContractError):
+            _eigh_checked(M, vectors=vectors)
     evals, evecs = _eigh_checked(M + M.T)
     assert evals.dtype == np.float64 and evecs.dtype == np.float64
+    assert _eigh_checked(M + M.T, vectors=False).dtype == np.float64
 
 
 def test_eigh_checked_bound_is_1e12_relative():
@@ -406,11 +409,80 @@ def test_eigh_checked_bound_is_1e12_relative():
     for rel, rejected in ((1e-11, True), (1e-13, False)):
         M = S + rel * np.linalg.norm(S) / np.linalg.norm(K - K.T) * K
         assert np.linalg.norm(M - M.T) / np.linalg.norm(M) == pytest.approx(rel, rel=1e-3)
-        if rejected:
-            with pytest.raises(ContractError, match="Hermitian"):
-                _eigh_checked(M)
-        else:
-            _eigh_checked(M)
+        for vectors in (True, False):
+            if rejected:
+                with pytest.raises(ContractError, match="Hermitian"):
+                    _eigh_checked(M, vectors=vectors)
+            else:
+                _eigh_checked(M, vectors=vectors)
+
+
+def _shift_lowest(ev, scale):
+    ev = ev.copy()
+    ev[0] += 1e-6 * scale
+    return ev
+
+
+def _average_extremes(ev, scale):
+    # the same sum, but the sum of squares falls by (max - min)^2 / 2
+    ev = ev.copy()
+    ev[0] = ev[-1] = (ev[0] + ev[-1]) / 2.0
+    return ev
+
+
+def _one_nan(ev, scale):
+    ev = ev.copy()
+    ev[len(ev) // 2] = np.nan
+    return ev
+
+
+@pytest.mark.parametrize("corrupt", [_shift_lowest, _average_extremes, _one_nan])
+def test_eigenvalue_moments_reject_wrong_eigenvalues(monkeypatch, corrupt):
+    # the eigenvalues-only branch checks sum(lambda) = tr M and
+    # sum(lambda^2) = ||M||_F^2; each corruption breaks one of them
+    op = xyz_hamiltonian(8, CouplingLine(0.7), build_sector_basis(8, 1.0))
+    eigvalsh = np.linalg.eigvalsh
+    for _, block in _parity_blocks(op, 1):
+        ev = eigvalsh(block)
+        assert (ev[-1] - ev[0]) ** 2 / 2.0 > 1e-6 * max(1.0, np.linalg.norm(block)) ** 2
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: corrupt(eigvalsh(M), max(1.0, np.linalg.norm(M))))
+    with pytest.raises(ContractError, match="trace or the Frobenius norm"):
+        spectrum(op)
+
+
+def test_spectrum_computes_no_eigenvectors(monkeypatch):
+    # a spin sector, a parity refinement (whose V came from eigh when it was
+    # built) and a fermion T^3 sector: spectrum reads eigenvalues alone
+    coupling = CouplingLine(0.7)
+    ops = [xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0)),
+           xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0, parity=-1))]
+    model = FermionModel(n_f=12, couplings=staggered_couplings(12, 0.61),
+                         boundary="ramond", m=4)
+    ops.append(project(fermion_hamiltonian(model), t3_sector_basis(12, 4, -1, "ramond")))
+
+    def no_eigh(M):
+        raise AssertionError("spectrum computed eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for op in ops:
+        assert op.domain.dim > 0
+        assert len(spectrum(op)) == op.domain.dim
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_spectrum_matches_the_eigenpair_path(n):
+    # every momentum sector and both parity refinements: the eigenvalues-only
+    # branch against the eigenvalues of the checked eigenpairs, block by block
+    for zeta in (0.0, 0.7, 2.5):
+        for basis in _all_sectors(n):
+            op = xyz_hamiltonian(n, CouplingLine(zeta), basis)
+            ref = np.sort(np.concatenate(
+                [np.zeros(0), *(_eigh_checked(block)[0] for _, block in _parity_blocks(op, 1))]))
+            got = spectrum(op)
+            assert len(got) == basis.dim
+            assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(
+                1.0, np.linalg.norm(op.matrix))
 
 
 # ---------------------------------------------------------------------------
