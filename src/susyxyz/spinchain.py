@@ -10,16 +10,18 @@ Sandvik, arXiv:1101.3281, section 4). The embedding B has one nonzero per
 row, so `embed` (B X) and `restrict` (B^H Y) act through the table in
 O(rows * columns of X). The same orbit-sum builder, for any signed
 permutation of bitmask states, gives the hard-core fermion ring its T^3
-sectors over the hard-core masks. Translation keeps the number of down spins,
-so every orbit sum has a definite spin parity P = (-1)^{#down}; a sector
-records which columns have which P. The XYZ H (which keeps P) and the
-supercharges (which flip it) are built straight in sector coordinates, one
-allowed parity block at a time, by applying their local terms to orbit states
-and folding the images onto columns through the table; no full-space
-operator is formed on that path. Operators given on the
-full space are projected: a sparse one (the fermion H, the parity), held as
-COO triplets, is folded onto the columns through the tables in the same way,
-and a dense one (the transfer matrix) goes through `embed` and `restrict`.
+sectors over the hard-core masks, and, run on the columns of a real-t
+momentum sector, which the reflection maps to +- columns, its parity
+refinements. Translation and reflection keep the number of down spins, so
+every orbit sum has a definite spin parity P = (-1)^{#down}; a sector records
+which columns have which P. The XYZ H (which keeps P) and the supercharges
+(which flip it) are built straight in sector coordinates, one allowed parity
+block at a time, by applying their local terms to orbit states and folding
+the images onto columns through the table; no full-space operator is formed
+on that path. Operators given on the full space are projected: a sparse one
+(the fermion H), held as COO triplets, is folded onto the columns through the
+tables in the same way, and a dense one (the transfer matrix) goes through
+`embed` and `restrict`.
 Every sector spectrum comes from one checked eigensolve per parity block.
 The dtype follows t: a real t (= +-1, the sectors of the supercharges and of
 T^3) gives float64 amplitudes and sector operators, so their eigensolves and
@@ -73,18 +75,11 @@ class SectorBasis:
     that holds it, or -1 if its orbit is not admitted, and `amplitude` the
     state's coefficient in that orbit sum (0 for -1). t_eigenvalue is the
     eigenvalue of the orbit step (translation, or T^3), and `orbit_reps`
-    holds the (representative, period) of every admitted orbit; column i is
-    the orbit sum of orbit_reps[i]. A parity refinement mixes these orbit
-    sums: it shares the table of the unrefined basis and holds `refinement`
-    = (the unrefined basis, V), its basis vectors being the orbit sums
-    combined by the columns of V. A real t (|Im t| <= 1e-12, stored snapped
-    to +-1) gives float64 amplitudes, otherwise they are complex128.
-
-    `parity_blocks` holds one (P, column indices) pair per spin parity
-    P = (-1)^popcount present among the orbit representatives, P = +1 first;
-    the hard-core masks of a fermion sector share one popcount, so they form
-    one block, and a parity refinement is one block with P = 0 (no definite
-    spin parity).
+    holds the (smallest state, number of states) of every admitted orbit;
+    column i is the orbit sum of orbit_reps[i]. An orbit of a parity
+    refinement is a translation orbit joined to its mirror image, or a
+    mirror-symmetric one. A real t (|Im t| <= 1e-12, stored snapped to +-1)
+    gives float64 amplitudes, otherwise they are complex128.
     """
 
     n: int
@@ -94,13 +89,18 @@ class SectorBasis:
     dim: int
     column: np.ndarray = field(repr=False, compare=False)
     amplitude: np.ndarray = field(repr=False, compare=False)
-    parity_blocks: tuple = field(repr=False, compare=False)
-    refinement: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def orbit_arrays(self):
         """(representatives, periods) of the admitted orbits, as int64 arrays."""
         return np.array(self.orbit_reps, dtype=np.int64).reshape(-1, 2).T
+
+    @cached_property
+    def parity_blocks(self):
+        """(P, column indices) per spin parity P = (-1)^popcount of the orbit
+        representatives, P = +1 first; a fermion sector's masks form one block."""
+        parity = _spin_parity(self.orbit_arrays[0])
+        return tuple((p, np.flatnonzero(parity == p)) for p in (1, -1) if np.any(parity == p))
 
     @cached_property
     def orbit_members(self):
@@ -125,17 +125,10 @@ class SectorBasis:
         return position
 
 
-def _orbit_form(basis):
-    """(the unrefined basis, V) of a sector; V is None for an unrefined one."""
-    return basis.refinement or (basis, None)
-
-
 def embed(basis, X):
     """B X: the columns of X (dim rows of sector coordinates) as vectors on
     the model's basis, amplitude * X[column] per state (0 outside the
     admitted orbits)."""
-    basis, V = _orbit_form(basis)
-    X = X if V is None else V @ X
     rows = np.flatnonzero(basis.column >= 0)
     out = np.zeros((len(basis.column), X.shape[1]), dtype=np.result_type(basis.amplitude, X))
     out[rows] = basis.amplitude[rows, None] * X[basis.column[rows]]
@@ -146,12 +139,11 @@ def restrict(basis, Y):
     """B^H Y: the sector coordinates of the columns of Y (one row per state
     of the model's basis), conj(amplitude) * Y summed over each orbit, one
     position in the orbits at a time."""
-    basis, V = _orbit_form(basis)
     states, weights = basis.orbit_members
     out = np.zeros((basis.dim, Y.shape[1]), dtype=np.result_type(weights, Y))
     for j in range(states.shape[1]):
         out += weights[:, j, None] * Y[states[:, j]]
-    return out if V is None else V.conj().T @ out
+    return out
 
 
 @dataclass(frozen=True)
@@ -234,6 +226,11 @@ def reverse_bits(bits, n):
     return out
 
 
+def reverse_spins(bits, n):
+    """Spin reversal: every spin of n sites flipped; works on an int or an integer array."""
+    return bits ^ ((1 << n) - 1)
+
+
 def _spin_parity(bits):
     """(-1)^(number of set bits), elementwise of a nonnegative integer array."""
     return 1 - 2 * (np.bitwise_count(bits) & 1).astype(np.int64)
@@ -249,9 +246,7 @@ def _orbit_sector(states, n, step, t):
     Column i is the orbit sum sum_{k<p} conj(t)^k s_k |step^k(rep_i)> / sqrt(p),
     where s_k is the sign accumulated over the first k steps, and the orbit
     table over `states` gives every state its column and amplitude. The orbits
-    are ascending by representative, and the columns are split into spin
-    parity blocks by the popcount of their representative, which the step
-    keeps.
+    are ascending by representative.
     """
     rep = states.copy()
     period = np.zeros(len(states), dtype=np.int64)
@@ -282,7 +277,6 @@ def _orbit_sector(states, n, step, t):
         amplitude[rows] = tbar ** k * acc[live] / np.sqrt(periods[live])
         x, sign = step(x)
         acc = acc * sign
-    parity = _spin_parity(reps)
     return SectorBasis(
         n=n,
         t_eigenvalue=t,
@@ -291,8 +285,6 @@ def _orbit_sector(states, n, step, t):
         dim=len(reps),
         column=column,
         amplitude=amplitude,
-        parity_blocks=tuple((p, np.flatnonzero(parity == p)) for p in (1, -1)
-                            if np.any(parity == p)),
     )
 
 
@@ -310,14 +302,16 @@ def symmetry_operator(kind, n):
     if kind == "parity":
         return _permutation(reverse_bits(states, n))
     if kind == "spin_reversal":
-        return _permutation(states ^ ((1 << n) - 1))
+        return _permutation(reverse_spins(states, n))
     raise DomainError(f"unknown symmetry operator kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
 def build_sector_basis(n, t_eigenvalue, parity=None):
     """Orthonormal basis of the momentum sector with translation eigenvalue t,
-    optionally refined by parity (requires t real)."""
+    optionally refined by parity +-1 (requires t real)."""
+    if parity not in (None, 1, -1):
+        raise DomainError(f"parity must be None, 1 or -1, got {parity!r}")
     t = complex(t_eigenvalue)
     if abs(t ** n - 1.0) > 1e-9:
         raise DomainError(f"t={t} is not an {n}-th root of unity")
@@ -330,12 +324,31 @@ def build_sector_basis(n, t_eigenvalue, parity=None):
     return basis if parity is None else _refine_parity(basis, int(parity))
 
 
+def _signed_orbit_map(basis, symmetry):
+    """(perm, sign) with S|c~> = sign[c] |perm[c]~> for the orbit sums c~ of
+    a real-t sector and a symmetry S = symmetry(bits, n) that maps each to
+    +- another: c~ goes to the orbit sum of S r, r its representative."""
+    reps = basis.orbit_arrays[0]
+    images = symmetry(reps, basis.n)
+    perm = basis.column[images]
+    return perm, basis.amplitude[images] / basis.amplitude[reps[perm]]
+
+
 def _refine_parity(basis, parity):
-    evals, evecs = _eigh_checked(project(symmetry_operator("parity", basis.n), basis).matrix)
-    keep = np.where(np.abs(evals - parity) < 1e-8)[0]
-    return replace(basis, parity_eigenvalue=parity, dim=len(keep),
-                   parity_blocks=((0, np.arange(len(keep))),),
-                   refinement=(basis, evecs[:, keep]))
+    """The reflection eigenvalue `parity` part of a real-t momentum sector:
+    the reflection maps each column to +- another, and its eigenvalue-`parity`
+    orbit sums over the columns (`_orbit_sector`) are the refined columns, whose
+    table composed with the momentum table is the refined orbit table."""
+    perm, sign = _signed_orbit_map(basis, reverse_bits)
+    pairs = _orbit_sector(np.arange(basis.dim), basis.n, lambda c: (perm[c], sign[c]), parity)
+    cols, counts = pairs.orbit_arrays
+    reps, periods = basis.orbit_arrays
+    # the appended -1 and 0 are read by the states whose orbit is not admitted (column -1)
+    column = np.append(pairs.column, -1)[basis.column]
+    amplitude = basis.amplitude * np.append(pairs.amplitude, 0.0)[basis.column]
+    sizes = periods[cols] * counts
+    return replace(basis, parity_eigenvalue=parity, dim=pairs.dim, column=column,
+                   amplitude=amplitude, orbit_reps=tuple(zip(reps[cols].tolist(), sizes.tolist())))
 
 
 def project(full_op, domain, codomain=None):
@@ -344,22 +357,19 @@ def project(full_op, domain, codomain=None):
     A `FullOperator` is folded onto the columns through the orbit tables, as
     `_fold` folds the images of a local term: entry (r, s) with value v adds
     v * amp(s) * conj(amp(r)) at (column(r), column(s)) when both orbits are
-    admitted, and a parity refinement applies its V on both sides. A dense
-    operator goes through `embed` and `restrict`.
+    admitted. A dense operator goes through `embed` and `restrict`.
     """
     codomain = codomain if codomain is not None else domain
     if isinstance(full_op, np.ndarray):
         matrix = restrict(codomain, full_op @ embed(domain, np.eye(domain.dim)))
         return SectorOperator(domain, codomain, matrix)
-    (dom, Vd), (cod, Vc) = _orbit_form(domain), _orbit_form(codomain)
-    src = dom.column[full_op.cols]
+    src = domain.column[full_op.cols]
     keep = src >= 0
-    matrix = np.zeros((cod.dim, dom.dim),
-                      dtype=np.result_type(dom.amplitude, cod.amplitude, full_op.vals))
-    _add_images(matrix, np.arange(cod.dim), cod, src[keep], full_op.rows[keep],
-                full_op.vals[keep] * dom.amplitude[full_op.cols[keep]])
-    matrix = matrix if Vd is None else matrix @ Vd
-    return SectorOperator(domain, codomain, matrix if Vc is None else Vc.conj().T @ matrix)
+    matrix = np.zeros((codomain.dim, domain.dim),
+                      dtype=np.result_type(domain.amplitude, codomain.amplitude, full_op.vals))
+    _add_images(matrix, np.arange(codomain.dim), codomain, src[keep], full_op.rows[keep],
+                full_op.vals[keep] * domain.amplitude[full_op.cols[keep]])
+    return SectorOperator(domain, codomain, matrix)
 
 
 def xyz_hamiltonian_full(n, coupling):
@@ -421,10 +431,11 @@ def xyz_hamiltonian(n, coupling, sector):
     """Hermitian restriction of H_N (with its constant shift) to a sector
     basis, built in sector coordinates one spin parity block at a time.
 
-    H commutes with translation, so for orbit sums r~ and s~ of a momentum
-    sector <s~|H|r~> = sqrt(p_r) <s~|H|r>: the n bond terms are applied to
-    the representatives r alone and their images folded onto the columns
-    (`_fold`). A parity refinement V of a sector gets V^T H V.
+    The orbit sum of a representative r is Pi|r> / amp(r), Pi the sector's
+    projector, which commutes with H, so <s~|H|r~> = sqrt(size_r) <s~|H|r>
+    (size_r the number of states of r's orbit): the n bond terms are applied
+    to the representatives r alone and their images folded onto the columns
+    (`_fold`).
     """
     if sector.n != n:
         raise DomainError(f"sector has n={sector.n}, expected {n}")
@@ -435,12 +446,8 @@ def xyz_hamiltonian(n, coupling, sector):
 
 def _xyz_blocks(n, coupling, sector):
     """The parity blocks of `xyz_hamiltonian`, built one at a time."""
-    if sector.refinement is not None:
-        parent, V = sector.refinement
-        yield 0, V.T @ xyz_hamiltonian(n, coupling, parent).matrix @ V
-        return
     jx, jy, jz = coupling.jx, coupling.jy, coupling.jz
-    all_reps, all_periods = sector.orbit_arrays
+    all_reps, all_sizes = sector.orbit_arrays
     # bond j joins sites j and j + 1 (mod n), bits j and jn
     j = np.arange(n)[:, None]
     jn = (j + 1) % n
@@ -451,7 +458,7 @@ def _xyz_blocks(n, coupling, sector):
         zz = (1.0 - 2.0 * bj) * (1.0 - 2.0 * bk)
         coeff = np.where(bj == bk, -(jx - jy) / 2.0, -(jx + jy) / 2.0)
         _fold(block, sector, p, np.tile(src, n), (reps ^ (1 << j | 1 << jn)).ravel(),
-              (np.sqrt(all_periods[cols]) * coeff).ravel())
+              (np.sqrt(all_sizes[cols]) * coeff).ravel())
         diag = np.full(len(cols), n * (jx + jy + jz) / 2.0)
         for bond in zz:  # one bond at a time, as in the full-space H
             diag -= 0.5 * jz * bond

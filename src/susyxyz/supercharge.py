@@ -12,8 +12,8 @@ positive-energy states into quadruplets spanning three chain lengths.
 Q_N is not translation covariant on the full space, so it is built in sector
 coordinates by applying the n + 1 local terms q_j to every state of each
 domain orbit and folding the images onto the codomain's orbit sums, one spin
-parity block at a time. Spin reversal maps orbit sums to orbit sums, so Qt_N
-is Q_N with its rows and columns permuted and signed.
+parity block at a time. Spin reversal maps orbit sums to +- orbit sums, so
+Qt_N is Q_N with its rows and columns permuted and signed.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ from .spinchain import (
     _parity_blocks,
     _parity_columns,
     _rank,
+    _signed_orbit_map,
     _spin_parity,
     build_sector_basis,
     common_levels,
-    project,
+    reverse_bits,
+    reverse_spins,
     spectrum,
-    symmetry_operator,
     xyz_hamiltonian,
 )
 
@@ -73,14 +74,12 @@ def _q_term(j, n, zeta, x):
     return on, np.concatenate([base, base | pair]), np.repeat([sign, -zeta * sign], len(base))
 
 
-def _spin_reversal(basis):
-    """(perm, sign) with R|c~> = sign[c] |perm[c]~> for the orbit sums c~ of
-    a real-t sector: R commutes with translation, so it maps the orbit of r
-    onto that of R r, of the same period, with the sign of R r in its orbit sum."""
-    reps = basis.orbit_arrays[0]
-    images = reps ^ ((1 << basis.n) - 1)
-    perm = basis.column[images]
-    return perm, basis.amplitude[images] / basis.amplitude[reps[perm]]
+def _conjugated(Q, symmetry):
+    """S_{N+1} Q S_N for a symmetry S that maps orbit sums to +- orbit sums
+    (`_signed_orbit_map`): the whole Q with its rows and columns permuted and signed."""
+    perm_in, sign_in = _signed_orbit_map(Q.domain, symmetry)
+    perm_out, sign_out = _signed_orbit_map(Q.codomain, symmetry)
+    return sign_out[:, None] * Q.matrix[np.ix_(perm_out, perm_in)] * sign_in
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class SuperchargePair:
     """Q_N and its spin-reversed partner Qt_N = R_{N+1} Q_N R_N on the momentum
     sectors. Q_N is held as parity blocks; Qt_N, formed when first read, is
     the whole Q_N with its rows and columns permuted and signed
-    (`_spin_reversal`). R_N maps spin parity P to (-1)^N P, so Qt_N maps P
+    (`_conjugated`). R_N maps spin parity P to (-1)^N P, so Qt_N maps P
     to P."""
 
     n: int
@@ -98,10 +97,7 @@ class SuperchargePair:
     @cached_property
     def q_tilde(self):
         Q = self.q_plain
-        perm_in, sign_in = _spin_reversal(Q.domain)
-        perm_out, sign_out = _spin_reversal(Q.codomain)
-        Qt = sign_out[:, None] * Q.matrix[np.ix_(perm_out, perm_in)] * sign_in
-        return SectorOperator(Q.domain, Q.codomain, Qt)
+        return SectorOperator(Q.domain, Q.codomain, _conjugated(Q, reverse_spins))
 
 
 def build_supercharges(n, zeta):
@@ -352,18 +348,13 @@ def multiplet_report(n_center, zeta):
 
 
 def parity_covariance_check(n, zeta):
-    """Check P_{N+1} Q_N = (-1)^{N+1} Q_N P_N on the sectors; for odd n also
-    check that the odd-parity spectrum is contained in the even-parity one
-    (`parity_spectral_inclusion`)."""
-    dom = susy_sector(n)
-    cod = susy_sector(n + 1)
-    pair = build_supercharges(n, zeta)
-    P_dom = project(symmetry_operator("parity", n), dom).matrix
-    P_cod = project(symmetry_operator("parity", n + 1), cod).matrix
-    Q = pair.q_plain.matrix
-    resid = np.linalg.norm(P_cod @ Q - (-1.0) ** (n + 1) * Q @ P_dom)
+    """Check P_{N+1} Q_N P_N = (-1)^{N+1} Q_N on the sectors (P^2 = 1); for odd
+    n also check that the odd-parity spectrum is contained in the even-parity
+    one (`parity_spectral_inclusion`)."""
+    Q = build_supercharges(n, zeta).q_plain
+    resid = np.linalg.norm(_conjugated(Q, reverse_bits) - (-1.0) ** (n + 1) * Q.matrix)
     report = _check_record("parity_covariance", n, zeta, resid,
-                           resid < 1e-10 * max(1.0, np.linalg.norm(Q)))
+                           resid < 1e-10 * max(1.0, np.linalg.norm(Q.matrix)))
     if n % 2 == 0:
         return [report]
     residual, ok = parity_spectral_inclusion(n, zeta)

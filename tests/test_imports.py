@@ -194,15 +194,12 @@ def test_no_path_state_in_src():
 
 
 def test_full_space_operators_only_where_the_input_is_full_space():
-    # the spin-sector H, Q and Qt are built from the orbit tables; a
-    # full-space operator is projected only where it is the input: the
-    # fermion T^3 side, the parity refinement and covariance, and the
-    # transfer-matrix intertwining
+    # the spin-sector H, Q, Qt and parity refinements are built from the
+    # orbit tables; a full-space operator is projected only where it is the
+    # input: the fermion T^3 side and the transfer-matrix intertwining
     assert _src_callers("project") == [
         ("src/susyxyz/eightvertex.py", "intertwining_residual"),
         ("src/susyxyz/fermion.py", "fermion_spectrum"),
-        ("src/susyxyz/spinchain.py", "_refine_parity"),
-        ("src/susyxyz/supercharge.py", "parity_covariance_check"),
     ]
     # the full-space H acts on the transfer-matrix checks and on the path
     # complement, a full-space vector

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from susyxyz import spinchain
 from susyxyz.eightvertex import _path_blocks, _path_codes, _translate_path_codes, path_vectors
 from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import ContractError, DomainError
@@ -193,6 +194,12 @@ def test_bad_sector_size():
         xyz_hamiltonian(4, CouplingLine(0.2), sector)
 
 
+@pytest.mark.parametrize("parity", [2, 0, 1.5])
+def test_parity_other_than_plus_or_minus_one_is_rejected(parity):
+    with pytest.raises(DomainError, match="parity"):
+        build_sector_basis(6, 1.0, parity=parity)
+
+
 def _orbits_loop(n):
     """Reference: (representative, period) of every translation orbit."""
     seen = bytearray(1 << n)
@@ -253,9 +260,9 @@ def test_sector_embeddings_sparse_orthonormal_and_translation_covariant(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_unrefined_embedding_nnz_counts_orbit_states(n):
-    for t in _roots_of_unity(n):
-        basis = build_sector_basis(n, t)
-        states = sum(period for _, period in basis.orbit_reps)
+    # the parity refinements too: one nonzero per state of an admitted orbit
+    for basis in _all_sectors(n):
+        states = sum(size for _, size in basis.orbit_reps)
         assert np.count_nonzero(basis.column >= 0) == np.count_nonzero(basis.amplitude) == states
         assert states <= 2 ** n
 
@@ -452,8 +459,8 @@ def test_eigenvalue_moments_reject_wrong_eigenvalues(monkeypatch, corrupt):
 
 
 def test_spectrum_computes_no_eigenvectors(monkeypatch):
-    # a spin sector, a parity refinement (whose V came from eigh when it was
-    # built) and a fermion T^3 sector: spectrum reads eigenvalues alone
+    # a spin sector, a parity refinement and a fermion T^3 sector: spectrum
+    # reads eigenvalues alone
     coupling = CouplingLine(0.7)
     ops = [xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0)),
            xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0, parity=-1))]
@@ -468,6 +475,21 @@ def test_spectrum_computes_no_eigenvectors(monkeypatch):
     for op in ops:
         assert op.domain.dim > 0
         assert len(spectrum(op)) == op.domain.dim
+
+
+def test_parity_refinement_needs_no_eigensolve_or_projection(monkeypatch):
+    # a refined sector is built from the orbit tables alone, and its H in
+    # sector coordinates
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the parity refinement called an eigensolver or a projection")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(spinchain, "project", forbidden)
+    build_sector_basis.cache_clear()
+    coupling = CouplingLine(0.7)
+    dims = [len(spectrum(xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0, parity=p))))
+            for p in (1, -1)]
+    assert sum(dims) == build_sector_basis(9, 1.0).dim and min(dims) > 0
 
 
 @pytest.mark.parametrize("n", range(2, 14))
@@ -496,13 +518,15 @@ def _real_momentum_sectors(n):
 
 @pytest.mark.parametrize("n", range(2, 12))
 def test_parity_blocks_follow_the_popcount_of_every_orbit_state(n):
-    for basis in _real_momentum_sectors(n):
+    # the momentum sectors and their parity refinements (at n = 2 one of each
+    # pair of refinements is empty)
+    for basis in _all_sectors(n):
         labels = np.zeros(basis.dim, dtype=int)
         for p, cols in basis.parity_blocks:
             labels[cols] = p
-        assert [p for p, _ in basis.parity_blocks] in ([1, -1], [1], [-1])
-        assert np.array_equal(np.sort(np.concatenate([c for _, c in basis.parity_blocks])),
-                              np.arange(basis.dim))
+        assert [p for p, _ in basis.parity_blocks] in ([1, -1], [1], [-1], [])
+        cols = np.concatenate([np.zeros(0, dtype=int), *(c for _, c in basis.parity_blocks)])
+        assert np.array_equal(np.sort(cols), np.arange(basis.dim))
         rows = np.flatnonzero(basis.column >= 0)
         downs = np.array([bin(int(s)).count("1") for s in rows])
         assert np.array_equal((-1) ** downs, labels[basis.column[rows]])
@@ -531,10 +555,3 @@ def test_spectrum_rejects_an_operator_that_flips_the_spin_parity():
     _eigh_checked(op.matrix)
     with pytest.raises(ContractError, match="spin parity"):
         spectrum(op)
-
-
-def test_parity_refined_sectors_are_one_block():
-    for parity in (1, -1):
-        basis = build_sector_basis(8, 1.0, parity=parity)
-        ((p, cols),) = basis.parity_blocks
-        assert p == 0 and np.array_equal(cols, np.arange(basis.dim))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from susyxyz.spinchain import (
     SectorOperator,
     _parity_blocks,
     _rank,
+    _signed_orbit_map,
+    build_sector_basis,
     project,
+    reverse_bits,
+    reverse_spins,
     spectrum,
     symmetry_operator,
     xyz_hamiltonian,
@@ -123,6 +128,23 @@ def test_cohomology_builds_no_tilde_charge(monkeypatch):
     assert np.array_equal(pair.q_tilde.matrix, S_out @ pair.q_plain.matrix @ S_in)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("kind, symmetry",
+                         [("spin_reversal", reverse_spins), ("parity", reverse_bits)])
+def test_signed_orbit_maps_match_projected_symmetries(n, kind, symmetry):
+    # S|c~> = sign[c] |perm[c]~> against the rounded projection of the
+    # full-space S, on every real-t sector, parity-refined or not
+    for t in (1.0, -1.0) if n % 2 == 0 else (1.0,):
+        for parity in (None, 1, -1):
+            basis = build_sector_basis(n, t, parity=parity)
+            ref = project(symmetry_operator(kind, n), basis).matrix
+            perm, sign = _signed_orbit_map(basis, symmetry)
+            S = np.zeros((basis.dim, basis.dim))
+            S[perm, np.arange(basis.dim)] = sign
+            assert np.array_equal(np.rint(ref), S)
+            assert np.abs(ref - S).max(initial=0.0) <= 1e-12
+
+
 @pytest.mark.parametrize("n", range(2, 14))
 def test_supercharges_match_projected_references(n):
     # Q and Qt = R Q R from the orbit tables against the projections of the
@@ -217,6 +239,27 @@ def test_parity_covariance():
     for n in (3, 4, 5):
         for check in parity_covariance_check(n, 0.6):
             assert check["pass"], check
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_parity_covariance_rejects_a_perturbed_supercharge(monkeypatch, n):
+    # one entry of Q moved by 1e-6, in a row whose orbit sum the reflection
+    # sends to another one (there is none at n + 1 <= 5), so that P Q P
+    # moves it elsewhere
+    build = supercharge.build_supercharges
+    P = np.rint(project(symmetry_operator("parity", n + 1), susy_sector(n + 1)).matrix)
+    row = np.flatnonzero(np.diag(P) == 0)[0]
+
+    def perturbed(*args):
+        pair = build(*args)
+        Q = pair.q_plain.matrix.copy()
+        Q[row, 0] += 1e-6
+        return replace(pair, q_plain=SectorOperator(pair.q_plain.domain, pair.q_plain.codomain, Q))
+
+    monkeypatch.setattr(supercharge, "build_supercharges", perturbed)
+    check = parity_covariance_check(n, 0.6)[0]
+    assert check["relation"] == "parity_covariance" and not check["pass"]
+    assert check["residual"] == pytest.approx(math.sqrt(2) * 1e-6, rel=1e-6)
 
 
 def test_member_id_format():
