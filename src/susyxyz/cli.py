@@ -37,7 +37,7 @@ from .spinchain import (
     rescaled_spectrum,
     spectrum,
     spectrum_csv_rows,
-    symmetry_operator,
+    translation_operator,
     xyz_hamiltonian,
     xyz_hamiltonian_full,
 )
@@ -284,7 +284,7 @@ def check_transfer(args):
     zeta = zeta_of_nome(nome)
     for n in args.n:
         T_eta = transfer_matrix(n, ctx.eta, ctx)
-        shift = symmetry_operator("translation", n).toarray()
+        shift = translation_operator(n).toarray()
         r = np.linalg.norm(T_eta - h(2 * ctx.eta, ctx) ** n * shift)
         scale = max(1.0, np.linalg.norm(T_eta))
         checks.append(_check_record("transfer_at_eta_is_translation", n, zeta, r / scale,

@@ -85,13 +85,18 @@ def hardcore_basis(n_f, m):
     (a cached tuple of ints)."""
     if not (0 <= m <= n_f // 2):
         raise DomainError(f"need 0 <= m <= n_f/2, got m={m}, n_f={n_f}")
+    # the placements on the open chain: sites c_i + i for the combinations
+    # c of n_f - m + 1 slots, so that neighbours are at least two sites apart
+    count = math.comb(n_f - m + 1, m)
     sites = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n_f), m)),
+        itertools.chain.from_iterable(itertools.combinations(range(n_f - m + 1), m)),
         dtype=np.int64,
-        count=math.comb(n_f, m) * m,
-    ).reshape(math.comb(n_f, m), m)
+        count=count * m,
+    ).reshape(count, m) + np.arange(m)
     masks = np.bitwise_or.reduce(1 << sites, axis=1)
-    masks = np.sort(masks[(masks & rotate_left(masks, n_f)) == 0])
+    # on the ring, the end sites 1 and n_f are neighbours too
+    ends = 1 | (1 << max(n_f - 1, 0))
+    masks = np.sort(masks[(masks & ends) != ends])
     if len(masks) != hardcore_count(n_f, m):
         raise InvariantViolation(
             f"hard-core count mismatch at n_f={n_f}, m={m}: "

@@ -288,22 +288,12 @@ def _orbit_sector(states, n, step, t):
     )
 
 
-def _permutation(image):
-    """The permutation |x> -> |image[x]> of the states 0..len(image)-1."""
-    dim = len(image)
-    return FullOperator(image, np.arange(dim), np.ones(dim), (dim, dim))
-
-
-def symmetry_operator(kind, n):
-    """Full-space operator (COO triplets) for translation, parity or spin reversal."""
-    states = np.arange(1 << n)
-    if kind == "translation":
-        return _permutation(rotate_left(states, n))
-    if kind == "parity":
-        return _permutation(reverse_bits(states, n))
-    if kind == "spin_reversal":
-        return _permutation(reverse_spins(states, n))
-    raise DomainError(f"unknown symmetry operator kind {kind!r}")
+def translation_operator(n):
+    """Full-space operator (COO triplets) of the translation T, the
+    permutation |x> -> |T x>."""
+    dim = 1 << n
+    states = np.arange(dim)
+    return FullOperator(rotate_left(states, n), states, np.ones(dim), (dim, dim))
 
 
 @lru_cache(maxsize=None)

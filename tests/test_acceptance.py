@@ -36,7 +36,7 @@ from susyxyz.spinchain import (
     common_levels,
     rescaled_spectrum,
     spectrum,
-    symmetry_operator,
+    translation_operator,
     xyz_hamiltonian,
     xyz_hamiltonian_full,
 )
@@ -140,7 +140,7 @@ def test_criterion_05_eight_vertex_consistency():
         zeta = zeta_of_nome(nome)
         for n in range(2, 7):
             T_eta = transfer_matrix(n, ctx.eta, ctx)
-            shift = symmetry_operator("translation", n).toarray()
+            shift = translation_operator(n).toarray()
             r = np.linalg.norm(T_eta - h(2 * ctx.eta, ctx) ** n * shift)
             if r > 1e-10 * max(1.0, np.linalg.norm(T_eta)):
                 failures.append(("translation", n, nome, r))

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from susyxyz.eightvertex import (
     _bethe_entire,
     _newton_polish,
     _newton_starts,
+    _on_discard_line,
     _path_blocks,
     _path_codes,
     _root_sets,
@@ -40,8 +42,9 @@ from susyxyz.eightvertex import (
 )
 from susyxyz.elliptic import ThetaContext, h, zeta_of_nome
 from susyxyz.errors import DomainError, InvariantViolation, PoleError
-from susyxyz.spinchain import CouplingLine, symmetry_operator, xyz_hamiltonian_full
+from susyxyz.spinchain import CouplingLine, xyz_hamiltonian_full
 
+from operator_reference import symmetry_operator
 from path_reference import PathState, path_states, path_translate
 
 CTX = ThetaContext(nome=0.2)
@@ -779,20 +782,111 @@ def _newton_all_rows(U, n, omega, ctx, tol=1e-11):
     return U
 
 
-@pytest.mark.parametrize("nome", [0.2, 0.45])
-def test_live_row_newton_matches_all_rows_loop(nome):
+@pytest.mark.parametrize("nome,cases", [
+    pytest.param(0.2, BENCH_BETHE_CASES, id="0.2"),
+    pytest.param(0.45, BENCH_BETHE_CASES, id="0.45"),
+    pytest.param(0.6, [(4, 2)], id="0.6-n4"),
+    pytest.param(0.45, [(7, 2)], id="0.45-n7"),
+])
+def test_live_row_newton_matches_all_rows_loop(nome, cases):
     # nome 0.2 is the one of the paper's Bethe checks, 0.45 needs the most
-    # theta terms; start rows, window and tolerance are find_bethe_roots'
-    # defaults
+    # theta terms; at nome 0.6, n = 4 and at nome 0.45, n = 7 the all-rows
+    # loop lets a few rows that reached the discard line drift about 2e-6 off
+    # it, where bethe_residual rejects them. Start rows, window and tolerance
+    # are find_bethe_roots' defaults
     ctx = ThetaContext(nome=nome)
-    for n, m in BENCH_BETHE_CASES:
+    for n, m in cases:
         start = _newton_starts(m)
         for omega in OMEGAS:
             got = _newton_polish(start, n, complex(omega), ctx)
             ref = _newton_all_rows(start, n, complex(omega), ctx)
-            # same iterates bit for bit, including which rows diverged, so the
-            # same root sets
-            assert np.array_equal(got, ref, equal_nan=True)
+            # a retired row ends on the discard line; every other row has the
+            # same iterates bit for bit, including which rows diverged
+            retired = ~np.all((got == ref) | (np.isnan(got) & np.isnan(ref)), axis=1)
+            assert np.any(retired) == (m == 2)
+            assert np.all(_on_discard_line(got[retired], ctx.eta))
+            assert np.array_equal(got[~retired], ref[~retired], equal_nan=True)
+            # so the same root sets, in the same order, with the same
+            # representatives
+            assert _root_sets(got, n, complex(omega), ctx) == _root_sets(ref, n, complex(omega), ctx)
+
+
+def _bethe_entire_reference(U, n, omega, ctx):
+    """The former kernel of the Newton scan: h(-2 eta) evaluated on every
+    call, and the products over all k' != k from a cumulative product from
+    both ends."""
+    K, m = U.shape
+    rows, cols = np.nonzero(~np.eye(m, dtype=bool))
+    above, below, double = (cmath.exp(1j * ctx.eta), cmath.exp(-1j * ctx.eta),
+                            cmath.exp(-2j * ctx.eta))
+    X = np.exp(1j * U)
+    exps = np.concatenate([X * above, X * below, X[:, rows] * (1.0 / X)[:, cols] * double],
+                          axis=1)
+    y = np.abs(U.imag)
+    y = np.concatenate([y, y, np.abs(U.imag[:, rows] - U.imag[:, cols])], axis=1)
+    val, der = elliptic.theta1_from_exp(exps, y, ctx.nome)
+    D = np.full((K, m, m), elliptic.theta1_from_exp(double, 0.0, ctx.nome)[0])
+    dD = np.zeros((K, m, m), dtype=complex)
+    D[:, rows, cols], dD[:, rows, cols] = val[:, 2 * m:], der[:, 2 * m:]
+    F = np.zeros((K, m), dtype=complex)
+    J = np.zeros((K, m, m), dtype=complex)
+    diag = np.arange(m)
+    ones = np.ones((K, m, 1), dtype=complex)
+    sides = (
+        (1.0, val[:, :m], der[:, :m], D, dD),
+        (omega ** 2, val[:, m:2 * m], der[:, m:2 * m], -D.transpose(0, 2, 1),
+         dD.transpose(0, 2, 1)),
+    )
+    for phase, v, dv, d, dd in sides:
+        power = v ** n
+        prod = np.prod(d, axis=2)
+        before = np.cumprod(np.concatenate([ones, d[:, :, :-1]], axis=2), axis=2)
+        after = np.cumprod(np.concatenate([ones, d[:, :, :0:-1]], axis=2), axis=2)[:, :, ::-1]
+        E = before * after * dd
+        F += phase * (power * prod)
+        J -= phase * (power[:, :, None] * E)
+        J[:, diag, diag] += phase * (n * v ** (n - 1) * dv * prod + power * E.sum(axis=2))
+    return F, J
+
+
+@pytest.mark.parametrize("nome", [0.05, 0.2, 0.45, 0.9])
+def test_bethe_kernel_matches_the_former_kernel_bit_for_bit(nome):
+    # complex np.prod over a short axis rounds differently from chained
+    # multiplications, and such a rounding difference moves root sets; so F
+    # and J of m <= 2 must stay bit-identical, on the start rows and on
+    # seeded random rows in the window of the starts
+    ctx = ThetaContext(nome=nome)
+    rng = np.random.default_rng(int(nome * 100))
+    for m in (1, 2):
+        window = eightvertex._IMAG_WINDOW
+        U = np.concatenate([_newton_starts(m), rng.uniform(0.0, math.pi, (200, m))
+                            + 1j * rng.uniform(-window, window, (200, m))])
+        for n in (4, 5, 7, 10, 13):
+            for omega in OMEGAS:
+                F, J = _bethe_entire(U, n, complex(omega), ctx)
+                F_ref, J_ref = _bethe_entire_reference(U, n, complex(omega), ctx)
+                assert np.array_equal(F, F_ref) and np.array_equal(J, J_ref)
+
+
+@pytest.mark.parametrize("omega,rows", zip(OMEGAS, (13060, 11864, 11860)),
+                         ids=("omega0", "omega1", "omega2"))
+def test_newton_scan_evaluates_no_retired_row(monkeypatch, omega, rows):
+    # a row retired on the discard line is never passed to the kernel again:
+    # every row after the start rows is the iterate of a row off the line.
+    # The former loop on live rows evaluated 19538, 19643 and 19639 rows in
+    # the same 60 calls
+    calls = []
+    real_entire = eightvertex._bethe_entire
+
+    def counting_entire(U, n, omega, ctx):
+        calls.append(U.copy())
+        return real_entire(U, n, omega, ctx)
+
+    monkeypatch.setattr(eightvertex, "_bethe_entire", counting_entire)
+    ctx = ThetaContext(nome=0.2)
+    assert find_bethe_roots(4, 2, omega, ctx)
+    assert not any(np.any(_on_discard_line(U, ctx.eta)) for U in calls[1:])
+    assert (len(calls), sum(map(len, calls))) == (60, rows)
 
 
 @pytest.mark.parametrize("nome", [0.2, 0.45])

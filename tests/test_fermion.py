@@ -24,7 +24,14 @@ from susyxyz.fermion import (
     translation_matrix,
     y_of_zeta,
 )
-from susyxyz.spinchain import SectorBasis, _eigh_checked, embed, project, spectrum
+from susyxyz.spinchain import (
+    SectorBasis,
+    _eigh_checked,
+    embed,
+    project,
+    rotate_left,
+    spectrum,
+)
 
 from path_reference import path_states, path_translate
 
@@ -45,6 +52,20 @@ def test_hardcore_basis_is_cached_tuple():
     assert hardcore_basis(12, 4) is first
     for n_f, m in ((12, 4), (18, 6), (7, 3)):
         assert len(hardcore_basis(n_f, m)) == hardcore_count(n_f, m)
+
+
+def _hardcore_basis_filter(n_f, m):
+    """Reference: every m-subset of the n_f ring sites, kept when no two
+    occupied sites are neighbours on the ring."""
+    masks = [sum(1 << y for y in sites) for sites in itertools.combinations(range(n_f), m)]
+    return tuple(sorted(x for x in masks if x & rotate_left(x, n_f) == 0))
+
+
+def test_hardcore_basis_matches_the_filter_over_all_subsets():
+    # the masks are generated from the placements on the open chain
+    for n_f in range(2, 19):
+        for m in range(n_f // 2 + 1):
+            assert hardcore_basis(n_f, m) == _hardcore_basis_filter(n_f, m), (n_f, m)
 
 
 @pytest.mark.parametrize(

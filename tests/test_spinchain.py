@@ -29,11 +29,12 @@ from susyxyz.spinchain import (
     rotate_left,
     spectrum,
     spectrum_csv_rows,
-    symmetry_operator,
     xyz_hamiltonian,
     xyz_hamiltonian_full,
 )
 from susyxyz.supercharge import susy_sector
+
+from operator_reference import symmetry_operator
 
 
 def test_coupling_line_identity():

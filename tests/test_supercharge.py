@@ -20,7 +20,6 @@ from susyxyz.spinchain import (
     reverse_bits,
     reverse_spins,
     spectrum,
-    symmetry_operator,
     xyz_hamiltonian,
 )
 from susyxyz.supercharge import (
@@ -33,6 +32,8 @@ from susyxyz.supercharge import (
     susy_sector,
     verify_algebra,
 )
+
+from operator_reference import symmetry_operator
 
 
 def local_q(j, n, zeta):
