@@ -305,87 +305,97 @@ def check_transfer(args):
 # parser
 
 
-# the options several commands share; each command declares those it reads
-_SHARED_OPTIONS = {
+# every option a command may read, shared (--zeta, --nome, ...) or its own;
+# each command declares those it reads, in the order of its help
+_OPTIONS = {
     "zeta": dict(type=parse_zeta_list, default=None),
     "nome": dict(type=float, default=None),
     "s": dict(type=float, default=0.3),
     "t": dict(type=float, default=-0.7),
     "tol": dict(type=float, default=None),
     "out": dict(default=None),
+    "sector": dict(default="susy"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "zeta-grid": dict(type=parse_grid, default=parse_grid("0:3:0.05")),
+    "nomes": dict(type=parse_zeta_list, default=(0.1, 0.3)),
+    "m": dict(type=parse_n_range, default=(2, 3)),
+    "variant": dict(default="both", choices=("both", "ramond_vs_kpi", "ns_vs_k0")),
+    "u": dict(type=float, default=0.45),
 }
 
 
-def build_parser():
+def _suite(check):
+    return lambda a: _check_output(check(a), a.out)
+
+
+# name: (the options it reads, the default of --n (required when None),
+# the keywords of its parser, what it runs); `check` holds the suites
+_COMMANDS = {
+    "spectrum": ("n zeta nome out sector format", None,
+                 dict(help="sector spectra as CSV/JSON"), cmd_spectrum),
+    "fig1": ("zeta-grid out", None,
+             dict(help="rescaled n=6/n=7 spectra over a zeta grid"), cmd_fig1),
+    "check": None,
+    "pathbasis": ("n nome s t out", (4,), dict(help="enumerate height-path states"),
+                  cmd_pathbasis),
+    "transfer": ("n nome s t tol out u", (3, 4), dict(help="transfer-matrix consistency checks"),
+                 _suite(check_transfer)),
+}
+_SUITES = {
+    "algebra": ("n zeta nome tol out", tuple(range(2, 9)), {}, _suite(check_algebra)),
+    "cohomology": ("n zeta nome out", tuple(range(3, 12)), {}, _suite(check_cohomology)),
+    "conjectures": ("n zeta nome s t tol out nomes", tuple(range(3, 8)), {},
+                    _suite(check_conjectures)),
+    "appendixB": ("nome s t out", None, {}, _suite(check_appendixB)),
+    "fermion-compare": ("m zeta variant tol out", None, {}, _suite(check_fermion_compare)),
+}
+
+
+def _add_command(group, name, options, n, kwargs, func):
+    """Add a subcommand that reads `options` (space-separated); --n, when
+    listed, defaults to `n` and is required without one."""
+    p = group.add_parser(name, allow_abbrev=False, **kwargs)
+    for option in options.split():
+        if option == "n":
+            p.add_argument("--n", type=parse_n_range, default=n, required=n is None)
+        else:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+    p.set_defaults(func=func)
+
+
+def build_parser(argv=None):
+    """The parser of every command, or, when argv starts with a command (and,
+    after `check`, a suite), of that one alone: the other commands and suites
+    are entered by name only, which is all that the usage lines and error
+    messages read, so those print as they do with the whole parser."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    suite = argv[1] if command == "check" and len(argv) > 1 and argv[1] in _SUITES else None
+    if command == "check" and suite is None:
+        command = None  # the usage and choices of `check` read every suite
     parser = argparse.ArgumentParser(
         prog="susy-xyz",
         description="Numerical checks for lattice supersymmetry of the XYZ chain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(group, name, options="", n=None, **kwargs):
-        """Add a subcommand that reads the shared `options` (space-separated);
-        --n, when listed, defaults to `n` and is required without one."""
-        p = group.add_parser(name, allow_abbrev=False, **kwargs)
-        for option in options.split():
-            if option == "n":
-                p.add_argument("--n", type=parse_n_range, default=n, required=n is None)
-            else:
-                p.add_argument(f"--{option}", **_SHARED_OPTIONS[option])
-        return p
-
-    def suite(p, check):
-        p.set_defaults(func=lambda a: _check_output(check(a), a.out))
-
-    p = command(sub, "spectrum", "n zeta nome out", help="sector spectra as CSV/JSON")
-    p.add_argument("--sector", default="susy")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = command(sub, "fig1", help="rescaled n=6/n=7 spectra over a zeta grid")
-    p.add_argument("--zeta-grid", type=parse_grid, default=parse_grid("0:3:0.05"))
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fig1)
-
-    p = sub.add_parser("check", help="run a named check suite")
-    chk = p.add_subparsers(dest="suite", required=True)
-
-    c = command(chk, "algebra", "n zeta nome tol out", n=tuple(range(2, 9)))
-    suite(c, check_algebra)
-
-    c = command(chk, "cohomology", "n zeta nome out", n=tuple(range(3, 12)))
-    suite(c, check_cohomology)
-
-    c = command(chk, "conjectures", "n zeta nome s t tol out", n=tuple(range(3, 8)))
-    c.add_argument("--nomes", type=parse_zeta_list, default=(0.1, 0.3))
-    suite(c, check_conjectures)
-
-    c = command(chk, "appendixB", "nome s t out")
-    suite(c, check_appendixB)
-
-    c = command(chk, "fermion-compare")
-    c.add_argument("--m", type=parse_n_range, default=(2, 3))
-    c.add_argument("--zeta", type=parse_zeta_list, default=None)
-    c.add_argument("--variant", default="both",
-                   choices=("both", "ramond_vs_kpi", "ns_vs_k0"))
-    c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--out", default=None)
-    suite(c, check_fermion_compare)
-
-    p = command(sub, "pathbasis", "n nome s t out", n=(4,),
-                help="enumerate height-path states")
-    p.set_defaults(func=cmd_pathbasis)
-
-    p = command(sub, "transfer", "n nome s t tol out", n=(3, 4),
-                help="transfer-matrix consistency checks")
-    p.add_argument("--u", type=float, default=0.45)
-    suite(p, check_transfer)
-
+    for name, spec in _COMMANDS.items():
+        if command and command != name:
+            sub.choices[name] = None  # listed in the usage; argv does not reach it
+        elif name != "check":
+            _add_command(sub, name, *spec)
+        else:
+            chk = sub.add_parser("check", help="run a named check suite").add_subparsers(
+                dest="suite", required=True)
+            for suite_name, suite_spec in _SUITES.items():
+                if suite and suite != suite_name:
+                    chk.choices[suite_name] = None
+                else:
+                    _add_command(chk, suite_name, *suite_spec)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "n", None) is not None and any(n < 1 for n in args.n):

@@ -299,7 +299,9 @@ def translation_operator(n):
 @lru_cache(maxsize=None)
 def build_sector_basis(n, t_eigenvalue, parity=None):
     """Orthonormal basis of the momentum sector with translation eigenvalue t,
-    optionally refined by parity +-1 (requires t real)."""
+    optionally refined by parity +-1 (requires t real). A refinement is built
+    from the cached momentum sector, read under the key (n, +-1.0) that
+    `susy_sector` and the CLI use, so it walks no 2^n states again."""
     if parity not in (None, 1, -1):
         raise DomainError(f"parity must be None, 1 or -1, got {parity!r}")
     t = complex(t_eigenvalue)
@@ -309,9 +311,9 @@ def build_sector_basis(n, t_eigenvalue, parity=None):
         t = 1.0 if t.real > 0 else -1.0  # snap, so the amplitudes are float64
     elif parity is not None:
         raise DomainError("parity sectors require a real translation eigenvalue")
-
-    basis = _orbit_sector(np.arange(1 << n), n, lambda x: (rotate_left(x, n), 1.0), t)
-    return basis if parity is None else _refine_parity(basis, int(parity))
+    if parity is not None:
+        return _refine_parity(build_sector_basis(n, t), int(parity))
+    return _orbit_sector(np.arange(1 << n), n, lambda x: (rotate_left(x, n), 1.0), t)
 
 
 def _signed_orbit_map(basis, symmetry):

@@ -13,7 +13,9 @@ Q_N is not translation covariant on the full space, so it is built in sector
 coordinates by applying the n + 1 local terms q_j to every state of each
 domain orbit and folding the images onto the codomain's orbit sums, one spin
 parity block at a time. Spin reversal maps orbit sums to +- orbit sums, so
-Qt_N is Q_N with its rows and columns permuted and signed.
+Qt_N is Q_N with its rows and columns permuted and signed. The cohomology
+ranks read Q_N on the reflection refinements of the sectors instead: four
+(spin parity, reflection) blocks, each about a quarter of the sector.
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ from .spinchain import (
 ALGEBRA_TOL = 1e-10  # default bound on the absolute residual of each relation
 
 
-def susy_sector(n):
-    """The momentum sector t_N = (-1)^{N+1} on which the supercharges act."""
-    return build_sector_basis(n, float((-1) ** (n + 1)))
+def susy_sector(n, parity=None):
+    """The momentum sector t_N = (-1)^{N+1} on which the supercharges act,
+    or its reflection-`parity` refinement."""
+    t = float((-1) ** (n + 1))
+    return build_sector_basis(n, t) if parity is None else build_sector_basis(n, t, parity=parity)
 
 
 def _q_term(j, n, zeta, x):
@@ -109,12 +113,26 @@ def build_supercharges(n, zeta):
     return SuperchargePair(n=n, zeta=zeta, q_plain=q)
 
 
-def _q_blocks(n, zeta):
-    """The blocks of Q_N, one at a time. Each term is applied to every state
-    x of the domain's orbit sums, with the state's amplitude, and its images
-    are folded onto the codomain's columns (`_fold`); q_j maps spin parity P
-    to -P."""
-    dom, cod = susy_sector(n), susy_sector(n + 1)
+def _refined_supercharge(n, zeta):
+    """{r: Q_N on the reflection-r refinement of its domain} for r = +-1. The
+    reflection (`reverse_bits`) maps Q_N to (-1)^{N+1} Q_N
+    (`parity_covariance_check`), so the codomain is the (-1)^{N+1} r
+    refinement, and the spin parity blocks of the two halves are the four
+    (P, r) blocks of Q_N."""
+    CouplingLine(zeta)  # raises DomainError for a non-finite zeta
+    return {r: SectorOperator(susy_sector(n, r), susy_sector(n + 1, (-1) ** (n + 1) * r),
+                              blocks=partial(_q_blocks, n, zeta, r), flip=-1)
+            for r in (1, -1)}
+
+
+def _q_blocks(n, zeta, reflection=None):
+    """The blocks of Q_N, one at a time, on the momentum sectors or from
+    their reflection refinements (`_refined_supercharge`). Each term is
+    applied to every state x of the domain's orbit sums, with the state's
+    amplitude, and its images are folded onto the codomain's columns
+    (`_fold`); q_j maps spin parity P to -P."""
+    image = None if reflection is None else (-1) ** (n + 1) * reflection
+    dom, cod = susy_sector(n, reflection), susy_sector(n + 1, image)
     column, amplitude = dom.column, dom.amplitude
     states = np.flatnonzero(column >= 0)  # the states of the admitted orbits
     parity = _spin_parity(states)
@@ -127,6 +145,7 @@ def _q_blocks(n, zeta):
             on, images, weights = _q_term(j, n, zeta, x)
             _fold(block, cod, -p, np.tile(src[on], 2), images, weights * np.tile(amp[on], 2))
         yield p, block
+        del block  # once the reader drops it too, freed before the next block
 
 
 def verify_algebra(n, zeta, tol=ALGEBRA_TOL, pairs=None):
@@ -172,13 +191,19 @@ def conserved_charge_C(n, zeta):
     return SectorOperator(domain=sector, codomain=sector, matrix=C)
 
 
-def _block_ranks(op, context):
-    """{P: rank of the block from spin parity P to -P} of a supercharge, one
-    SVD per block. The cut is the whole matrix's, _RANK_CUT times its largest
-    singular value, and the whole matrix's singular values (the blocks',
-    padded with zeros) are checked for honesty: warn when they straddle the cut."""
-    svals = {p: np.linalg.svd(block, compute_uv=False) for p, block in _parity_blocks(op, -1)}
-    s = np.zeros(min(op.codomain.dim, op.domain.dim))
+def _block_ranks(ops, context):
+    """{(P, r): rank of the block from spin parity P to -P} of a supercharge
+    given as its halves {r: operator}, one SVD per block. The cut is the
+    whole charge's, _RANK_CUT times the largest singular value over all its
+    blocks, and the whole charge's singular values (the blocks', padded with
+    zeros) are checked for honesty: warn when they straddle the cut."""
+    svals = {}
+    for r, op in ops.items():
+        for p, block in _parity_blocks(op, -1):
+            svals[p, r] = np.linalg.svd(block, compute_uv=False)
+            del block  # freed before the next block is built
+    s = np.zeros(min(sum(op.codomain.dim for op in ops.values()),
+                     sum(op.domain.dim for op in ops.values())))
     found = np.concatenate([np.zeros(0), *svals.values()])
     s[:len(found)] = np.sort(found)[::-1]
     rank = _rank(s)
@@ -191,22 +216,25 @@ def _block_ranks(op, context):
                 stacklevel=3,
             )
     s_max = s[0] if len(s) else 0.0
-    return {p: _rank(v, s_max) for p, v in svals.items()}
+    return {key: _rank(v, s_max) for key, v in svals.items()}
 
 
 def cohomology_dimension(n, zeta):
     """(dim H on spin parity P = +1, dim H on P = -1) of the complex of Q on
     the momentum sector t_N = (-1)^{N+1}: dim ker Q_N - rank Q_{N-1} per
-    parity block. Q maps parity P to -P, so the image of Q_{N-1} in the P
-    block comes from its -P block."""
+    (P, r) block, r the reflection eigenvalue, summed over r. Q_{N-1} maps
+    (P, r) to (-P, (-1)^N r), so the image of Q_{N-1} in the (P, r) block
+    comes from its (-P, (-1)^N r) block."""
     if n < 2:
         raise DomainError("cohomology needs n >= 2")
-    Qn = build_supercharges(n, zeta).q_plain
+    Qn = _refined_supercharge(n, zeta)
     rank_n = _block_ranks(Qn, f"Q_{n}")
-    rank_dn = _block_ranks(build_supercharges(n - 1, zeta).q_plain, f"Q_{n - 1}")
-    dims = {p: len(cols) - rank_n[p] - rank_dn.get(-p, 0)
-            for p, cols in Qn.domain.parity_blocks}
-    return dims.get(1, 0), dims.get(-1, 0)
+    rank_dn = _block_ranks(_refined_supercharge(n - 1, zeta), f"Q_{n - 1}")
+    dims = {1: 0, -1: 0}
+    for r, op in Qn.items():
+        for p, cols in op.domain.parity_blocks:
+            dims[p] += len(cols) - rank_n[p, r] - rank_dn.get((-p, (-1) ** n * r), 0)
+    return dims[1], dims[-1]
 
 
 @dataclass(frozen=True)

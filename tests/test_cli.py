@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -117,6 +118,57 @@ def test_parser_usage_error_exit_codes(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("usage: ")
     assert "Traceback" not in captured.err
+
+
+def _parsed(capsys, parser, argv):
+    """(exit code, namespace, stdout, stderr) of parser.parse_args(argv)."""
+    try:
+        code, args = 0, vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        code, args = exc.code, None
+    captured = capsys.readouterr()
+    return code, args, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--help",), ("-h", "spectrum"), ("bogus",), ("--n", "3", "spectrum"),
+    ("spectrum", "--help"), ("spectrum", "--n", "3", "--zeta", "0.5"),
+    ("spectrum", "--n", "3", "--zeta", "0.5", "--sectr", "k=0"),  # misspelled
+    ("spectrum", "--n", "3", "--tol", "1e-9"),  # not read by spectrum
+    ("spectrum", "--n", "3", "--form", "csv"),  # no abbreviations
+    ("spectrum", "--n", "3", "--format", "xml"), ("spectrum", "--n", "3", "stray"),
+    ("fig1", "-h"), ("fig1", "--zeta-grid", "0:1:0.5"), ("pathbasis", "--help"),
+    ("transfer", "--n", "3", "--u", "0.2", "--nome", "0.2"), ("transfer", "--uu", "1"),
+    ("check",), ("check", "--help"), ("check", "bogus"), ("check", "--n", "3"),
+    ("check", "cohomology", "--help"), ("check", "cohomology", "--n", "3..5"),
+    ("check", "cohomology", "--n", "3", "--tol", "1e-9"),
+    ("check", "cohomology", "--n", "3", "--zta", "0.7"), ("check", "cohomology", "--n", "x"),
+    ("check", "algebra", "-h"), ("check", "conjectures", "--nomes", "0.2", "--n", "3"),
+    ("check", "appendixB", "--help"), ("check", "appendixB", "--nome", "0.2", "--n", "3"),
+    ("check", "fermion-compare", "--help"), ("check", "fermion-compare", "--variant", "x"),
+    ("check", "fermion-compare", "--m", "2", "--zeta", "1.5"),
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parser_of_the_named_command_prints_as_the_whole_parser(capsys, argv):
+    # main builds only the parser of the command (and suite) argv names; its
+    # usage, errors, help, exit codes and parsed values are the whole parser's
+    whole = _parsed(capsys, build_parser(), list(argv))
+    assert _parsed(capsys, build_parser(list(argv)), list(argv)) == whole
+
+
+def test_parser_of_the_named_command_builds_no_other(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    build_parser(["check", "cohomology", "--n", "13"])
+    assert built == ["susy-xyz", "susy-xyz check", "susy-xyz check cohomology"]
+    built.clear()
+    build_parser()
+    assert len(built) == 11
 
 
 def test_spectrum_usage_error_exit_codes(capsys):

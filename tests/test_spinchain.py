@@ -493,6 +493,25 @@ def test_parity_refinement_needs_no_eigensolve_or_projection(monkeypatch):
     assert sum(dims) == build_sector_basis(9, 1.0).dim and min(dims) > 0
 
 
+def test_parity_refinements_refine_the_cached_momentum_sector(monkeypatch):
+    # once the momentum sector is built (here under the key of `susy_sector`),
+    # its refinements walk the orbits of its columns, not the 2^n states
+    walked = []
+
+    def recording(states, *args):
+        walked.append(len(states))
+        return _orbit_sector(states, *args)
+
+    monkeypatch.setattr(spinchain, "_orbit_sector", recording)
+    build_sector_basis.cache_clear()
+    momentum = susy_sector(13)
+    assert walked == [1 << 13]
+    refined = [build_sector_basis(13, 1, parity=p) for p in (1, -1)]
+    assert walked.count(1 << 13) == 1
+    assert [b.dim for b in refined] == [susy_sector(13, p).dim for p in (1, -1)]
+    assert sum(b.dim for b in refined) == momentum.dim
+
+
 @pytest.mark.parametrize("n", range(2, 14))
 def test_spectrum_matches_the_eigenpair_path(n):
     # every momentum sector and both parity refinements: the eigenvalues-only

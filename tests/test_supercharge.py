@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from susyxyz.spinchain import (
 )
 from susyxyz.supercharge import (
     _block_ranks,
+    _refined_supercharge,
     build_supercharges,
     cohomology_dimension,
     conserved_charge_C,
@@ -107,21 +109,29 @@ def test_conserved_charge_square_zero_and_commutes():
 
 
 def test_cohomology_builds_no_tilde_charge(monkeypatch):
-    # the cohomology reads Q only: Qt = R Q R is never projected
-    pairs = []
+    # the cohomology reads the reflection halves of Q only: neither the whole
+    # pair nor Qt = R Q R is built
+    built = []
 
     def recording_build(*args):
-        pairs.append(build_supercharges(*args))
-        return pairs[-1]
+        built.append(args)
+        return refined(*args)
 
-    monkeypatch.setattr(supercharge, "build_supercharges", recording_build)
+    def forbidden(*args):
+        raise AssertionError("the cohomology built a whole supercharge or Qt")
+
+    refined = supercharge._refined_supercharge
+    monkeypatch.setattr(supercharge, "_refined_supercharge", recording_build)
+    monkeypatch.setattr(supercharge, "build_supercharges", forbidden)
+    monkeypatch.setattr(supercharge, "_conjugated", forbidden)
     assert cohomology_dimension(5, 0.7) == (1, 1)
-    assert [p.n for p in pairs] == [5, 4]
-    assert all("q_tilde" not in vars(p) for p in pairs)
-    # read on demand, it is R Q R on the same sectors: R is a signed
+    assert built == [(5, 0.7), (4, 0.7)]
+    monkeypatch.undo()
+    # read on demand, Qt is R Q R on the same sectors: R is a signed
     # permutation of the orbit sums, so Qt is Q with its rows and columns
     # permuted and signed, exactly
-    pair = pairs[0]
+    pair = build_supercharges(5, 0.7)
+    assert "q_tilde" not in vars(pair)
     S_out, S_in = (np.rint(project(symmetry_operator("spin_reversal", b.n), b).matrix)
                    for b in (pair.q_plain.codomain, pair.q_plain.domain))
     for S in (S_out, S_in):
@@ -346,24 +356,70 @@ def test_forbidden_parity_blocks_are_exactly_zero(n):
             assert np.any(op.matrix[allowed] != 0.0)
 
 
+def _whole_sector_dims(n, zeta):
+    """Reference: the cohomology dims from one SVD per spin-parity block of
+    the whole Q_n and Q_{n-1}, each cut at 1e-10 times its charge's largest
+    singular value."""
+    ranks = []
+    for k in (n, n - 1):
+        Q = build_supercharges(k, zeta).q_plain
+        svals = {p: np.linalg.svd(block, compute_uv=False) for p, block in _parity_blocks(Q, -1)}
+        s_max = max((v.max(initial=0.0) for v in svals.values()), default=0.0)
+        ranks.append({p: _rank(v, s_max) for p, v in svals.items()})
+    dims = {p: len(cols) - ranks[0][p] - ranks[1].get(-p, 0)
+            for p, cols in susy_sector(n).parity_blocks}
+    return dims.get(1, 0), dims.get(-1, 0)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_refined_cohomology_equals_the_whole_sector_count(n):
+    # n = 2 has no r = +1 columns, n = 3 and 5 no r = -1 columns
+    for zeta in (0.05, 0.7, 1.0, 2.3, 3.0):
+        assert cohomology_dimension(n, zeta) == _whole_sector_dims(n, zeta)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_refined_blocks_hold_the_singular_values_of_q(n):
+    # the four (P, r) blocks of Q_n hold its singular values, and Q maps the
+    # reflection eigenvalue r to (-1)^{n+1} r
+    halves = _refined_supercharge(n, 0.7)
+    for r, op in halves.items():
+        assert op.domain.parity_eigenvalue == r
+        assert op.codomain.parity_eigenvalue == (-1) ** (n + 1) * r
+    whole = np.linalg.svd(build_supercharges(n, 0.7).q_plain.matrix, compute_uv=False)
+    union = np.concatenate([np.linalg.svd(block, compute_uv=False)
+                            for op in halves.values() for _, block in _parity_blocks(op, -1)])
+    assert len(union) <= len(whole)
+    union = np.sort(np.append(union, np.zeros(len(whole) - len(union))))[::-1]
+    assert np.abs(union - whole).max() <= 1e-12 * whole[0]
+
+
 @pytest.mark.parametrize("n", range(3, 12))
 def test_block_ranks_equal_the_whole_svd_rank(n):
+    # one cut per charge, over all four of its (P, r) blocks
     for zeta in (0.7, 2.3):
-        for q in (build_supercharges(n, zeta).q_plain, build_supercharges(n - 1, zeta).q_plain):
-            whole = _rank(np.linalg.svd(q.matrix, compute_uv=False))
-            assert sum(_block_ranks(q, "Q").values()) == whole
+        for k in (n, n - 1):
+            whole = _rank(np.linalg.svd(build_supercharges(k, zeta).q_plain.matrix,
+                                        compute_uv=False))
+            assert sum(_block_ranks(_refined_supercharge(k, zeta), "Q").values()) == whole
 
 
 def test_block_ranks_cut_and_warn_on_the_whole_matrix():
-    # the cut is 1e-10 times the largest singular value of the whole matrix,
-    # here in the other block, and a gap below 10 across it warns
-    dom, cod = susy_sector(3), susy_sector(4)
-    (plus, cols_plus), (minus, cols_minus) = dom.parity_blocks
-    rows = dict(cod.parity_blocks)
-    M = np.zeros((cod.dim, dom.dim))
-    M[rows[minus][0], cols_plus[0]] = 1.0
-    M[rows[plus][0], cols_minus[0]] = 2e-10
-    M[rows[plus][1], cols_minus[1]] = 5e-11
-    op = SectorOperator(domain=dom, codomain=cod, matrix=M)
-    with pytest.warns(UserWarning, match="ill-conditioned rank for Q_3"):
-        assert _block_ranks(op, "Q_3") == {1: 1, -1: 1}
+    # the cut is 1e-10 times the largest singular value of the whole charge,
+    # here in the other reflection half, and a gap below 10 across it warns,
+    # once for the charge
+    halves = {}
+    for r, values in ((1, {1: 1.0}), (-1, {-1: 2e-10, 1: 5e-11})):
+        dom, cod = susy_sector(7, r), susy_sector(8, r)
+        rows = dict(cod.parity_blocks)
+        M = np.zeros((cod.dim, dom.dim))
+        for p, value in values.items():
+            M[rows[-p][0], dict(dom.parity_blocks)[p][0]] = value
+        halves[r] = SectorOperator(domain=dom, codomain=cod, matrix=M)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ranks = _block_ranks(halves, "Q_7")
+    assert ranks == {(1, 1): 1, (-1, 1): 0, (1, -1): 0, (-1, -1): 1}
+    assert [str(w.message) for w in caught] == [
+        "ill-conditioned rank for Q_7: singular values 2.000e-10 / 5.000e-11 "
+        "straddle the threshold"]
