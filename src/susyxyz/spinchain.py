@@ -246,7 +246,8 @@ def _orbit_sector(states, n, step, t):
     Column i is the orbit sum sum_{k<p} conj(t)^k s_k |step^k(rep_i)> / sqrt(p),
     where s_k is the sign accumulated over the first k steps, and the orbit
     table over `states` gives every state its column and amplitude. The orbits
-    are ascending by representative.
+    are ascending by representative. A state's row in the table is found by
+    binary search, or is the state itself when `states` is 0 ... len - 1.
     """
     rep = states.copy()
     period = np.zeros(len(states), dtype=np.int64)
@@ -270,9 +271,10 @@ def _orbit_sector(states, n, step, t):
     index = np.arange(len(reps))
     x, acc = reps, np.ones(len(reps))
     tbar = np.conj(t)
+    contiguous = states[0] == 0 and states[-1] == len(states) - 1
     for k in range(walked):
         live = k < periods
-        rows = np.searchsorted(states, x[live])
+        rows = x[live] if contiguous else np.searchsorted(states, x[live])
         column[rows] = index[live]
         amplitude[rows] = tbar ** k * acc[live] / np.sqrt(periods[live])
         x, sign = step(x)
@@ -296,12 +298,11 @@ def translation_operator(n):
     return FullOperator(rotate_left(states, n), states, np.ones(dim), (dim, dim))
 
 
-@lru_cache(maxsize=None)
 def build_sector_basis(n, t_eigenvalue, parity=None):
     """Orthonormal basis of the momentum sector with translation eigenvalue t,
-    optionally refined by parity +-1 (requires t real). A refinement is built
-    from the cached momentum sector, read under the key (n, +-1.0) that
-    `susy_sector` and the CLI use, so it walks no 2^n states again."""
+    optionally refined by parity +-1 (requires t real). t is snapped and the
+    parity normalised before the cache lookup, so all the keys that name one
+    sector read one entry; `cache_info` and `cache_clear` are the cache's."""
     if parity not in (None, 1, -1):
         raise DomainError(f"parity must be None, 1 or -1, got {parity!r}")
     t = complex(t_eigenvalue)
@@ -311,9 +312,20 @@ def build_sector_basis(n, t_eigenvalue, parity=None):
         t = 1.0 if t.real > 0 else -1.0  # snap, so the amplitudes are float64
     elif parity is not None:
         raise DomainError("parity sectors require a real translation eigenvalue")
+    return _sector_basis(n, t, None if parity is None else int(parity))
+
+
+@lru_cache(maxsize=None)
+def _sector_basis(n, t, parity):
+    """The cached sectors of `build_sector_basis`. A refinement is built from
+    the cached momentum sector, so it walks no 2^n states again."""
     if parity is not None:
-        return _refine_parity(build_sector_basis(n, t), int(parity))
+        return _refine_parity(_sector_basis(n, t, None), parity)
     return _orbit_sector(np.arange(1 << n), n, lambda x: (rotate_left(x, n), 1.0), t)
+
+
+build_sector_basis.cache_info = _sector_basis.cache_info
+build_sector_basis.cache_clear = _sector_basis.cache_clear
 
 
 def _signed_orbit_map(basis, symmetry):

@@ -9,13 +9,15 @@ builds the XYZ Hamiltonian as an anticommutator. The spin-reversed partner
 Qt_N = R_{N+1} Q_N R_N completes the algebra; their interplay organizes all
 positive-energy states into quadruplets spanning three chain lengths.
 
-Q_N is not translation covariant on the full space, so it is built in sector
-coordinates by applying the n + 1 local terms q_j to every state of each
-domain orbit and folding the images onto the codomain's orbit sums, one spin
-parity block at a time. Spin reversal maps orbit sums to +- orbit sums, so
-Qt_N is Q_N with its rows and columns permuted and signed. The cohomology
-ranks read Q_N on the reflection refinements of the sectors instead: four
-(spin parity, reflection) blocks, each about a quarter of the sector.
+The terms are translates of one another, T_{N+1} q_j T_N^{-1} = -q_{j+1} for
+j < N, so on the sector t_N the sum collapses to the codomain's projector:
+Q_N Pi_N = sqrt(N(N+1)) Pi_{N+1} q_0 Pi_N. Q_N is built in sector coordinates
+from q_0 alone, applied to the states of each domain orbit, its images folded
+onto the codomain's orbit sums, one spin parity block at a time. Spin
+reversal maps orbit sums to +- orbit sums, so Qt_N is Q_N with its rows and
+columns permuted and signed. The cohomology ranks read Q_N on the reflection
+refinements of the sectors instead, which lie inside the momentum sectors:
+four (spin parity, reflection) blocks, each about a quarter of the sector.
 """
 
 from __future__ import annotations
@@ -57,25 +59,6 @@ def susy_sector(n, parity=None):
     or its reflection-`parity` refinement."""
     t = float((-1) ** (n + 1))
     return build_sector_basis(n, t) if parity is None else build_sector_basis(n, t, parity=parity)
-
-
-def _q_term(j, n, zeta, x):
-    """q_j on the states x: (on, images, weights), the mask of the states it
-    acts on, then the images of those states with the ++ pair (weight sign)
-    followed by their images with the -- pair (weight -zeta * sign).
-
-    For 1 <= j <= n the operator acts on a down spin at site j; j = 0 acts on
-    a down spin at the last site and creates the pair on sites (n+1, 1).
-    """
-    if j == 0:
-        on = (x >> (n - 1)) & 1 == 1
-        base, pair, sign = (x[on] & ((1 << (n - 1)) - 1)) << 1, 1 | (1 << n), -1.0
-    else:
-        on = (x >> (j - 1)) & 1 == 1
-        b = x[on]
-        base = (b & ((1 << (j - 1)) - 1)) | ((b >> j) << (j + 1))
-        pair, sign = 0b11 << (j - 1), (-1.0) ** (j - 1)
-    return on, np.concatenate([base, base | pair]), np.repeat([sign, -zeta * sign], len(base))
 
 
 def _conjugated(Q, symmetry):
@@ -127,23 +110,25 @@ def _refined_supercharge(n, zeta):
 
 def _q_blocks(n, zeta, reflection=None):
     """The blocks of Q_N, one at a time, on the momentum sectors or from
-    their reflection refinements (`_refined_supercharge`). Each term is
-    applied to every state x of the domain's orbit sums, with the state's
-    amplitude, and its images are folded onto the codomain's columns
-    (`_fold`); q_j maps spin parity P to -P."""
+    their reflection refinements (`_refined_supercharge`), as
+    sqrt(N(N+1)) Pi_{N+1} q_0 (module docstring). q_0 acts on a down spin at
+    site N and creates the pair on sites (N+1, 1), ++ with weight -1 and --
+    with weight zeta; it is applied to every such state x of the domain's
+    orbit sums, with the state's amplitude, and its images are folded onto
+    the codomain's columns (`_fold`). q_0 maps spin parity P to -P."""
     image = None if reflection is None else (-1) ** (n + 1) * reflection
     dom, cod = susy_sector(n, reflection), susy_sector(n + 1, image)
     column, amplitude = dom.column, dom.amplitude
-    states = np.flatnonzero(column >= 0)  # the states of the admitted orbits
+    top = 1 << (n - 1)  # a down spin at site N
+    states = top + np.flatnonzero(column[top:] >= 0)  # the admitted states q_0 acts on
     parity = _spin_parity(states)
-    scale = math.sqrt(n / (n + 1))
+    scale = math.sqrt(n * (n + 1))
     for p, cols in dom.parity_blocks:
         x = states[parity == p]
         src, amp = dom.block_position[column[x]], scale * amplitude[x]
         block = np.zeros((len(_parity_columns(cod, -p)), len(cols)))
-        for j in range(n + 1):
-            on, images, weights = _q_term(j, n, zeta, x)
-            _fold(block, cod, -p, np.tile(src[on], 2), images, weights * np.tile(amp[on], 2))
+        images = np.concatenate([(x << 1) ^ (top << 1), (x << 1) | 1])  # the ++ and -- pairs
+        _fold(block, cod, -p, np.tile(src, 2), images, np.concatenate([-amp, zeta * amp]))
         yield p, block
         del block  # once the reader drops it too, freed before the next block
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -510,6 +511,31 @@ def test_parity_refinements_refine_the_cached_momentum_sector(monkeypatch):
     assert walked.count(1 << 13) == 1
     assert [b.dim for b in refined] == [susy_sector(13, p).dim for p in (1, -1)]
     assert sum(b.dim for b in refined) == momentum.dim
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_contiguous_states_are_their_own_rows(n):
+    # the spin basis 0 ... 2^n - 1 skips the binary search of the orbit table;
+    # the same states carrying a marker bit n take it, with the same tables
+    marker, mask = 1 << n, (1 << n) - 1
+    marked = np.arange(1 << n) | marker
+    ts = [t for t in (1.0, -1.0) if t ** n == 1] + ([cmath.exp(2j * math.pi / n)] if n > 2 else [])
+    for t in ts:
+        direct = build_sector_basis(n, t)
+        searched = _orbit_sector(marked, n, lambda x: (rotate_left(x & mask, n) | marker, 1.0),
+                                 direct.t_eigenvalue)
+        assert np.array_equal(searched.column, direct.column)
+        assert np.array_equal(searched.amplitude, direct.amplitude)
+        assert searched.amplitude.dtype == direct.amplitude.dtype
+        assert [(r - marker, p) for r, p in searched.orbit_reps] == list(direct.orbit_reps)
+
+
+def test_keys_of_one_sector_share_one_cache_entry():
+    build_sector_basis.cache_clear()
+    bases = [build_sector_basis(10, -1.0), build_sector_basis(10, cmath.exp(1j * math.pi)),
+             build_sector_basis(10, -1.0, None), build_sector_basis(10, -1.0, parity=None)]
+    assert all(b is bases[0] for b in bases)
+    assert build_sector_basis.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", range(2, 14))

@@ -17,6 +17,7 @@ from susyxyz.spinchain import (
     _rank,
     _signed_orbit_map,
     build_sector_basis,
+    embed,
     project,
     reverse_bits,
     reverse_spins,
@@ -156,7 +157,32 @@ def test_signed_orbit_maps_match_projected_symmetries(n, kind, symmetry):
             assert np.abs(ref - S).max(initial=0.0) <= 1e-12
 
 
-@pytest.mark.parametrize("n", range(2, 14))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_local_terms_are_translates_of_the_boundary_term(n):
+    # T_{N+1} q_j T_N^{-1} = -q_{j+1} for every j < N
+    T_out, T_in = (symmetry_operator("translation", k) for k in (n + 1, n))
+    T_out, T_in = (sp.csr_matrix((T.vals, (T.rows, T.cols)), shape=T.shape) for T in (T_out, T_in))
+    for j in range(n):
+        moved = T_out @ local_q(j, n, 0.7) @ T_in.T
+        assert (moved + local_q(j + 1, n, 0.7)).count_nonzero() == 0
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_supercharge_is_the_projected_boundary_term(n):
+    # Q_N B = sqrt(N(N+1)) B' B'^H q_0 B on the susy sectors and their
+    # reflection refinements, B and B' the domain and codomain embeddings
+    for r in (None, 1, -1):
+        dom = susy_sector(n, r)
+        cod = susy_sector(n + 1, None if r is None else (-1) ** (n + 1) * r)
+        B, B_out = embed(dom, np.eye(dom.dim)), embed(cod, np.eye(cod.dim))
+        for zeta in (0.0, 0.7, 2.3):
+            lhs = supercharge_full(n, zeta) @ B
+            rhs = math.sqrt(n * (n + 1)) * B_out @ (B_out.conj().T @ (local_q(0, n, zeta) @ B))
+            scale = max(1.0, np.abs(lhs).max(initial=0.0))
+            assert np.abs(lhs - rhs).max(initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 14))
 def test_supercharges_match_projected_references(n):
     # Q and Qt = R Q R from the orbit tables against the projections of the
     # full-space references
