@@ -53,28 +53,30 @@ def main(argv=None):
     except (DomainError, RangeError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    transfer = {}  # T(u) per probe point, built when first needed
     for k, found in enumerate(scans):
         print(f"omega = exp({2 * k}i pi/3)")
         for br in found:
             u_probe = probe_point(br, ctx)
             res = max(abs(r) for r in bethe_residual(br, ctx))
             t = translation_eigenvalue(br, ctx)
+            lam = tq_eigenvalue(u_probe, br, ctx)
             v = bethe_vector(br, ctx)
             nv = np.linalg.norm(v)
             line = (f"  roots {np.round(br.roots, 6)}  |BAE| {res:.1e}  t {t:+.4f}"
                     f"  probe u {u_probe:.3f}")
             if nv > 1e-7:
                 v = v / nv
-                lam = tq_eigenvalue(u_probe, br, ctx)
-                T = transfer_matrix(args.n, u_probe, ctx)
+                if u_probe not in transfer:
+                    transfer[u_probe] = transfer_matrix(args.n, u_probe, ctx)
+                T = transfer[u_probe]
                 line += f"  eigvec resid {np.linalg.norm(T @ v - lam * v):.1e}"
             try:
                 ext = extend_by_pi(br, ctx)
                 lam_e = tq_eigenvalue(u_probe, ext, ctx)
-                lam_n = tq_eigenvalue(u_probe, br, ctx)
                 line += (
                     f"  pi-extension -> n={ext.n}, "
-                    f"|T' + T/h| {abs(lam_e + lam_n / h(u_probe, ctx)):.1e}"
+                    f"|T' + T/h| {abs(lam_e + lam / h(u_probe, ctx)):.1e}"
                 )
             except DomainError:
                 line += "  (not in the extendable sector)"

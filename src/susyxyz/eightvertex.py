@@ -607,17 +607,89 @@ def _newton_polish(U, n, omega, ctx):
     return U
 
 
+def _start_grid(m):
+    """(n_re, n_im): the start grid of the Newton scan for m roots."""
+    return (9, 5) if m == 2 else (13, 7)
+
+
 def _newton_starts(m):
     """Start rows (K, m) of the Newton scan: a grid over 0 <= Re u < pi,
     |Im u| <= _IMAG_WINDOW (13 x 7 points for m = 1), and for m = 2 every
-    pair of the points of a 9 x 5 grid."""
-    n_re, n_im = (9, 5) if m == 2 else (13, 7)
+    pair of the points of a 9 x 5 grid. Re u -> pi - Re u (on Re u > 0) and
+    Im u -> -Im u map each grid onto itself, so the symmetries of
+    `find_bethe_roots` map start rows onto start rows (`_start_orbits`)."""
+    n_re, n_im = _start_grid(m)
     res = np.linspace(0.0, math.pi, n_re, endpoint=False)
     ims = np.linspace(-_IMAG_WINDOW, _IMAG_WINDOW, n_im)
     starts = [complex(x, y) for x in res for y in ims]
     if m == 1:
         return np.array([[s] for s in starts])
     return np.array([[s1, s2] for s1, s2 in itertools.combinations(starts, 2)])
+
+
+@functools.lru_cache(maxsize=None)
+def _start_orbits(m, real_omega):
+    """The orbits of the start rows of `_newton_starts(m)` under the
+    symmetries of the Bethe equations: u -> -conj(u), and at real omega also
+    u -> conj(u) and u -> -u.
+
+    Returns read-only (rep, flip_re, flip_im, shift, swap), one entry per
+    row r: row r is the image of row rep[r], the first row of its orbit,
+    under the map that negates the real parts of the roots where flip_re[r]
+    and their imaginary parts where flip_im[r]; then pi is added to the roots
+    where shift[r] (in the order of rep[r]: where flip_re[r] and the root's
+    start in rep[r] has Re u > 0), and the two roots are swapped where
+    swap[r]. rep[r] == r marks a representative.
+
+    Built from the grid indices (a, b) of the start points, a over Re u and
+    b over Im u: a real flip maps a to -a mod n_re (the pi shift puts -Re u
+    back in [0, pi)), an imaginary flip b to n_im - 1 - b.
+    """
+    n_re, n_im = _start_grid(m)
+    points = n_re * n_im
+    a, b = np.divmod(np.arange(points), n_im)
+    # pts[r]: the grid points of row r, in the order of itertools.combinations
+    pts = np.arange(points)[:, None] if m == 1 else np.stack(np.triu_indices(points, 1), axis=1)
+    row_of = np.full((points, points), -1)
+    row_of[pts[:, 0], pts[:, -1]] = np.arange(len(pts))
+    maps = [(False, False), (True, False)]  # (flip_re, flip_im): u -> u, -conj(u)
+    if real_omega:
+        maps += [(False, True), (True, True)]  # u -> conj(u), -u
+    images, swaps = [], []
+    for flip_re, flip_im in maps:
+        image = (np.where(flip_re, -a, a) % n_re) * n_im + np.where(flip_im, n_im - 1 - b, b)
+        at = image[pts]
+        swaps.append(at[:, 0] > at[:, -1])
+        images.append(row_of[at.min(axis=1), at.max(axis=1)])
+    # every map is an involution, so the row is the image of rep under the
+    # map that takes it to rep; the identity comes first and wins ties
+    images, swaps = np.array(images), np.array(swaps)
+    which = np.argmin(images, axis=0)
+    rows = np.arange(len(pts))
+    rep = images[which, rows]
+    flip_re, flip_im = np.array(maps).T[:, which]
+    shift = flip_re[:, None] & (a[pts[rep]] > 0)
+    table = rep, flip_re, flip_im, shift, swaps[which, rows]
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _scan_on_orbits(n, m, omega, ctx):
+    """The Newton output rows of every start row of `_newton_starts(m)`, in
+    that order: `_newton_polish` runs on the representatives of
+    `_start_orbits` alone, and every other row is the exact image of its
+    representative's row (a representative maps to itself)."""
+    rep, flip_re, flip_im, shift, swap = _start_orbits(m, omega.imag == 0.0)
+    U = _newton_starts(m)
+    own = rep == np.arange(len(rep))
+    U[own] = _newton_polish(U[own], n, omega, ctx)
+    V = U[rep]
+    # conj(V) flips the imaginary parts, -V both: exact in floating point
+    V = np.where((flip_re != flip_im)[:, None], V.conj(), V)
+    V = np.where(flip_re[:, None], -V, V)
+    V.real[shift] += math.pi
+    return np.where(swap[:, None], V[:, ::-1], V)
 
 
 def find_bethe_roots(n, m, omega, ctx):
@@ -631,6 +703,16 @@ def find_bethe_roots(n, m, omega, ctx):
     A height path of n steps with m down steps closes only if
     n - 2m = 0 mod 3, so for other (n, m) every Bethe vector vanishes and the
     search raises DomainError.
+
+    h is odd and real on the real axis, so the entire form F of the Bethe
+    system obeys F(-conj U) = (-1)^{n+m} omega^2 conj F(U), and at
+    omega = 1 also F(conj U) = conj F(U); these maps, and pi shifts
+    (h(u + pi) = -h(u)), take Newton iterates to Newton iterates. So Newton
+    runs on one start row per orbit (`_start_orbits`), and every other row
+    is its representative's output mapped exactly, with pi added to each
+    negated root whose start in the representative has Re u > 0, so that the
+    row stays the image of its own start. The root sets come from all rows in
+    start order, as from the full grid.
     """
     if m not in (1, 2):
         raise DomainError("root searching is supported for m = 1, 2 only")
@@ -639,7 +721,7 @@ def find_bethe_roots(n, m, omega, ctx):
             f"no height path of n={n} steps has m={m} down steps (n - 2m must be 0 mod 3)"
         )
     omega = complex(omega)
-    return _root_sets(_newton_polish(_newton_starts(m), n, omega, ctx), n, omega, ctx)
+    return _root_sets(_scan_on_orbits(n, m, omega, ctx), n, omega, ctx)
 
 
 def _root_sets(U, n, omega, ctx):
@@ -729,25 +811,40 @@ def bethe_vector(br, ctx):
     translation eigenvalues are tq_eigenvalue / translation_eigenvalue of
     the original roots.
     """
-    n, m, eta = br.n, br.m, ctx.eta
+    m, eta = br.m, ctx.eta
     roots = -np.array(br.roots, dtype=complex)
     omega = 1.0 / br.omega
-    codes = _path_codes(n)
-    codes = codes[np.bitwise_count(codes & ((1 << n) - 1)) == m]
-    ell, slots = codes >> n, np.arange(m)
-    # X[p, slot]: the position of the slot-th down step of path p
-    X = np.nonzero((codes[:, None] >> np.arange(n)) & 1)[1].reshape(len(codes), m) + 1
-    shifted = ell[:, None] - 2 * slots + X  # L + x
-    k1, k2 = (shifted - 1) % 3, (shifted - 2) % 3
-    ws = w(np.arange(3), ctx)
-    hw = h(ws, ctx)
+    ell, X, k1, ws, hw_pairs, vectors = _bethe_tables(br.n, m, ctx)
+    slots = np.arange(m)
     num = h(ws - eta - roots[:, None], ctx)  # (m, 3)
     eik = h(roots + eta, ctx) / h(roots - eta, ctx)
     # G[p, slot, j] = g_j(ell_p - 2 slot, X[p, slot])
-    G = eik ** X[:, :, None] * num[:, k1].transpose(1, 2, 0) / (hw[k2] * hw[k1])[:, :, None]
+    G = eik ** X[:, :, None] * num[:, k1].transpose(1, 2, 0) / hw_pairs
     psi = sum(A * np.prod(G[:, slots, perm], axis=1)
               for perm, A in bethe_amplitudes(roots, ctx).items())
-    return path_vectors(codes, n, ctx) @ (omega ** ell * psi)
+    return vectors @ (omega ** ell * psi)
+
+
+@functools.lru_cache(maxsize=64)
+def _bethe_tables(n, m, ctx):
+    """The root-independent tables of `bethe_vector` for m down steps on n
+    sites, read-only: over the codes with m down steps, their heights ell,
+    the down-step positions X[p, slot], the index k1 = (L + x - 1) mod 3 of
+    w in the numerator of g, w_0..w_2, the denominators
+    h(w_{L+x-2}) h(w_{L+x-1}) of g (shape (paths, m, 1)), and the path
+    vectors of the codes."""
+    codes = _path_codes(n)
+    codes = codes[np.bitwise_count(codes & ((1 << n) - 1)) == m]
+    ell = codes >> n
+    X = np.nonzero((codes[:, None] >> np.arange(n)) & 1)[1].reshape(len(codes), m) + 1
+    shifted = ell[:, None] - 2 * np.arange(m) + X  # L + x
+    k1, k2 = (shifted - 1) % 3, (shifted - 2) % 3
+    ws = w(np.arange(3), ctx)
+    hw = h(ws, ctx)
+    tables = ell, X, k1, ws, (hw[k2] * hw[k1])[:, :, None], path_vectors(codes, n, ctx)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
 
 def scattering_ratio(u1, u2, ctx):

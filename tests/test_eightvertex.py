@@ -17,6 +17,8 @@ from susyxyz.eightvertex import (
     _path_blocks,
     _path_codes,
     _root_sets,
+    _scan_on_orbits,
+    _start_orbits,
     _translate_path_codes,
     appendixB_decomposition,
     bethe_amplitudes,
@@ -657,13 +659,15 @@ def test_bethe_vector_matches_per_path_sum(n, m):
 
 def test_bethe_vector_theta_calls_do_not_grow_with_the_paths(monkeypatch):
     # the per-root tables cost the same for the 63 paths of (7, 2) as for the
-    # 18 of (4, 2); both local-vector caches start cold for each count
+    # 18 of (4, 2); the local-vector and path-table caches start cold for
+    # each count
     omega = np.exp(2j * np.pi / 3)
     counts = []
     for n in (4, 7):
         br = find_bethe_roots(n, 2, omega, CTX)[0]
         eightvertex._require_independent.cache_clear()
         eightvertex._local_vector_table.cache_clear()
+        eightvertex._bethe_tables.cache_clear()
         calls = _count_theta_calls(monkeypatch)
         bethe_vector(br, CTX)
         counts.append(len(calls))
@@ -868,13 +872,14 @@ def test_bethe_kernel_matches_the_former_kernel_bit_for_bit(nome):
                 assert np.array_equal(F, F_ref) and np.array_equal(J, J_ref)
 
 
-@pytest.mark.parametrize("omega,rows", zip(OMEGAS, (13060, 11864, 11860)),
+@pytest.mark.parametrize("omega,rows", zip(OMEGAS, (3462, 6052, 6049)),
                          ids=("omega0", "omega1", "omega2"))
 def test_newton_scan_evaluates_no_retired_row(monkeypatch, omega, rows):
     # a row retired on the discard line is never passed to the kernel again:
     # every row after the start rows is the iterate of a row off the line.
-    # The former loop on live rows evaluated 19538, 19643 and 19639 rows in
-    # the same 60 calls
+    # Newton runs on one start row per symmetry orbit; on the full grid the
+    # scan evaluated 13060, 11864 and 11860 rows in the same 60 calls, and the
+    # former loop on live rows 19538, 19643 and 19639
     calls = []
     real_entire = eightvertex._bethe_entire
 
@@ -939,21 +944,22 @@ def test_bethe_scan_root_set_counts(n, m, counts):
         assert tuple(len(find_bethe_roots(n, m, omega, ctx)) for omega in OMEGAS) == per_omega
 
 
+def _canonical(us):
+    """Roots with real parts in [0, pi), sorted by their rounded parts."""
+    vals = []
+    for uu in us:
+        re = uu.real % math.pi
+        if re > math.pi - 1e-6:
+            re -= math.pi
+        vals.append(complex(re, uu.imag))
+    return sorted(vals, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+
+
 def _root_sets_loop(U, n, omega, ctx):
     """The former root-set filter of find_bethe_roots: one Newton row at a
     time, each new canonical form compared with every accepted one in Python."""
     m = U.shape[1]
     found, forms = [], []
-
-    def canonical(us):
-        vals = []
-        for uu in us:
-            re = uu.real % math.pi
-            if re > math.pi - 1e-6:
-                re -= math.pi
-            vals.append(complex(re, uu.imag))
-        return sorted(vals, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-
     for row in U:
         if not np.all(np.isfinite(row)):
             continue
@@ -965,7 +971,7 @@ def _root_sets_loop(U, n, omega, ctx):
             gaps = [(d - shift) % math.pi for shift in (0.0, 2 * ctx.eta, -2 * ctx.eta)]
             if any(min(gap, math.pi - gap) < 1e-6 for gap in gaps):
                 continue
-        form = canonical(us)
+        form = _canonical(us)
         if any(all(abs(a - b) < 1e-6 for a, b in zip(form, f)) for f in forms):
             continue
         try:
@@ -977,6 +983,66 @@ def _root_sets_loop(U, n, omega, ctx):
         found.append(us)
         forms.append(form)
     return [BetheRoots(tuple(us), omega, n) for us in found]
+
+
+def _orbit_image(row, flip_re, flip_im, shift, swap):
+    """Reference: one row of roots mapped root by root from its real and
+    imaginary parts, as `_start_orbits` describes the map."""
+    roots = [complex(-u.real if flip_re else u.real, -u.imag if flip_im else u.imag)
+             for u in map(complex, row)]
+    roots = [complex(u.real + math.pi, u.imag) if s else u for u, s in zip(roots, shift)]
+    return np.array(roots[::-1] if swap else roots)
+
+
+@pytest.mark.parametrize("nome", [0.2, 0.45])
+@pytest.mark.parametrize("n,m", [(5, 1), (4, 2), (7, 2)])
+def test_orbit_scan_matches_the_full_grid(nome, n, m):
+    # Newton on one start row per symmetry orbit gives the root sets of the
+    # Newton scan on every start row: the same canonical forms in the same
+    # order. A representative's row is its full-grid row, and every other row
+    # is the exact image of its representative's row
+    ctx = ThetaContext(nome=nome)
+    starts = _newton_starts(m)
+    for omega in map(complex, OMEGAS):
+        table = _start_orbits(m, omega == 1.0)
+        rep = table[0]
+        assert np.array_equal(rep[rep], rep)
+        full = _newton_polish(starts, n, omega, ctx)
+        got = _scan_on_orbits(n, m, omega, ctx)
+        ref_sets, got_sets = _root_sets(full, n, omega, ctx), _root_sets(got, n, omega, ctx)
+        assert len(got_sets) == len(ref_sets)
+        for a, b in zip(map(_canonical, (br.roots for br in got_sets)),
+                        map(_canonical, (br.roots for br in ref_sets))):
+            assert max(abs(x - y) for x, y in zip(a, b)) < 1e-6
+        own = rep == np.arange(len(rep))
+        assert np.array_equal(got[own], full[own], equal_nan=True)
+        for r in np.flatnonzero(~own):
+            q, maps = rep[r], [t[r] for t in table[1:]]
+            # the map takes the representative's starts to the row's own
+            assert np.allclose(_orbit_image(starts[q], *maps), starts[r], rtol=0, atol=1e-12)
+            want = _orbit_image(got[q], *maps)
+            if np.all(np.isfinite(want)):
+                assert got[r].tobytes() == want.tobytes()
+            else:
+                assert np.array_equal(got[r], want, equal_nan=True)
+
+
+def test_orbit_scan_finds_the_n10_eigenvector():
+    # the set S = (1.0475+0.6282i, 2.0941-0.9813i) at omega = e^{2 pi i/3}
+    # and -S at e^{-2 pi i/3} are T eigenvectors whose bethe_residual sits
+    # near the 1e-9 bound: on the full grid every Newton row that reached
+    # them ended just above it
+    ctx = ThetaContext(nome=0.2)
+    T = transfer_matrix(10, 0.47, ctx)
+    target = np.array([1.0475 + 0.6282j, 2.0941 - 0.9813j])
+    for omega, sign in zip(OMEGAS[1:], (1, -1)):
+        hits = [br for br in find_bethe_roots(10, 2, omega, ctx)
+                if np.allclose(_canonical(br.roots), _canonical(sign * target), atol=1e-4)]
+        assert len(hits) == 1
+        v = bethe_vector(hits[0], ctx)
+        v = v / np.linalg.norm(v)
+        lam = tq_eigenvalue(0.47, hits[0], ctx)
+        assert np.linalg.norm(T @ v - lam * v) / max(1.0, abs(lam)) < 1e-10
 
 
 @pytest.mark.parametrize("nome,n,m", [(0.2, 5, 1), (0.2, 4, 2), (0.45, 4, 2), (0.9, 4, 2)])
