@@ -30,7 +30,6 @@ from .spinchain import (
     _rank,
     build_sector_basis,
     embed,
-    project,
     restrict,
     rotate_left,
 )
@@ -361,10 +360,14 @@ def intertwining_residual(n, u, ctx, charge="Q"):
         raise DomainError("intertwining check needs n >= 3")
     dom = susy_sector(n - 1)
     cod = susy_sector(n)
-    Tn = project(transfer_matrix(n, u, ctx), cod).matrix
-    Tdn = project(transfer_matrix(n - 1, u, ctx), dom).matrix
+
+    def restricted(A, domain, codomain):  # B_cod^H A B_dom
+        return restrict(codomain, A @ embed(domain, np.eye(domain.dim)))
+
+    Tn = restricted(transfer_matrix(n, u, ctx), cod, cod)
+    Tdn = restricted(transfer_matrix(n - 1, u, ctx), dom, dom)
     if charge == "hatQ":
-        X = project(hatQ_spin(n, ctx), dom, cod).matrix
+        X = restricted(hatQ_spin(n, ctx), dom, cod)
     elif charge in ("Q", "Qtilde"):
         pair = build_supercharges(n - 1, zeta_of_nome(ctx.nome))
         X = pair.q_plain.matrix if charge == "Q" else pair.q_tilde.matrix

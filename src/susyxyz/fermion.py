@@ -10,12 +10,14 @@ staggered couplings the Hamiltonian commutes with translation by three sites.
 T^3 is a signed permutation of the masks (a particle crossing the seam picks
 up the boundary sign), so its eigenspaces are `SectorBasis` objects from the
 spin chain's orbit-sum builder: their orbit tables run over the m-particle
-masks and t is the T^3 eigenvalue. The Hamiltonian, held as COO triplets, is
-restricted to them and diagonalised by the spin chain's `project` and
-`spectrum`. The spectral-coincidence harness compares these sectors against
-the XYZ chain at momentum 0 or pi under the change of variables
-zeta^2 = 1 + 8 y^2. A combinatorial map sends height paths to hard-particle
-configurations and motivates theta-function couplings.
+masks and t is the T^3 eigenvalue. The Hamiltonian is built on them as the
+spin chain's H is, from its terms applied to the orbit representatives alone
+and folded onto the columns, with no operator on all the masks, and is
+diagonalised by the spin chain's `spectrum`. The spectral-coincidence
+harness compares these sectors against the XYZ chain at momentum 0 or pi
+under the change of variables zeta^2 = 1 + 8 y^2. A combinatorial map sends
+height paths to hard-particle configurations and motivates theta-function
+couplings.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -32,13 +34,13 @@ from .errors import ConfigurationError, DomainError, InvariantViolation
 from .spinchain import (
     SPECTRAL_TOL,
     CouplingLine,
-    FullOperator,
+    SectorOperator,
+    _add_images,
     _group_levels,
     _orbit_sector,
     _spin_parity,
     build_sector_basis,
     common_levels,
-    project,
     rotate_left,
     spectrum,
     xyz_hamiltonian,
@@ -174,40 +176,6 @@ def supercharge_matrix(n_f, couplings, m):
     return Q
 
 
-def fermion_hamiltonian(model):
-    """Hamiltonian on the m-particle basis as COO triplets.
-
-    Ramond: H = {Q, Q^dag}; the hop across the seam then carries the string
-    sign (-1)^(m-1). Neveu-Schwarz flips the sign of the seam hop term,
-    equivalently multiplies its matrix elements by -1 relative to the written
-    periodic form, i.e. the seam hop carries (-1)^m.
-    """
-    n_f, m, lam = model.n_f, model.m, model.couplings
-    states = np.array(hardcore_basis(n_f, m))
-    index = np.arange(len(states))
-    seam = _seam_sign(model.boundary, m)
-    diag = np.zeros(len(states))
-    rows, cols, vals = [], [], []
-    for j in range(n_f):  # site j+1
-        left, right, beyond = (j - 1) % n_f, (j + 1) % n_f, (j + 2) % n_f
-        # chemical potential / repulsion: sum_j lambda_j^2 (1-n_{j-1})(1-n_{j+1})
-        diag += lam[j] ** 2 * (((states >> left) | (states >> right)) & 1 == 0)
-        # hop j -> j+1 (cyclic); allowed when j occupied, j+1 and j+2 empty
-        occupied = (states >> j) & 1 == 1
-        blocked = ((states >> right) | (states >> beyond)) & 1 == 1
-        hop = index[occupied & ~blocked]
-        new = np.searchsorted(states, states[hop] ^ ((1 << j) | (1 << right)))
-        amp = lam[j] * lam[right] * (seam if j == n_f - 1 else 1.0)
-        rows += [new, hop]
-        cols += [hop, new]
-        vals.append(np.full(2 * len(hop), amp))
-    rows.append(index)
-    cols.append(index)
-    vals.append(diag)
-    return FullOperator(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                        (len(states), len(states)))
-
-
 def translation_matrix(n_f, m, boundary="ramond"):
     """One-site translation on the m-particle basis, with the seam sign
     (+-1)(-1)^(m-1) of `_seam_sign`."""
@@ -240,13 +208,58 @@ def t3_sector_basis(n_f, m, sigma, boundary="ramond"):
     return _orbit_sector(states, n_f, step, float(sigma))
 
 
+def fermion_hamiltonian(model, sigma):
+    """The ring's Hamiltonian on its T^3 = sigma sector (`t3_sector_basis`),
+    built in sector coordinates; the couplings must have period 3.
+
+    Ramond: H = {Q, Q^dag}; the hop across the seam then carries the string
+    sign (-1)^(m-1). Neveu-Schwarz flips the sign of the seam hop, so it
+    carries (-1)^m. With period-3 couplings H commutes with T^3, so, as for
+    the XYZ H (`spinchain.xyz_hamiltonian`), <s~|H|r~> = sqrt(size_r) <s~|H|r>:
+    the diagonal and the hops in both directions act on the orbit
+    representatives r alone, and the hop images, found among the masks by
+    binary search, are folded onto the columns.
+    """
+    if model.couplings[3:] != model.couplings[:-3]:
+        raise DomainError("the T^3 sectors need couplings of period 3")
+    sector = t3_sector_basis(model.n_f, model.m, sigma, model.boundary)
+    return SectorOperator(sector, sector, blocks=partial(_fermion_blocks, model, sector), flip=1)
+
+
+def _fermion_blocks(model, sector):
+    """The one parity block of `fermion_hamiltonian` (every mask has m bits)."""
+    n_f, lam = model.n_f, model.couplings
+    states = np.array(hardcore_basis(n_f, model.m))
+    seam = _seam_sign(model.boundary, model.m)
+    reps, sizes = sector.orbit_arrays
+    weight = np.sqrt(sizes)
+    for p, src in sector.parity_blocks:
+        diag = np.zeros(len(reps))
+        hops = []  # (source column, image mask, weight) per hop direction and site
+        for j in range(n_f):  # site j+1
+            left, right, beyond = (j - 1) % n_f, (j + 1) % n_f, (j + 2) % n_f
+            # chemical potential / repulsion: sum_j lambda_j^2 (1-n_{j-1})(1-n_{j+1})
+            diag += lam[j] ** 2 * (((reps >> left) | (reps >> right)) & 1 == 0)
+            # hop j -> j+1 (j occupied, j+1 and j+2 empty) and back (j+1
+            # occupied, j and j-1 empty)
+            forward = ((reps >> j) & 1 == 1) & (((reps >> right) | (reps >> beyond)) & 1 == 0)
+            backward = ((reps >> right) & 1 == 1) & (((reps >> j) | (reps >> left)) & 1 == 0)
+            amp = lam[j] * lam[right] * (seam if j == n_f - 1 else 1.0)
+            for move in (forward, backward):
+                hops.append((src[move], reps[move] ^ (1 << j | 1 << right), amp * weight[move]))
+        block = np.zeros((len(src), len(src)))
+        cols, images, values = (np.concatenate(part) for part in zip(*hops))
+        _add_images(block, src, sector, cols, np.searchsorted(states, images), values)
+        block[src, src] += diag
+        yield p, block
+
+
 def fermion_spectrum(n_f, y, m, boundary, sigma):
     """Ascending spectrum of the staggered ring in the T^3 = sigma sector."""
     model = FermionModel(
         n_f=n_f, couplings=staggered_couplings(n_f, y), boundary=boundary, m=m
     )
-    basis = t3_sector_basis(n_f, m, sigma, boundary)
-    return spectrum(project(fermion_hamiltonian(model), basis))
+    return spectrum(fermion_hamiltonian(model, sigma))
 
 
 def spectral_comparison(m, zeta, variant, tol=SPECTRAL_TOL):

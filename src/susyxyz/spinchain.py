@@ -14,14 +14,12 @@ sectors over the hard-core masks, and, run on the columns of a real-t
 momentum sector, which the reflection maps to +- columns, its parity
 refinements. Translation and reflection keep the number of down spins, so
 every orbit sum has a definite spin parity P = (-1)^{#down}; a sector records
-which columns have which P. The XYZ H (which keeps P) and the supercharges
-(which flip it) are built straight in sector coordinates, one allowed parity
-block at a time, by applying their local terms to orbit states and folding
-the images onto columns through the table; no full-space operator is formed
-on that path. Operators given on the full space are projected: a sparse one
-(the fermion H), held as COO triplets, is folded onto the columns through the
-tables in the same way, and a dense one (the transfer matrix) goes through
-`embed` and `restrict`.
+which columns have which P. The sector operators, the XYZ H (which keeps P),
+the supercharges (which flip it) and the fermion H, are built straight in
+sector coordinates by applying their local terms to the orbit
+representatives and folding the images onto columns through the table; none
+is formed on the full space first. On full-space vectors (2^n rows) the XYZ
+H is applied bond by bond (`xyz_apply`), as `transfer_apply` applies T.
 Every sector spectrum comes from one checked eigensolve per parity block.
 The dtype follows t: a real t (= +-1, the sectors of the supercharges and of
 T^3) gives float64 amplitudes and sector operators, so their eigensolves and
@@ -146,29 +144,6 @@ def restrict(basis, Y):
     return out
 
 
-@dataclass(frozen=True)
-class FullOperator:
-    """A sparse operator on a model's basis as COO triplets: entry
-    (rows[i], cols[i]) of a matrix of the given shape holds vals[i], and
-    repeated positions add up."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: tuple
-
-    def toarray(self):
-        A = np.zeros(self.shape, dtype=self.vals.dtype)
-        np.add.at(A, (self.rows, self.cols), self.vals)
-        return A
-
-    def __matmul__(self, X):
-        """A X for a dense matrix X with shape[1] rows."""
-        out = np.zeros((self.shape[0], X.shape[1]), dtype=np.result_type(self.vals, X))
-        np.add.at(out, self.rows, self.vals[:, None] * X[self.cols])
-        return out
-
-
 def _parity_columns(basis, parity):
     """The columns of a sector with spin parity `parity` (possibly none)."""
     return dict(basis.parity_blocks).get(parity, np.zeros(0, dtype=np.intp))
@@ -187,8 +162,8 @@ class SectorOperator:
     kept, so a reader that takes them in turn (`spectrum`, the cohomology
     ranks) holds one at a time; `matrix`, the whole dense matrix, is
     assembled from them when first read, and kept. An operator given as a
-    whole `matrix` (from `project`, or the permuted Qt) has no blocks and is
-    split, with a check, by `_parity_blocks`.
+    whole `matrix` (the permuted Qt, the conserved charge C) has no blocks and
+    is split, with a check, by `_parity_blocks`.
     """
 
     def __init__(self, domain, codomain, matrix=None, blocks=None, flip=None):
@@ -290,14 +265,6 @@ def _orbit_sector(states, n, step, t):
     )
 
 
-def translation_operator(n):
-    """Full-space operator (COO triplets) of the translation T, the
-    permutation |x> -> |T x>."""
-    dim = 1 << n
-    states = np.arange(dim)
-    return FullOperator(rotate_left(states, n), states, np.ones(dim), (dim, dim))
-
-
 def build_sector_basis(n, t_eigenvalue, parity=None):
     """Orthonormal basis of the momentum sector with translation eigenvalue t,
     optionally refined by parity +-1 (requires t real). t is snapped and the
@@ -355,56 +322,6 @@ def _refine_parity(basis, parity):
                    amplitude=amplitude, orbit_reps=tuple(zip(reps[cols].tolist(), sizes.tolist())))
 
 
-def project(full_op, domain, codomain=None):
-    """Restrict a full-space operator to sector coordinates, B_cod^H A B_dom.
-
-    A `FullOperator` is folded onto the columns through the orbit tables, as
-    `_fold` folds the images of a local term: entry (r, s) with value v adds
-    v * amp(s) * conj(amp(r)) at (column(r), column(s)) when both orbits are
-    admitted. A dense operator goes through `embed` and `restrict`.
-    """
-    codomain = codomain if codomain is not None else domain
-    if isinstance(full_op, np.ndarray):
-        matrix = restrict(codomain, full_op @ embed(domain, np.eye(domain.dim)))
-        return SectorOperator(domain, codomain, matrix)
-    src = domain.column[full_op.cols]
-    keep = src >= 0
-    matrix = np.zeros((codomain.dim, domain.dim),
-                      dtype=np.result_type(domain.amplitude, codomain.amplitude, full_op.vals))
-    _add_images(matrix, np.arange(codomain.dim), codomain, src[keep], full_op.rows[keep],
-                full_op.vals[keep] * domain.amplitude[full_op.cols[keep]])
-    return SectorOperator(domain, codomain, matrix)
-
-
-def xyz_hamiltonian_full(n, coupling):
-    """XYZ Hamiltonian on the full 2^n space as COO triplets, including the
-    constant shift."""
-    if n < 2:
-        raise DomainError(f"the XYZ chain needs n >= 2 sites, got {n}")
-    jx, jy, jz = coupling.jx, coupling.jy, coupling.jz
-    dim = 1 << n
-    states = np.arange(dim)
-    diag = np.full(dim, n * (jx + jy + jz) / 2.0)
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        jn = (j + 1) % n
-        bj = (states >> j) & 1
-        bk = (states >> jn) & 1
-        zz = (1.0 - 2.0 * bj) * (1.0 - 2.0 * bk)
-        diag -= 0.5 * jz * zz
-        flipped = states ^ ((1 << j) | (1 << jn))
-        aligned = bj == bk
-        coeff = np.where(aligned, -(jx - jy) / 2.0, -(jx + jy) / 2.0)
-        rows.append(flipped)
-        cols.append(states)
-        vals.append(coeff)
-    rows.append(states)
-    cols.append(states)
-    vals.append(diag)
-    return FullOperator(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                        (dim, dim))
-
-
 def _fold(block, codomain, parity, src, images, values):
     """Add the images of a local term to a parity block of a sector operator.
 
@@ -431,6 +348,46 @@ def _add_images(matrix, position, codomain, src, images, values):
     np.add.at(matrix.reshape(-1), flat, weights)
 
 
+def _xyz_terms(n, coupling, states):
+    """The XYZ H (with its constant shift) on an array of n-bit states:
+    (diag, flips, coeff), diag the diagonal entry of each state, and per bond
+    j the flip mask flips[j] and coefficients coeff[j] (one row per bond) of
+    the term taking state x to x ^ flips[j]. Bond j joins sites j + 1 and
+    j + 2 (mod n), bits j and (j + 1) mod n; the diagonal takes the bonds' zz
+    terms one at a time."""
+    jx, jy, jz = coupling.jx, coupling.jy, coupling.jz
+    j = np.arange(n)[:, None]
+    jn = (j + 1) % n
+    bj, bk = (states >> j) & 1, (states >> jn) & 1  # one row per bond
+    zz = (1.0 - 2.0 * bj) * (1.0 - 2.0 * bk)
+    diag = np.full(len(states), n * (jx + jy + jz) / 2.0)
+    for bond in zz:
+        diag -= 0.5 * jz * bond
+    coeff = np.where(bj == bk, -(jx - jy) / 2.0, -(jx + jy) / 2.0)
+    return diag, (1 << j | 1 << jn).ravel(), coeff
+
+
+def xyz_apply(n, coupling, V):
+    """H_N @ V (with its constant shift) for V with 2^n rows, without forming
+    H: diag * V plus, bond by bond, coeff * V at the rows x ^ flip
+    (`_xyz_terms`); the counterpart of `eightvertex.transfer_apply`."""
+    if n < 2:
+        raise DomainError(f"the XYZ chain needs n >= 2 sites, got {n}")
+    V = np.asarray(V)
+    if V.shape[:1] != (1 << n,):
+        raise DomainError(f"H acts on arrays with 2^{n} rows, got shape {V.shape}")
+    V = V.astype(np.result_type(V, 1.0), copy=False)  # float, so a term scales in place
+    states = np.arange(1 << n)
+    diag, flips, coeff = _xyz_terms(n, coupling, states)
+    rows = (-1,) + (1,) * (V.ndim - 1)  # a row's factor broadcast over its columns
+    out = diag.reshape(rows) * V
+    for flip, c in zip(flips, coeff):
+        term = V[states ^ flip]
+        term *= c.reshape(rows)  # in place: one temporary per bond
+        out += term
+    return out
+
+
 def xyz_hamiltonian(n, coupling, sector):
     """Hermitian restriction of H_N (with its constant shift) to a sector
     basis, built in sector coordinates one spin parity block at a time.
@@ -450,22 +407,13 @@ def xyz_hamiltonian(n, coupling, sector):
 
 def _xyz_blocks(n, coupling, sector):
     """The parity blocks of `xyz_hamiltonian`, built one at a time."""
-    jx, jy, jz = coupling.jx, coupling.jy, coupling.jz
     all_reps, all_sizes = sector.orbit_arrays
-    # bond j joins sites j and j + 1 (mod n), bits j and jn
-    j = np.arange(n)[:, None]
-    jn = (j + 1) % n
     for p, cols in sector.parity_blocks:
         reps, src = all_reps[cols], np.arange(len(cols))
         block = np.zeros((len(cols), len(cols)), dtype=sector.amplitude.dtype)
-        bj, bk = (reps >> j) & 1, (reps >> jn) & 1  # one row per bond
-        zz = (1.0 - 2.0 * bj) * (1.0 - 2.0 * bk)
-        coeff = np.where(bj == bk, -(jx - jy) / 2.0, -(jx + jy) / 2.0)
-        _fold(block, sector, p, np.tile(src, n), (reps ^ (1 << j | 1 << jn)).ravel(),
+        diag, flips, coeff = _xyz_terms(n, coupling, reps)
+        _fold(block, sector, p, np.tile(src, n), (reps ^ flips[:, None]).ravel(),
               (np.sqrt(all_sizes[cols]) * coeff).ravel())
-        diag = np.full(len(cols), n * (jx + jy + jz) / 2.0)
-        for bond in zz:  # one bond at a time, as in the full-space H
-            diag -= 0.5 * jz * bond
         block[src, src] += diag
         yield p, block
 

@@ -240,6 +240,11 @@ def test_conjectures_unmatched_odd_level_fails(capsys, monkeypatch, even, residu
     assert check["residual"] == residual
 
 
+def test_conjectures_reject_a_one_site_chain(capsys):
+    code, out, err = run(capsys, "check", "conjectures", "--n", "1")
+    assert (code, out, err) == (2, "", "error: the XYZ chain needs n >= 2 sites, got 1\n")
+
+
 def test_conjectures_build_no_dense_transfer_matrix(capsys, monkeypatch):
     # the complement's transfer eigenvalue reads only T applied to 2 columns
     def no_transfer_matrix(*args, **kwargs):

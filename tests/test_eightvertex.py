@@ -44,7 +44,7 @@ from susyxyz.eightvertex import (
 )
 from susyxyz.elliptic import ThetaContext, h, zeta_of_nome
 from susyxyz.errors import DomainError, InvariantViolation, PoleError
-from susyxyz.spinchain import CouplingLine, xyz_hamiltonian_full
+from susyxyz.spinchain import CouplingLine, xyz_apply
 
 from operator_reference import symmetry_operator
 from path_reference import PathState, path_states, path_translate
@@ -130,7 +130,7 @@ def test_transfer_commutes_with_hamiltonian_and_symmetries():
     n = 4
     zeta = zeta_of_nome(CTX.nome)
     T = transfer_matrix(n, 0.53, CTX)
-    H = xyz_hamiltonian_full(n, CouplingLine(zeta)).toarray()
+    H = xyz_apply(n, CouplingLine(zeta), np.eye(2 ** n))
     S = symmetry_operator("spin_reversal", n).toarray()
     scale = max(1.0, np.linalg.norm(T))
     assert np.linalg.norm(T @ H - H @ T) < 1e-10 * scale * max(1.0, np.linalg.norm(H))
@@ -147,7 +147,7 @@ def test_transfer_transpose_via_parity():
 @pytest.mark.parametrize("n,nome", [(2, 0.1), (3, 0.2), (4, 0.3)])
 def test_hamiltonian_from_transfer(n, nome):
     ctx = ThetaContext(nome=nome)
-    H_direct = xyz_hamiltonian_full(n, CouplingLine(zeta_of_nome(nome))).toarray()
+    H_direct = xyz_apply(n, CouplingLine(zeta_of_nome(nome)), np.eye(2 ** n))
     H_log = hamiltonian_from_transfer(n, ctx)
     resid = np.linalg.norm(H_direct - H_log) / max(1.0, np.linalg.norm(H_direct))
     assert resid < 1e-5
@@ -301,7 +301,7 @@ def test_even_chain_path_matrix_spans_everything():
 def test_complement_is_susy_ground_space(n):
     comp = path_rank_complement(n, CTX)[1]
     assert comp.shape == (2 ** n, 2)
-    H = xyz_hamiltonian_full(n, CouplingLine(zeta_of_nome(CTX.nome))).toarray()
+    H = xyz_apply(n, CouplingLine(zeta_of_nome(CTX.nome)), np.eye(2 ** n))
     assert np.linalg.norm(H @ comp) < 1e-8 * max(1.0, np.linalg.norm(H))
     for u in (0.3, 0.8):
         T = transfer_matrix(n, u, CTX)

@@ -28,7 +28,6 @@ from susyxyz.spinchain import (
     SectorBasis,
     _eigh_checked,
     embed,
-    project,
     rotate_left,
     spectrum,
 )
@@ -90,31 +89,52 @@ def test_supercharge_square_zero():
     assert np.linalg.norm(Q2 @ Q1) < 1e-14
 
 
+def _assert_sector_restriction(H, op):
+    """H B = B H_sigma for the embedding B of the sector operator's basis:
+    the full-space H maps the T^3 sector into itself (it commutes with T^3
+    there), and H_sigma = B^T H B is its restriction."""
+    B = embed(op.domain, np.eye(op.domain.dim))
+    assert np.abs(H @ B - B @ op.matrix).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(H).max())
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_ramond_hamiltonian_is_anticommutator(m):
-    n_f = 6
-    lam = staggered_couplings(n_f, 0.58)
-    H = fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, m=m)).toarray()
-    rhs = np.zeros_like(H)
-    if m < n_f // 2:
-        Q = supercharge_matrix(n_f, lam, m)
-        rhs = rhs + Q.T @ Q
-    if m > 0:
-        Q = supercharge_matrix(n_f, lam, m - 1)
-        rhs = rhs + Q @ Q.T
-    assert np.linalg.norm(H - rhs) < 1e-12 * max(1.0, np.linalg.norm(H))
+    # H = {Q, Q^dag} on the full m-particle space, restricted to each T^3 sector
+    for n_f in (6, 9):
+        lam = staggered_couplings(n_f, 0.58)
+        rhs = np.zeros((len(hardcore_basis(n_f, m)),) * 2)
+        if m < n_f // 2:
+            Q = supercharge_matrix(n_f, lam, m)
+            rhs = rhs + Q.T @ Q
+        if m > 0:
+            Q = supercharge_matrix(n_f, lam, m - 1)
+            rhs = rhs + Q @ Q.T
+        for sigma in (1, -1):
+            _assert_sector_restriction(
+                rhs, fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, m=m), sigma))
 
 
 @pytest.mark.parametrize("boundary", ["ramond", "neveu-schwarz"])
 def test_translation_symmetry(boundary):
+    # T is orthogonal, the loop reference H commutes with T^3, and the
+    # sector H is its restriction to each T^3 sector
     n_f, m = 6, 2
     lam = staggered_couplings(n_f, 0.9)
-    H = fermion_hamiltonian(
-        FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m)).toarray()
     T = translation_matrix(n_f, m, boundary)
     T3 = T @ T @ T
     assert np.linalg.norm(T @ T.T - np.eye(len(T))) < 1e-14
+    H = _hamiltonian_masks(n_f, m, lam, boundary)
     assert np.linalg.norm(H @ T3 - T3 @ H) < 1e-12 * max(1.0, np.linalg.norm(H))
+    for sigma in (1, -1):
+        _assert_sector_restriction(
+            H, fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m),
+                                   sigma))
+
+
+def test_sector_hamiltonian_needs_period_3_couplings():
+    lam = (0.5, 1.0, 0.5, 0.5, 1.0, 0.7)
+    with pytest.raises(DomainError, match="period 3"):
+        fermion_hamiltonian(FermionModel(n_f=6, couplings=lam, m=2), 1)
 
 
 def test_t3_sector_bases_are_orthonormal_eigenbases():
@@ -156,12 +176,19 @@ def test_t3_sector_basis_is_a_sector_basis(n_f):
 @pytest.mark.parametrize("boundary, sigma", [("ramond", -1), ("ramond", 1),
                                              ("neveu-schwarz", 1), ("neveu-schwarz", -1)])
 def test_fermion_spectrum_is_spectrum_of_projection(boundary, sigma):
-    # one projection and one eigensolve: the same bits as the spin chain's path
+    # the sector H from the representatives against the projection of the
+    # loop reference onto the loop reference basis, entry by entry, and its
+    # levels against the reference's within the eigensolver's own error
     for n_f, m in ((6, 2), (9, 3), (12, 4)):
-        model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
-                             boundary=boundary, m=m)
-        op = project(fermion_hamiltonian(model), t3_sector_basis(n_f, m, sigma, boundary))
-        assert np.array_equal(fermion_spectrum(n_f, 0.61, m, boundary, sigma), spectrum(op))
+        lam = staggered_couplings(n_f, 0.61)
+        op = fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m),
+                                 sigma)
+        ref = _assert_matches_projected_loop(op, n_f, m, lam, boundary, sigma)
+        levels = fermion_spectrum(n_f, 0.61, m, boundary, sigma)
+        assert np.array_equal(levels, spectrum(op))
+        ev_ref = np.linalg.eigvalsh(ref)
+        assert np.abs(levels - ev_ref).max(initial=0.0) <= 1e-13 * max(
+            1.0, np.abs(ev_ref).max(initial=0.0))
 
 
 @pytest.mark.parametrize("n_f", [6, 9, 12])
@@ -177,7 +204,7 @@ def test_t3_sectors_are_one_parity_block(n_f):
                 assert [p for p, _ in basis.parity_blocks] == ([(-1) ** m] if basis.dim else [])
                 if basis.dim:
                     assert np.array_equal(basis.parity_blocks[0][1], np.arange(basis.dim))
-                op = project(fermion_hamiltonian(model), basis)
+                op = fermion_hamiltonian(model, sigma)
                 assert np.array_equal(spectrum(op), _eigh_checked(op.matrix, vectors=False))
 
 
@@ -190,7 +217,7 @@ def test_t3_spectrum_matches_the_eigenpair_path(m):
         model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
                              boundary=boundary, m=m)
         for sigma in (1, -1):
-            op = project(fermion_hamiltonian(model), t3_sector_basis(n_f, m, sigma, boundary))
+            op = fermion_hamiltonian(model, sigma)
             ref = _eigh_checked(op.matrix)[0]
             assert np.abs(spectrum(op) - ref).max(initial=0.0) <= 1e-12 * max(
                 1.0, np.linalg.norm(op.matrix))
@@ -303,6 +330,32 @@ def _reorder(A, rows, cols):
     return out
 
 
+def _hamiltonian_masks(n_f, m, lam, boundary):
+    """The loop reference H in the mask ordering."""
+    perm = _to_masks(n_f, m)
+    return _reorder(_hamiltonian_loop(n_f, m, lam, boundary), perm, perm)
+
+
+def _assert_matches_projected_loop(op, n_f, m, lam, boundary, sigma):
+    """Assert that the sector operator equals B_ref^T H_ref B_ref, the loop
+    reference H on the loop reference basis, within 1e-14 * max(1, max|H|),
+    once the reference columns are put in the sector's order and signs (a
+    signed permutation, as both are orbit sums); return the reference."""
+    B_ref = _t3_basis_loop(n_f, m, sigma, boundary)
+    ref = B_ref.T @ _hamiltonian_loop(n_f, m, lam, boundary) @ B_ref
+    rows = np.zeros_like(B_ref)
+    rows[_to_masks(n_f, m)] = B_ref
+    S = embed(op.domain, np.eye(op.domain.dim)).T @ rows
+    signed = np.rint(S)
+    assert np.abs(S - signed).max(initial=0.0) <= 1e-12
+    assert np.array_equal(np.abs(signed).sum(axis=0), np.ones(len(S)))
+    ref = signed @ ref @ signed.T
+    assert op.matrix.shape == ref.shape
+    assert np.abs(op.matrix - ref).max(initial=0.0) <= 1e-14 * max(
+        1.0, np.abs(ref).max(initial=0.0))
+    return ref
+
+
 REFERENCE_SIZES = (6, 9, 12, 15)
 
 
@@ -314,10 +367,6 @@ def test_masks_and_operators_match_loop_references(n_f):
         perm = _to_masks(n_f, m)
         assert sorted(perm.tolist()) == list(range(len(hardcore_basis(n_f, m))))
         for boundary in ("ramond", "neveu-schwarz"):
-            H = fermion_hamiltonian(
-                FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m)).toarray()
-            ref = _reorder(_hamiltonian_loop(n_f, m, lam, boundary), perm, perm)
-            assert np.abs(H - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
             T = _reorder(_translation_loop(n_f, m, boundary), perm, perm)
             assert np.array_equal(translation_matrix(n_f, m, boundary), T)
         if m < n_f // 2:
@@ -335,18 +384,16 @@ def test_t3_sectors_match_loop_reference(n_f):
         for boundary in ("ramond", "neveu-schwarz"):
             T = _translation_loop(n_f, m, boundary)
             T3 = _reorder(T @ T @ T, perm, perm)
-            H_ref = _hamiltonian_loop(n_f, m, lam, boundary)
             for sigma in (1, -1):
                 basis = t3_sector_basis(n_f, m, sigma, boundary)
                 dense = embed(basis, np.eye(basis.dim))
-                B_ref = _t3_basis_loop(n_f, m, sigma, boundary)
-                assert dense.shape == B_ref.shape
                 assert np.abs(dense.T @ dense - np.eye(basis.dim)).max(initial=0.0) <= 1e-12
                 assert np.abs(T3 @ dense - sigma * dense).max(initial=0.0) <= 1e-12
                 model = FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m)
-                ev = np.linalg.eigvalsh(project(fermion_hamiltonian(model), basis).matrix)
-                ev_ref = np.linalg.eigvalsh(B_ref.T @ H_ref @ B_ref)
-                assert np.abs(ev - ev_ref).max(initial=0.0) <= 1e-12 * max(
+                op = fermion_hamiltonian(model, sigma)
+                ref = _assert_matches_projected_loop(op, n_f, m, lam, boundary, sigma)
+                ev_ref = np.linalg.eigvalsh(ref)
+                assert np.abs(spectrum(op) - ev_ref).max(initial=0.0) <= 1e-13 * max(
                     1.0, np.abs(ev_ref).max(initial=0.0))
 
 
@@ -377,17 +424,10 @@ def test_two_zero_modes_in_susy_sector(m):
 
 
 def test_ns_ground_state_negative():
-    # antiperiodic boundaries break the supersymmetry; the ground state dips below 0
-    total = []
-    for m in range(0, 4):
-        total.extend(
-            np.linalg.eigvalsh(
-                fermion_hamiltonian(
-                    FermionModel(n_f=6, couplings=staggered_couplings(6, 0.8),
-                                 boundary="neveu-schwarz", m=m)
-                ).toarray()
-            )
-        )
+    # antiperiodic boundaries break the supersymmetry; the ground state dips
+    # below 0 (at m = 2, in the T^3 = 1 sector)
+    total = [e for m in range(0, 4) for sigma in (1, -1)
+             for e in fermion_spectrum(6, 0.8, m, "neveu-schwarz", sigma)]
     assert min(total) < -1e-6
 
 

@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from susyxyz import fermion
+from susyxyz.spinchain import _add_images
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -193,26 +196,40 @@ def test_no_path_state_in_src():
     assert _src_callers("PathState") == []
 
 
-def test_full_space_operators_only_where_the_input_is_full_space():
-    # the spin-sector H, Q, Qt and parity refinements are built from the
-    # orbit tables; a full-space operator is projected only where it is the
-    # input: the fermion T^3 side and the transfer-matrix intertwining
-    assert _src_callers("project") == [
-        ("src/susyxyz/eightvertex.py", "intertwining_residual"),
-        ("src/susyxyz/fermion.py", "fermion_spectrum"),
-    ]
-    # the full-space H acts on the transfer-matrix checks and on the path
-    # complement, a full-space vector
-    assert _src_callers("xyz_hamiltonian_full") == [("src/susyxyz/cli.py", "check_conjectures"),
-                                                    ("src/susyxyz/cli.py", "check_transfer")]
-    # the full-space supercharge is a test reference
+def test_no_full_space_operator_in_src(monkeypatch):
+    # every sector operator is built from the orbit representatives and the
+    # XYZ H acts on full-space vectors bond by bond (xyz_apply); the COO
+    # operators, their projection, the full-space translation and H, and the
+    # full-space supercharge are test references
+    forbidden = {"FullOperator", "project", "translation_operator", "xyz_hamiltonian_full"}
     definitions = [(path.relative_to(ROOT).parts[0], node.name)
                    for top in ("src", "tests")
                    for path in sorted((ROOT / top).rglob("*.py"))
                    for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name in ("local_q", "supercharge_full")]
-    assert sorted(definitions) == [("tests", "local_q"), ("tests", "supercharge_full")]
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name in forbidden | {"local_q", "supercharge_full"}]
+    assert [name for top, name in definitions if top == "src"] == []
+    assert [callee for callee in sorted(forbidden) if _src_callers(callee)] == []
+    assert sorted(name for _, name in definitions) == [
+        "FullOperator", "local_q", "project", "supercharge_full", "xyz_hamiltonian_full"]
+    # the fermion H is folded from the hops of the orbit representatives
+    # alone, at most two per particle of each (a COO H on every mask of these
+    # sectors folds 1625 to 2970 entries)
+    folded = []
+
+    def recording(matrix, position, codomain, src, images, values):
+        folded.append(len(src))
+        return _add_images(matrix, position, codomain, src, images, values)
+
+    monkeypatch.setattr(fermion, "_add_images", recording)
+    for m, boundary, sigma in ((3, "ramond", 1), (4, "ramond", 1), (5, "neveu-schwarz", -1)):
+        model = fermion.FermionModel(n_f=15, couplings=fermion.staggered_couplings(15, 0.6),
+                                     boundary=boundary, m=m)
+        op = fermion.fermion_hamiltonian(model, sigma)
+        assert op.blocks is not None and op.domain.dim > 0
+        folded.clear()
+        op.matrix  # builds the blocks
+        assert 0 < sum(folded) <= 2 * m * op.domain.dim
 
 
 def test_bethe_system_takes_h_from_exponentials():

@@ -10,10 +10,9 @@ from susyxyz import spinchain
 from susyxyz.eightvertex import _path_blocks, _path_codes, _translate_path_codes, path_vectors
 from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import ContractError, DomainError
-from susyxyz.fermion import FermionModel, fermion_hamiltonian, staggered_couplings, t3_sector_basis
+from susyxyz.fermion import FermionModel, fermion_hamiltonian, staggered_couplings
 from susyxyz.spinchain import (
     CouplingLine,
-    FullOperator,
     SectorOperator,
     _eigh_checked,
     _fold,
@@ -23,19 +22,18 @@ from susyxyz.spinchain import (
     build_sector_basis,
     common_levels,
     embed,
-    project,
     rescaled_spectrum,
     restrict,
     reverse_bits,
     rotate_left,
     spectrum,
     spectrum_csv_rows,
+    xyz_apply,
     xyz_hamiltonian,
-    xyz_hamiltonian_full,
 )
 from susyxyz.supercharge import susy_sector
 
-from operator_reference import symmetry_operator
+from operator_reference import FullOperator, project, symmetry_operator, xyz_hamiltonian_full
 
 
 def test_coupling_line_identity():
@@ -62,10 +60,42 @@ def test_translation_symmetry_operator_order():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_hamiltonian_commutes_with_symmetries(n):
-    H = xyz_hamiltonian_full(n, CouplingLine(0.8)).toarray()
+    H = xyz_apply(n, CouplingLine(0.8), np.eye(2 ** n))
     for kind in ("translation", "parity", "spin_reversal"):
         S = symmetry_operator(kind, n).toarray()
         assert np.linalg.norm(H @ S - S @ H) < 1e-12 * max(1.0, np.linalg.norm(H))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_xyz_apply_on_the_identity_is_the_dense_reference(n):
+    # bit for bit: each entry adds the same bond terms in the same order
+    for zeta in (0.0, 0.3, 0.7, 2.5):
+        coupling = CouplingLine(zeta)
+        H = xyz_apply(n, coupling, np.eye(2 ** n))
+        assert H.dtype == np.float64
+        assert np.array_equal(H, xyz_hamiltonian_full(n, coupling).toarray())
+        assert np.array_equal(xyz_apply(n, coupling, np.eye(2 ** n, dtype=int)), H)
+
+
+@pytest.mark.parametrize("n", range(9, 14))
+def test_xyz_apply_matches_the_reference_on_random_vectors(n):
+    rng = np.random.default_rng(n)
+    V = rng.standard_normal((2 ** n, 3)) + 1j * rng.standard_normal((2 ** n, 3))
+    for zeta in (0.0, 0.7, 2.5):
+        coupling = CouplingLine(zeta)
+        ref = xyz_hamiltonian_full(n, coupling) @ V
+        got = xyz_apply(n, coupling, V)
+        assert got.shape == V.shape and got.dtype == np.complex128
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        # a one-dimensional V is one column
+        assert np.array_equal(xyz_apply(n, coupling, V[:, 1]), got[:, 1])
+
+
+def test_xyz_apply_rejects_bad_input():
+    with pytest.raises(DomainError, match="needs n >= 2 sites, got 1"):
+        xyz_apply(1, CouplingLine(0.3), np.eye(2))
+    with pytest.raises(DomainError, match="2\\^3 rows"):
+        xyz_apply(3, CouplingLine(0.3), np.eye(4))
 
 
 def test_sector_dimensions_sum_to_full_space():
@@ -287,19 +317,7 @@ def _scipy_embedding(basis):
 
 
 def test_table_products_match_scipy_references():
-    # the fermion H folded through the T^3 orbit tables against B^H H B, and
     # the path blocks restricted through the momentum tables against B^H R
-    for n_f, m in ((6, 2), (9, 3), (12, 4)):
-        for boundary in ("ramond", "neveu-schwarz"):
-            model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
-                                 boundary=boundary, m=m)
-            H = fermion_hamiltonian(model)
-            H_sp = sp.csr_matrix((H.vals, (H.rows, H.cols)), shape=H.shape)
-            for sigma in (1, -1):
-                basis = t3_sector_basis(n_f, m, sigma, boundary)
-                B = _scipy_embedding(basis)
-                ref = (B.conj().T @ H_sp @ B).toarray()
-                assert _max_abs(project(H, basis).matrix - ref) <= 1e-12 * max(1.0, _max_abs(ref))
     ctx = ThetaContext(nome=0.3)
     for n in range(2, 10):
         codes = _path_codes(n)
@@ -468,7 +486,7 @@ def test_spectrum_computes_no_eigenvectors(monkeypatch):
            xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0, parity=-1))]
     model = FermionModel(n_f=12, couplings=staggered_couplings(12, 0.61),
                          boundary="ramond", m=4)
-    ops.append(project(fermion_hamiltonian(model), t3_sector_basis(12, 4, -1, "ramond")))
+    ops.append(fermion_hamiltonian(model, -1))
 
     def no_eigh(M):
         raise AssertionError("spectrum computed eigenvectors")
@@ -481,12 +499,13 @@ def test_spectrum_computes_no_eigenvectors(monkeypatch):
 
 def test_parity_refinement_needs_no_eigensolve_or_projection(monkeypatch):
     # a refined sector is built from the orbit tables alone, and its H in
-    # sector coordinates
+    # sector coordinates, with no dense embedding or restriction
     def forbidden(*args, **kwargs):
         raise AssertionError("the parity refinement called an eigensolver or a projection")
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    monkeypatch.setattr(spinchain, "project", forbidden)
+    monkeypatch.setattr(spinchain, "embed", forbidden)
+    monkeypatch.setattr(spinchain, "restrict", forbidden)
     build_sector_basis.cache_clear()
     coupling = CouplingLine(0.7)
     dims = [len(spectrum(xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0, parity=p))))

@@ -11,14 +11,12 @@ from susyxyz import supercharge
 from susyxyz.errors import DomainError
 from susyxyz.spinchain import (
     CouplingLine,
-    FullOperator,
     SectorOperator,
     _parity_blocks,
     _rank,
     _signed_orbit_map,
     build_sector_basis,
     embed,
-    project,
     reverse_bits,
     reverse_spins,
     spectrum,
@@ -36,7 +34,7 @@ from susyxyz.supercharge import (
     verify_algebra,
 )
 
-from operator_reference import symmetry_operator
+from operator_reference import FullOperator, project, symmetry_operator
 
 
 def local_q(j, n, zeta):
