@@ -26,8 +26,8 @@ from .errors import (
     PoleError,
 )
 from .spinchain import (
+    _block_ranks,
     _orbit_sector,
-    _rank,
     build_sector_basis,
     embed,
     restrict,
@@ -263,7 +263,8 @@ def _path_blocks(n, ctx, inhomogeneities=None):
         identity = _orbit_sector(np.arange(1 << n), n, lambda x: (x, 1.0), 1.0)
         return [(identity, path_matrix(n, ctx, inhomogeneities))]
     step = lambda codes: (_translate_path_codes(codes, n), 1.0)
-    reps, periods = np.array(_orbit_sector(_path_codes(n), n, step, 1.0).orbit_reps).T
+    orbits = _orbit_sector(_path_codes(n), n, step, 1.0)
+    reps, periods = orbits.reps, orbits.periods
     R = path_vectors(reps, n, ctx) * np.sqrt(periods)
     blocks = [None] * n
     for g in sorted({math.gcd(k, n) for k in range(n)}):
@@ -281,19 +282,19 @@ def path_rank_complement(n, ctx, inhomogeneities=None, complement=True):
 
     The singular values of M are the union of those of the blocks
     (`_path_blocks`), so one cut against the largest of them all gives the
-    rank. With complement=False the complement is None. The complement is the
-    orthonormal basis of the orthogonal complement of the path span, the union
-    over the blocks of the embedded left singular vectors past the block's
-    count above the cut; it exists only for odd n, where it must have dimension 2.
-    Singular vectors are computed only for the blocks with fewer counts than
+    rank, with a warning when the singular values straddle it
+    (`_block_ranks`). With complement=False the complement is None. The
+    complement is the orthonormal basis of the orthogonal complement of the
+    path span, the union over the blocks of the embedded left singular
+    vectors past the block's count above the cut; it exists only for odd n,
+    where it must have dimension 2. Singular vectors are computed only for the blocks with fewer counts than
     rows, the only ones that contribute to it.
     """
     if complement and n % 2 == 0:
         raise DomainError("the path span has a complement only for odd n")
     blocks = _path_blocks(n, ctx, inhomogeneities)
-    svals = [np.linalg.svd(M, compute_uv=False) for _, M in blocks]
-    s_max = max(s[0] for s in svals if len(s))
-    counts = [_rank(s, s_max) for s in svals]
+    ranks = _block_ranks(enumerate(M for _, M in blocks), f"the path matrix at n={n}")
+    counts = list(ranks.values())
     rank = sum(counts)
     if not complement:
         return rank, None

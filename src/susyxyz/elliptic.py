@@ -75,11 +75,15 @@ def _series(kind, nome):
     return tuple(coefs), tuple(freqs), tables
 
 
+def _require_nome(nome):
+    if not (0.0 <= nome < 1.0):
+        raise DomainError(f"nome must lie in [0, 1), got {nome}")
+
+
 def _require_kind_and_nome(kind, nome):
     if kind not in (1, 2, 3, 4):
         raise DomainError(f"theta kind must be 1..4, got {kind}")
-    if not (0.0 <= nome < 1.0):
-        raise DomainError(f"nome must lie in [0, 1), got {nome}")
+    _require_nome(nome)
 
 
 def _out_of_reach(kind, nome, y, derivative=False):
@@ -253,8 +257,7 @@ class ThetaContext:
     t: float = -0.7
 
     def __post_init__(self):
-        if not (0.0 <= self.nome < 1.0):
-            raise DomainError(f"nome must lie in [0, 1), got {self.nome}")
+        _require_nome(self.nome)
         if not (math.isfinite(self.s) and math.isfinite(self.t)):
             raise DomainError(f"s and t must be finite, got s={self.s}, t={self.t}")
 
@@ -299,8 +302,7 @@ def w(ell, ctx):
 
 def zeta_of_nome(nome):
     """Coupling zeta = (theta_1(2pi/3, q^2) / theta_4(2pi/3, q^2))^2."""
-    if not (0.0 <= nome < 1.0):
-        raise DomainError(f"nome must lie in [0, 1), got {nome}")
+    _require_nome(nome)
     z = 2.0 * math.pi / 3.0
     q2 = nome ** 2
     return (theta(1, z, q2) / theta(4, z, q2)) ** 2

@@ -231,7 +231,7 @@ def _fermion_blocks(model, sector):
     n_f, lam = model.n_f, model.couplings
     states = np.array(hardcore_basis(n_f, model.m))
     seam = _seam_sign(model.boundary, model.m)
-    reps, sizes = sector.orbit_arrays
+    reps, sizes = sector.reps, sector.periods
     weight = np.sqrt(sizes)
     for p, src in sector.parity_blocks:
         diag = np.zeros(len(reps))

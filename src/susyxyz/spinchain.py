@@ -29,6 +29,7 @@ SVDs run in real arithmetic; any other t gives complex128.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 
@@ -62,7 +63,7 @@ class CouplingLine:
         return (self.zeta ** 2 - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Orthonormal symmetry-adapted basis of a sector of a model on n sites:
     a momentum sector of the spin chain (optionally refined by parity) or a
@@ -72,32 +73,35 @@ class SectorBasis:
     states, or the hard-core masks): `column` holds, per state, the orbit sum
     that holds it, or -1 if its orbit is not admitted, and `amplitude` the
     state's coefficient in that orbit sum (0 for -1). t_eigenvalue is the
-    eigenvalue of the orbit step (translation, or T^3), and `orbit_reps`
-    holds the (smallest state, number of states) of every admitted orbit;
-    column i is the orbit sum of orbit_reps[i]. An orbit of a parity
-    refinement is a translation orbit joined to its mirror image, or a
-    mirror-symmetric one. A real t (|Im t| <= 1e-12, stored snapped to +-1)
-    gives float64 amplitudes, otherwise they are complex128.
+    eigenvalue of the orbit step (translation, or T^3); `reps` and `periods`,
+    read-only int64 arrays, hold the smallest state and the number of states
+    of every admitted orbit, and column i is the orbit sum of orbit i. An
+    orbit of a parity refinement is a translation orbit joined to its mirror
+    image, or a mirror-symmetric one. A real t (|Im t| <= 1e-12, stored
+    snapped to +-1) gives float64 amplitudes, otherwise they are complex128.
+    Sectors compare by identity.
     """
 
     n: int
     t_eigenvalue: complex
     parity_eigenvalue: int | None
-    orbit_reps: tuple
-    dim: int
-    column: np.ndarray = field(repr=False, compare=False)
-    amplitude: np.ndarray = field(repr=False, compare=False)
+    reps: np.ndarray = field(repr=False)
+    periods: np.ndarray = field(repr=False)
+    column: np.ndarray = field(repr=False)
+    amplitude: np.ndarray = field(repr=False)
 
-    @cached_property
-    def orbit_arrays(self):
-        """(representatives, periods) of the admitted orbits, as int64 arrays."""
-        return np.array(self.orbit_reps, dtype=np.int64).reshape(-1, 2).T
+    def __post_init__(self):
+        self.reps.flags.writeable = self.periods.flags.writeable = False
+
+    @property
+    def dim(self):
+        return len(self.reps)
 
     @cached_property
     def parity_blocks(self):
         """(P, column indices) per spin parity P = (-1)^popcount of the orbit
         representatives, P = +1 first; a fermion sector's masks form one block."""
-        parity = _spin_parity(self.orbit_arrays[0])
+        parity = _spin_parity(self.reps)
         return tuple((p, np.flatnonzero(parity == p)) for p in (1, -1) if np.any(parity == p))
 
     @cached_property
@@ -105,7 +109,7 @@ class SectorBasis:
         """(states, weights), two dim x (largest period) arrays: row c holds
         the states of orbit sum c, ascending, and their conj(amplitude),
         padded with state 0 and weight 0 past the orbit's period."""
-        periods = self.orbit_arrays[1]
+        periods = self.periods
         rows = np.argsort(self.column, kind="stable")[len(self.column) - int(periods.sum()):]
         cols = self.column[rows]
         place = (cols, np.arange(len(rows)) - (np.cumsum(periods) - periods)[cols])
@@ -150,33 +154,21 @@ def _parity_columns(basis, parity):
 
 
 class SectorOperator:
-    """A matrix from one sector basis to another, codomain.dim x domain.dim:
-    float64 when both bases have a real t (= +-1) and the operator is real,
-    otherwise complex128.
+    """A matrix from one sector basis to another, codomain.dim x domain.dim,
+    that maps spin parity P to flip * P: float64 when both bases have a real
+    t (= +-1) and the operator is real, otherwise complex128.
 
-    An operator built in sector coordinates holds `blocks`, a function that
-    builds its blocks one at a time: one (P, block) pair per spin parity
-    block of the domain, the block's rows being the codomain columns of
-    parity flip * P (possibly none); the entries outside these blocks are
-    zero by construction. The blocks are built again on every read and not
-    kept, so a reader that takes them in turn (`spectrum`, the cohomology
-    ranks) holds one at a time; `matrix`, the whole dense matrix, is
-    assembled from them when first read, and kept. An operator given as a
-    whole `matrix` (the permuted Qt, the conserved charge C) has no blocks and
-    is split, with a check, by `_parity_blocks`.
+    It is held as `blocks`, a function that builds its blocks one at a time:
+    one (P, block) pair per spin parity block of the domain, the block's rows
+    being the codomain columns of parity flip * P (possibly none); the
+    entries outside these blocks are zero by construction. The blocks are
+    built again on every read and not kept, so a reader that takes them in
+    turn (`spectrum`, the cohomology ranks) holds one at a time; `matrix`,
+    the whole dense matrix, is assembled from them when first read, and kept.
     """
 
-    def __init__(self, domain, codomain, matrix=None, blocks=None, flip=None):
-        if (matrix is None) == (blocks is None):
-            raise DomainError("a sector operator takes either a matrix or its parity blocks")
+    def __init__(self, domain, codomain, blocks, flip):
         self.domain, self.codomain, self.blocks, self.flip = domain, codomain, blocks, flip
-        if matrix is not None:
-            if matrix.shape != (codomain.dim, domain.dim):
-                raise DomainError(
-                    f"matrix shape {matrix.shape} does not match bases "
-                    f"({codomain.dim}, {domain.dim})"
-                )
-            self.matrix = matrix
 
     @cached_property
     def matrix(self):
@@ -258,8 +250,8 @@ def _orbit_sector(states, n, step, t):
         n=n,
         t_eigenvalue=t,
         parity_eigenvalue=None,
-        orbit_reps=tuple(zip(reps.tolist(), periods.tolist())),
-        dim=len(reps),
+        reps=reps,
+        periods=periods,
         column=column,
         amplitude=amplitude,
     )
@@ -299,7 +291,7 @@ def _signed_orbit_map(basis, symmetry):
     """(perm, sign) with S|c~> = sign[c] |perm[c]~> for the orbit sums c~ of
     a real-t sector and a symmetry S = symmetry(bits, n) that maps each to
     +- another: c~ goes to the orbit sum of S r, r its representative."""
-    reps = basis.orbit_arrays[0]
+    reps = basis.reps
     images = symmetry(reps, basis.n)
     perm = basis.column[images]
     return perm, basis.amplitude[images] / basis.amplitude[reps[perm]]
@@ -312,14 +304,12 @@ def _refine_parity(basis, parity):
     table composed with the momentum table is the refined orbit table."""
     perm, sign = _signed_orbit_map(basis, reverse_bits)
     pairs = _orbit_sector(np.arange(basis.dim), basis.n, lambda c: (perm[c], sign[c]), parity)
-    cols, counts = pairs.orbit_arrays
-    reps, periods = basis.orbit_arrays
+    cols = pairs.reps
     # the appended -1 and 0 are read by the states whose orbit is not admitted (column -1)
     column = np.append(pairs.column, -1)[basis.column]
     amplitude = basis.amplitude * np.append(pairs.amplitude, 0.0)[basis.column]
-    sizes = periods[cols] * counts
-    return replace(basis, parity_eigenvalue=parity, dim=pairs.dim, column=column,
-                   amplitude=amplitude, orbit_reps=tuple(zip(reps[cols].tolist(), sizes.tolist())))
+    return replace(basis, parity_eigenvalue=parity, reps=basis.reps[cols],
+                   periods=basis.periods[cols] * pairs.periods, column=column, amplitude=amplitude)
 
 
 def _fold(block, codomain, parity, src, images, values):
@@ -407,7 +397,7 @@ def xyz_hamiltonian(n, coupling, sector):
 
 def _xyz_blocks(n, coupling, sector):
     """The parity blocks of `xyz_hamiltonian`, built one at a time."""
-    all_reps, all_sizes = sector.orbit_arrays
+    all_reps, all_sizes = sector.reps, sector.periods
     for p, cols in sector.parity_blocks:
         reps, src = all_reps[cols], np.arange(len(cols))
         block = np.zeros((len(cols), len(cols)), dtype=sector.amplitude.dtype)
@@ -448,32 +438,11 @@ def _eigh_checked(M, vectors=True):
 
 
 def _parity_blocks(op, flip):
-    """The dense blocks of a sector operator that maps spin parity P to
-    flip * P: one (P, block) pair per parity block of the domain, the block's
-    rows being the codomain columns of parity flip * P (possibly none).
-
-    An operator built in blocks returns them, and raises ContractError if it
-    was built for another flip. A whole matrix is split, and raises
-    ContractError if the entries outside these blocks have a norm above
-    1e-12 * scale, scale = max(1, ||M||).
-    """
-    if op.blocks is not None:
-        if op.flip != flip:
-            raise ContractError(f"operator maps spin parity P to {op.flip} * P, not {flip} * P")
-        return op.blocks()
-    M = op.matrix
-    blocks, mixed = [], 0.0
-    for p, cols in op.domain.parity_blocks:
-        rows = np.zeros(0, dtype=np.intp)
-        for q, q_cols in op.codomain.parity_blocks:
-            if q == flip * p:
-                rows = q_cols
-            else:
-                mixed += np.linalg.norm(M.take(q_cols, 0).take(cols, 1)) ** 2
-        blocks.append((p, M.take(rows, 0).take(cols, 1)))
-    if mixed and math.sqrt(mixed) > 1e-12 * max(1.0, np.linalg.norm(M)):
-        raise ContractError("operator mixes the spin parity blocks of its sectors")
-    return blocks
+    """The blocks of a sector operator (`SectorOperator`), one at a time;
+    raises ContractError if it maps spin parity P to another than flip * P."""
+    if op.flip != flip:
+        raise ContractError(f"operator maps spin parity P to {op.flip} * P, not {flip} * P")
+    return op.blocks()
 
 
 def spectrum(op):
@@ -540,6 +509,30 @@ def _rank(s, s_max=None):
     if s_max is None:
         s_max = s[0] if len(s) else 0.0
     return int(np.sum(s > _RANK_CUT * s_max))
+
+
+def _block_ranks(blocks, context):
+    """{key: rank of the block} for the blocks of one block-diagonal matrix,
+    given as (key, block) pairs: one SVD per block, each block dropped after
+    its SVD. The cut is the whole matrix's, _RANK_CUT times the largest
+    singular value over all its blocks, and the whole matrix's singular
+    values are checked for honesty: warn when they straddle the cut."""
+    svals = {}
+    for key, block in blocks:
+        svals[key] = np.linalg.svd(block, compute_uv=False)
+        del block  # freed before the next block is built
+    s = np.sort(np.concatenate([np.zeros(0), *svals.values()]))[::-1]
+    rank = _rank(s)
+    if 0 < rank < len(s):
+        gap = s[rank - 1] / max(s[rank], np.finfo(float).tiny)
+        if gap < 10.0:
+            warnings.warn(
+                f"ill-conditioned rank for {context}: singular values "
+                f"{s[rank - 1]:.3e} / {s[rank]:.3e} straddle the threshold",
+                stacklevel=3,
+            )
+    s_max = s[0] if len(s) else 0.0
+    return {key: _rank(v, s_max) for key, v in svals.items()}
 
 
 def _check_record(relation, n, zeta, residual, ok):

@@ -14,16 +14,16 @@ j < N, so on the sector t_N the sum collapses to the codomain's projector:
 Q_N Pi_N = sqrt(N(N+1)) Pi_{N+1} q_0 Pi_N. Q_N is built in sector coordinates
 from q_0 alone, applied to the states of each domain orbit, its images folded
 onto the codomain's orbit sums, one spin parity block at a time. Spin
-reversal maps orbit sums to +- orbit sums, so Qt_N is Q_N with its rows and
-columns permuted and signed. The cohomology ranks read Q_N on the reflection
-refinements of the sectors instead, which lie inside the momentum sectors:
-four (spin parity, reflection) blocks, each about a quarter of the sector.
+reversal maps orbit sums to +- orbit sums, so each block of Qt_N is a block
+of Q_N with its rows and columns permuted and signed. The cohomology ranks
+read Q_N on the reflection refinements of the sectors instead, which lie
+inside the momentum sectors: four (spin parity, reflection) blocks, each
+about a quarter of the sector.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -34,13 +34,13 @@ from .spinchain import (
     SPECTRAL_TOL,
     CouplingLine,
     SectorOperator,
+    _block_ranks,
     _check_record,
     _eigh_checked,
     _fold,
     _group_levels,
     _parity_blocks,
     _parity_columns,
-    _rank,
     _signed_orbit_map,
     _spin_parity,
     build_sector_basis,
@@ -63,19 +63,35 @@ def susy_sector(n, parity=None):
 
 def _conjugated(Q, symmetry):
     """S_{N+1} Q S_N for a symmetry S that maps orbit sums to +- orbit sums
-    (`_signed_orbit_map`): the whole Q with its rows and columns permuted and signed."""
-    perm_in, sign_in = _signed_orbit_map(Q.domain, symmetry)
-    perm_out, sign_out = _signed_orbit_map(Q.codomain, symmetry)
-    return sign_out[:, None] * Q.matrix[np.ix_(perm_out, perm_in)] * sign_in
+    (`_signed_orbit_map`), as blocks: each block of Q with its rows and
+    columns permuted and signed. S maps spin parity P to s P, s the parity of
+    S|0> on its side, so S Q S maps P to s_out * Q.flip * s_in * P."""
+    s_in, s_out = (int(_spin_parity(symmetry(0, b.n))) for b in (Q.domain, Q.codomain))
+    return SectorOperator(Q.domain, Q.codomain,
+                          partial(_conjugated_blocks, Q, symmetry, s_in, s_out),
+                          s_out * Q.flip * s_in)
+
+
+def _conjugated_blocks(Q, symmetry, s_in, s_out):
+    """The blocks of `_conjugated`: its block on the domain parity s_in * q
+    is the block q of Q, read through the signed orbit maps of S."""
+    dom, cod = Q.domain, Q.codomain
+    perm_in, sign_in = _signed_orbit_map(dom, symmetry)
+    perm_out, sign_out = _signed_orbit_map(cod, symmetry)
+    for q, block in Q.blocks():
+        cols = _parity_columns(dom, s_in * q)
+        rows = _parity_columns(cod, s_out * Q.flip * q)
+        moved = block[np.ix_(cod.block_position[perm_out[rows]],
+                             dom.block_position[perm_in[cols]])]
+        yield s_in * q, sign_out[rows, None] * moved * sign_in[cols]
 
 
 @dataclass(frozen=True)
 class SuperchargePair:
     """Q_N and its spin-reversed partner Qt_N = R_{N+1} Q_N R_N on the momentum
-    sectors. Q_N is held as parity blocks; Qt_N, formed when first read, is
-    the whole Q_N with its rows and columns permuted and signed
-    (`_conjugated`). R_N maps spin parity P to (-1)^N P, so Qt_N maps P
-    to P."""
+    sectors. Both are held as parity blocks; each block of Qt_N is a block of
+    Q_N with its rows and columns permuted and signed (`_conjugated`). R_N
+    maps spin parity P to (-1)^N P, so Qt_N maps P to P."""
 
     n: int
     zeta: float
@@ -83,16 +99,14 @@ class SuperchargePair:
 
     @cached_property
     def q_tilde(self):
-        Q = self.q_plain
-        return SectorOperator(Q.domain, Q.codomain, _conjugated(Q, reverse_spins))
+        return _conjugated(self.q_plain, reverse_spins)
 
 
 def build_supercharges(n, zeta):
     """Q_N = sqrt(N/(N+1)) sum_{j=0}^{N} q_j on the momentum sectors, as parity
     blocks built when read; its partner Qt_N is formed on demand."""
     CouplingLine(zeta)  # raises DomainError for a non-finite zeta
-    q = SectorOperator(susy_sector(n), susy_sector(n + 1), blocks=partial(_q_blocks, n, zeta),
-                       flip=-1)
+    q = SectorOperator(susy_sector(n), susy_sector(n + 1), partial(_q_blocks, n, zeta), -1)
     return SuperchargePair(n=n, zeta=zeta, q_plain=q)
 
 
@@ -104,7 +118,7 @@ def _refined_supercharge(n, zeta):
     (P, r) blocks of Q_N."""
     CouplingLine(zeta)  # raises DomainError for a non-finite zeta
     return {r: SectorOperator(susy_sector(n, r), susy_sector(n + 1, (-1) ** (n + 1) * r),
-                              blocks=partial(_q_blocks, n, zeta, r), flip=-1)
+                              partial(_q_blocks, n, zeta, r), -1)
             for r in (1, -1)}
 
 
@@ -167,41 +181,29 @@ def verify_algebra(n, zeta, tol=ALGEBRA_TOL, pairs=None):
 
 
 def conserved_charge_C(n, zeta):
-    """C_N = Qt_N^dag Q_N, the square-zero charge mapping between quadruplet middles."""
+    """C_N = Qt_N^dag Q_N, the square-zero charge mapping between quadruplet
+    middles. Qt_N keeps the spin parity and Q_N flips it, so C_N maps P to -P:
+    its block on P is Qt_N's block on -P, adjoint, times Q_N's block on P."""
     if n < 2:
         raise DomainError("the conserved charge needs n >= 2")
     pair = build_supercharges(n, zeta)
-    sector = susy_sector(n)
-    C = pair.q_tilde.matrix.conj().T @ pair.q_plain.matrix
-    return SectorOperator(domain=sector, codomain=sector, matrix=C)
+    sector = pair.q_plain.domain
+    return SectorOperator(sector, sector, partial(_charge_C_blocks, pair), -1)
 
 
-def _block_ranks(ops, context):
+def _charge_C_blocks(pair):
+    """The blocks of `conserved_charge_C`; where the domain has no parity -P
+    block, Qt_N has none there either, and C_N's block on P has no rows."""
+    partners = dict(pair.q_tilde.blocks())
+    for p, block in pair.q_plain.blocks():
+        yield p, partners.get(-p, np.zeros((len(block), 0))).conj().T @ block
+
+
+def _charge_ranks(halves, context):
     """{(P, r): rank of the block from spin parity P to -P} of a supercharge
-    given as its halves {r: operator}, one SVD per block. The cut is the
-    whole charge's, _RANK_CUT times the largest singular value over all its
-    blocks, and the whole charge's singular values (the blocks', padded with
-    zeros) are checked for honesty: warn when they straddle the cut."""
-    svals = {}
-    for r, op in ops.items():
-        for p, block in _parity_blocks(op, -1):
-            svals[p, r] = np.linalg.svd(block, compute_uv=False)
-            del block  # freed before the next block is built
-    s = np.zeros(min(sum(op.codomain.dim for op in ops.values()),
-                     sum(op.domain.dim for op in ops.values())))
-    found = np.concatenate([np.zeros(0), *svals.values()])
-    s[:len(found)] = np.sort(found)[::-1]
-    rank = _rank(s)
-    if 0 < rank < len(s):
-        gap = s[rank - 1] / max(s[rank], np.finfo(float).tiny)
-        if gap < 10.0:
-            warnings.warn(
-                f"ill-conditioned rank for {context}: singular values "
-                f"{s[rank - 1]:.3e} / {s[rank]:.3e} straddle the threshold",
-                stacklevel=3,
-            )
-    s_max = s[0] if len(s) else 0.0
-    return {key: _rank(v, s_max) for key, v in svals.items()}
+    given as its halves {r: operator}, under one cut over all four blocks."""
+    return _block_ranks((((p, r), block) for r, op in halves.items()
+                         for p, block in _parity_blocks(op, -1)), context)
 
 
 def cohomology_dimension(n, zeta):
@@ -213,8 +215,8 @@ def cohomology_dimension(n, zeta):
     if n < 2:
         raise DomainError("cohomology needs n >= 2")
     Qn = _refined_supercharge(n, zeta)
-    rank_n = _block_ranks(Qn, f"Q_{n}")
-    rank_dn = _block_ranks(_refined_supercharge(n - 1, zeta), f"Q_{n - 1}")
+    rank_n = _charge_ranks(Qn, f"Q_{n}")
+    rank_dn = _charge_ranks(_refined_supercharge(n - 1, zeta), f"Q_{n - 1}")
     dims = {1: 0, -1: 0}
     for r, op in Qn.items():
         for p, cols in op.domain.parity_blocks:
@@ -365,7 +367,7 @@ def parity_covariance_check(n, zeta):
     n also check that the odd-parity spectrum is contained in the even-parity
     one (`parity_spectral_inclusion`)."""
     Q = build_supercharges(n, zeta).q_plain
-    resid = np.linalg.norm(_conjugated(Q, reverse_bits) - (-1.0) ** (n + 1) * Q.matrix)
+    resid = np.linalg.norm(_conjugated(Q, reverse_bits).matrix - (-1.0) ** (n + 1) * Q.matrix)
     report = _check_record("parity_covariance", n, zeta, resid,
                            resid < 1e-10 * max(1.0, np.linalg.norm(Q.matrix)))
     if n % 2 == 0:

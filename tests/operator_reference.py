@@ -6,8 +6,8 @@ rows bond by bond (`spinchain.xyz_apply`). The references here are the
 full-space operators as COO triplets (`FullOperator`): the XYZ H, written
 out over all 2^n states, and the translation, parity and spin-reversal
 permutations. `project` restricts a full-space operator to sector
-coordinates, B_cod^H A B_dom, through the orbit tables; the tests check the
-sector operators of the package against these projections.
+coordinates, the dense matrix B_cod^H A B_dom, through the orbit tables; the
+tests check the sector operators of the package against these projections.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from susyxyz.errors import DomainError
-from susyxyz.spinchain import SectorOperator, _add_images, reverse_bits, reverse_spins, rotate_left
+from susyxyz.spinchain import _add_images, reverse_bits, reverse_spins, rotate_left
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class FullOperator:
 
 
 def project(full_op, domain, codomain=None):
-    """Restrict a `FullOperator` to sector coordinates, B_cod^H A B_dom,
-    folded onto the columns through the orbit tables: entry (r, s) with
+    """Restrict a `FullOperator` to sector coordinates, the dense matrix
+    B_cod^H A B_dom, folded onto the columns through the orbit tables: entry (r, s) with
     value v adds v * amp(s) * conj(amp(r)) at (column(r), column(s)) when
     both orbits are admitted."""
     codomain = codomain if codomain is not None else domain
@@ -53,7 +53,7 @@ def project(full_op, domain, codomain=None):
                       dtype=np.result_type(domain.amplitude, codomain.amplitude, full_op.vals))
     _add_images(matrix, np.arange(codomain.dim), codomain, src[keep], full_op.rows[keep],
                 full_op.vals[keep] * domain.amplitude[full_op.cols[keep]])
-    return SectorOperator(domain, codomain, matrix)
+    return matrix
 
 
 def xyz_hamiltonian_full(n, coupling):

@@ -167,8 +167,8 @@ def test_t3_sector_basis_is_a_sector_basis(n_f):
                 B = embed(basis, np.eye(basis.dim))
                 assert B.shape == (len(masks), basis.dim)
                 assert B.dtype == np.float64
-                assert {rep for rep, _ in basis.orbit_reps} <= set(masks)
-                assert sum(p for _, p in basis.orbit_reps) == np.count_nonzero(basis.column >= 0)
+                assert set(basis.reps.tolist()) <= set(masks)
+                assert basis.periods.sum() == np.count_nonzero(basis.column >= 0)
                 assert np.abs(B.T @ B - np.eye(basis.dim)).max(initial=0.0) <= 1e-12
                 assert np.abs(T3 @ B - sigma * B).max(initial=0.0) <= 1e-12
 

@@ -3,6 +3,7 @@ every import in src/ sits at module level, and the package runs on numpy
 alone."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 from pathlib import Path
 
 from susyxyz import fermion
-from susyxyz.spinchain import _add_images
+from susyxyz.spinchain import SectorOperator, _add_images
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -230,6 +231,27 @@ def test_no_full_space_operator_in_src(monkeypatch):
         folded.clear()
         op.matrix  # builds the blocks
         assert 0 < sum(folded) <= 2 * m * op.domain.dim
+
+
+def test_a_sector_operator_is_its_parity_blocks():
+    # one constructor, from the parity blocks and the flip; no whole matrix
+    # is taken, and every sector operator of src/ passes exactly these
+    fields = ["domain", "codomain", "blocks", "flip"]
+    assert list(inspect.signature(SectorOperator).parameters) == fields
+    calls = [call for path in sorted((ROOT / "src").rglob("*.py"))
+             for call in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "SectorOperator"]
+    assert len(calls) >= 5
+    assert [ast.unparse(call) for call in calls
+            if len(call.args) + len(call.keywords) != 4
+            or {kw.arg for kw in call.keywords} - set(fields)] == []
+    # Qt and P Q P are read from the blocks of Q, not from its whole matrix
+    tree = ast.parse((ROOT / "src/susyxyz/supercharge.py").read_text())
+    conjugation = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   and fn.name in ("_conjugated", "_conjugated_blocks")]
+    assert len(conjugation) == 2
+    assert [node.lineno for fn in conjugation for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "matrix"] == []
 
 
 def test_bethe_system_takes_h_from_exponentials():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from susyxyz.errors import ContractError, DomainError
 from susyxyz.fermion import FermionModel, fermion_hamiltonian, staggered_couplings
 from susyxyz.spinchain import (
     CouplingLine,
+    SectorBasis,
     SectorOperator,
     _eigh_checked,
     _fold,
@@ -31,9 +33,9 @@ from susyxyz.spinchain import (
     xyz_apply,
     xyz_hamiltonian,
 )
-from susyxyz.supercharge import susy_sector
+from susyxyz.supercharge import conserved_charge_C, susy_sector
 
-from operator_reference import FullOperator, project, symmetry_operator, xyz_hamiltonian_full
+from operator_reference import project, symmetry_operator, xyz_hamiltonian_full
 
 
 def test_coupling_line_identity():
@@ -149,12 +151,17 @@ def test_n4_momentum_zero_characteristic_polynomial(zeta):
 
 def test_spectrum_requires_square_hermitian():
     dom = build_sector_basis(3, 1.0)
-    cod = build_sector_basis(4, -1.0)
-    rect = project(symmetry_operator("translation", 3), dom)
-    M = rect.matrix
-    bad = type(rect)(domain=dom, codomain=dom, matrix=M + 1j * np.triu(np.ones_like(M)))
-    with pytest.raises(ContractError):
-        spectrum(bad)
+    cod = build_sector_basis(4, 1.0)
+    assert dom.dim != cod.dim
+    # T + i U on each parity block, U the upper triangle of ones: not Hermitian
+    T = project(symmetry_operator("translation", 3), dom)
+    blocks = [(p, T[np.ix_(cols, cols)] + 1j * np.triu(np.ones((len(cols), len(cols)))))
+              for p, cols in dom.parity_blocks]
+    assert all(len(block) > 1 for _, block in blocks)
+    with pytest.raises(ContractError, match="not Hermitian"):
+        spectrum(SectorOperator(dom, dom, lambda: iter(blocks), 1))
+    with pytest.raises(ContractError, match="square"):
+        spectrum(SectorOperator(dom, cod, lambda: iter(blocks), 1))
 
 
 def test_rescaled_spectrum_scaling():
@@ -294,9 +301,21 @@ def test_sector_embeddings_sparse_orthonormal_and_translation_covariant(n):
 def test_unrefined_embedding_nnz_counts_orbit_states(n):
     # the parity refinements too: one nonzero per state of an admitted orbit
     for basis in _all_sectors(n):
-        states = sum(size for _, size in basis.orbit_reps)
+        states = int(basis.periods.sum())
         assert np.count_nonzero(basis.column >= 0) == np.count_nonzero(basis.amplitude) == states
         assert states <= 2 ** n
+
+
+def test_sector_orbits_are_held_once_as_read_only_arrays():
+    # reps and periods are the one record of the orbits, dim is read from
+    # them, and sectors compare by identity
+    sectors = [*_all_sectors(6), build_sector_basis(7, 1.0, parity=-1)]
+    for basis in sectors:
+        for orbits in (basis.reps, basis.periods):
+            assert orbits.dtype == np.int64 and not orbits.flags.writeable
+        assert basis.dim == len(basis.reps) == len(basis.periods)
+        assert basis == basis and basis != dataclasses.replace(basis)
+    assert "dim" not in {f.name for f in dataclasses.fields(SectorBasis)}
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -304,7 +323,7 @@ def test_sparse_embedding_matches_dense_reference(n):
     for t in _roots_of_unity(n):
         reps, dense = _dense_embedding(n, t)
         basis = build_sector_basis(n, t)
-        assert basis.orbit_reps == tuple(reps)
+        assert [*zip(basis.reps.tolist(), basis.periods.tolist())] == reps
         assert _max_abs(embed(basis, np.eye(basis.dim)) - dense) <= 1e-14
 
 
@@ -322,7 +341,7 @@ def test_table_products_match_scipy_references():
     for n in range(2, 10):
         codes = _path_codes(n)
         orbits = _orbit_sector(codes, n, lambda c: (_translate_path_codes(c, n), 1.0), 1.0)
-        reps, periods = np.array(orbits.orbit_reps).T
+        reps, periods = orbits.reps, orbits.periods
         R = path_vectors(reps, n, ctx) * np.sqrt(periods)
         for k, (sector, M) in enumerate(_path_blocks(n, ctx)):
             t = np.exp(2j * np.pi * k / n)
@@ -359,7 +378,7 @@ def test_hamiltonian_matches_projected_reference(n):
         coupling = CouplingLine(zeta)
         H = xyz_hamiltonian_full(n, coupling)
         for basis in _all_sectors(n):
-            ref = project(H, basis).matrix
+            ref = project(H, basis)
             got = xyz_hamiltonian(n, coupling, basis).matrix
             assert got.shape == ref.shape and got.dtype == ref.dtype
             assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * max(1.0, np.linalg.norm(ref))
@@ -369,7 +388,7 @@ def test_block_builder_rejects_a_term_that_leaves_the_parity_block():
     # a term that flips one spin maps P to -P
     sector = build_sector_basis(6, 1.0)
     for p, cols in sector.parity_blocks:
-        reps = sector.orbit_arrays[0][cols]
+        reps = sector.reps[cols]
         block = np.zeros((len(cols), len(cols)))
         with pytest.raises(ContractError, match="spin parity"):
             _fold(block, sector, p, np.arange(len(cols)), reps ^ 1, np.ones(len(cols)))
@@ -546,7 +565,8 @@ def test_contiguous_states_are_their_own_rows(n):
         assert np.array_equal(searched.column, direct.column)
         assert np.array_equal(searched.amplitude, direct.amplitude)
         assert searched.amplitude.dtype == direct.amplitude.dtype
-        assert [(r - marker, p) for r, p in searched.orbit_reps] == list(direct.orbit_reps)
+        assert np.array_equal(searched.reps - marker, direct.reps)
+        assert np.array_equal(searched.periods, direct.periods)
 
 
 def test_keys_of_one_sector_share_one_cache_entry():
@@ -609,14 +629,12 @@ def test_block_spectrum_matches_whole_sector_eigensolve(n):
 
 
 def test_spectrum_rejects_an_operator_that_flips_the_spin_parity():
-    # sum_j sigma^x_j commutes with translation and is Hermitian, but maps
-    # P to -P, so its sector matrix lies wholly outside the diagonal blocks
-    n = 6
-    states = np.arange(1 << n)
-    rows = np.concatenate([states ^ (1 << j) for j in range(n)])
-    sx = FullOperator(rows, np.tile(states, n), np.ones(n << n), (1 << n, 1 << n))
-    op = project(sx, build_sector_basis(n, 1.0))
-    assert np.linalg.norm(op.matrix) > 1.0
-    _eigh_checked(op.matrix)
-    with pytest.raises(ContractError, match="spin parity"):
-        spectrum(op)
+    # C = Qt^dag Q is square on the susy sector but maps P to -P, so its
+    # sector matrix lies wholly outside the diagonal blocks (at n = 2 the
+    # sector has one parity block and C is zero)
+    for n in (2, 3, 7, 8):
+        op = conserved_charge_C(n, 0.7)
+        assert op.flip == -1 and op.domain is op.codomain
+        assert n == 2 or np.linalg.norm(op.matrix) > 1.0
+        with pytest.raises(ContractError, match="spin parity"):
+            spectrum(op)

@@ -15,6 +15,7 @@ from susyxyz.spinchain import (
     _parity_blocks,
     _rank,
     _signed_orbit_map,
+    _spin_parity,
     build_sector_basis,
     embed,
     reverse_bits,
@@ -23,7 +24,7 @@ from susyxyz.spinchain import (
     xyz_hamiltonian,
 )
 from susyxyz.supercharge import (
-    _block_ranks,
+    _charge_ranks,
     _refined_supercharge,
     build_supercharges,
     cohomology_dimension,
@@ -99,12 +100,15 @@ def test_anticommutator_reproduces_hamiltonian():
 
 
 def test_conserved_charge_square_zero_and_commutes():
-    n, zeta = 4, 0.9
-    C = conserved_charge_C(n, zeta).matrix
-    H = xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n)).matrix
-    scale = max(1.0, np.linalg.norm(C))
-    assert np.linalg.norm(C @ C) < 1e-10 * scale ** 2
-    assert np.linalg.norm(C @ H - H @ C) < 1e-10 * scale * max(1.0, np.linalg.norm(H))
+    # C is exactly 0 at n = 2, 4 and 6; n = 7 and 8 check a nonzero C
+    zeta = 0.9
+    for n in (4, 7, 8):
+        C = conserved_charge_C(n, zeta).matrix
+        H = xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n)).matrix
+        assert n == 4 or np.linalg.norm(C) > 1.0
+        scale = max(1.0, np.linalg.norm(C))
+        assert np.linalg.norm(C @ C) < 1e-10 * scale ** 2
+        assert np.linalg.norm(C @ H - H @ C) < 1e-10 * scale * max(1.0, np.linalg.norm(H))
 
 
 def test_cohomology_builds_no_tilde_charge(monkeypatch):
@@ -127,15 +131,19 @@ def test_cohomology_builds_no_tilde_charge(monkeypatch):
     assert built == [(5, 0.7), (4, 0.7)]
     monkeypatch.undo()
     # read on demand, Qt is R Q R on the same sectors: R is a signed
-    # permutation of the orbit sums, so Qt is Q with its rows and columns
-    # permuted and signed, exactly
-    pair = build_supercharges(5, 0.7)
-    assert "q_tilde" not in vars(pair)
-    S_out, S_in = (np.rint(project(symmetry_operator("spin_reversal", b.n), b).matrix)
-                   for b in (pair.q_plain.codomain, pair.q_plain.domain))
-    for S in (S_out, S_in):
-        assert np.array_equal(np.abs(S).sum(axis=0), np.ones(len(S)))
-    assert np.array_equal(pair.q_tilde.matrix, S_out @ pair.q_plain.matrix @ S_in)
+    # permutation of the orbit sums, so each block of Qt is a block of Q with
+    # its rows and columns permuted and signed, exactly; the whole Q is not
+    # assembled for it
+    for n in (4, 5):
+        pair = build_supercharges(n, 0.7)
+        assert "q_tilde" not in vars(pair)
+        Qt = pair.q_tilde.matrix
+        assert pair.q_tilde.flip == 1 and "matrix" not in vars(pair.q_plain)
+        S_out, S_in = (np.rint(project(symmetry_operator("spin_reversal", b.n), b))
+                       for b in (pair.q_plain.codomain, pair.q_plain.domain))
+        for S in (S_out, S_in):
+            assert np.array_equal(np.abs(S).sum(axis=0), np.ones(len(S)))
+        assert np.array_equal(Qt, S_out @ pair.q_plain.matrix @ S_in)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -147,7 +155,7 @@ def test_signed_orbit_maps_match_projected_symmetries(n, kind, symmetry):
     for t in (1.0, -1.0) if n % 2 == 0 else (1.0,):
         for parity in (None, 1, -1):
             basis = build_sector_basis(n, t, parity=parity)
-            ref = project(symmetry_operator(kind, n), basis).matrix
+            ref = project(symmetry_operator(kind, n), basis)
             perm, sign = _signed_orbit_map(basis, symmetry)
             S = np.zeros((basis.dim, basis.dim))
             S[perm, np.arange(basis.dim)] = sign
@@ -192,7 +200,7 @@ def test_supercharges_match_projected_references(n):
         Q = supercharge_full(n, zeta)
         for op, full in ((pair.q_plain, Q), (pair.q_tilde, R_out @ Q @ R_in)):
             full = full.tocoo()
-            ref = project(FullOperator(full.row, full.col, full.data, full.shape), dom, cod).matrix
+            ref = project(FullOperator(full.row, full.col, full.data, full.shape), dom, cod)
             assert op.matrix.shape == ref.shape
             assert np.abs(op.matrix - ref).max() <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
@@ -278,18 +286,26 @@ def test_parity_covariance():
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_parity_covariance_rejects_a_perturbed_supercharge(monkeypatch, n):
-    # one entry of Q moved by 1e-6, in a row whose orbit sum the reflection
-    # sends to another one (there is none at n + 1 <= 5), so that P Q P
-    # moves it elsewhere
+    # one entry of Q moved by 1e-6, in column 0 (the orbit sum of state 0,
+    # spin parity +1, at position 0 of its block) and a row of spin parity
+    # -1 whose orbit sum the reflection sends to another one (there is none
+    # at n + 1 <= 5), so that P Q P moves it elsewhere
     build = supercharge.build_supercharges
-    P = np.rint(project(symmetry_operator("parity", n + 1), susy_sector(n + 1)).matrix)
-    row = np.flatnonzero(np.diag(P) == 0)[0]
+    cod = susy_sector(n + 1)
+    P = np.rint(project(symmetry_operator("parity", n + 1), cod))
+    row = np.flatnonzero((np.diag(P) == 0) & (_spin_parity(cod.reps) == -1))[0]
 
     def perturbed(*args):
         pair = build(*args)
-        Q = pair.q_plain.matrix.copy()
-        Q[row, 0] += 1e-6
-        return replace(pair, q_plain=SectorOperator(pair.q_plain.domain, pair.q_plain.codomain, Q))
+        Q = pair.q_plain
+
+        def blocks():
+            for p, block in Q.blocks():
+                if p == 1:
+                    block[cod.block_position[row], 0] += 1e-6
+                yield p, block
+
+        return replace(pair, q_plain=SectorOperator(Q.domain, Q.codomain, blocks, Q.flip))
 
     monkeypatch.setattr(supercharge, "build_supercharges", perturbed)
     check = parity_covariance_check(n, 0.6)[0]
@@ -425,7 +441,7 @@ def test_block_ranks_equal_the_whole_svd_rank(n):
         for k in (n, n - 1):
             whole = _rank(np.linalg.svd(build_supercharges(k, zeta).q_plain.matrix,
                                         compute_uv=False))
-            assert sum(_block_ranks(_refined_supercharge(k, zeta), "Q").values()) == whole
+            assert sum(_charge_ranks(_refined_supercharge(k, zeta), "Q").values()) == whole
 
 
 def test_block_ranks_cut_and_warn_on_the_whole_matrix():
@@ -435,14 +451,15 @@ def test_block_ranks_cut_and_warn_on_the_whole_matrix():
     halves = {}
     for r, values in ((1, {1: 1.0}), (-1, {-1: 2e-10, 1: 5e-11})):
         dom, cod = susy_sector(7, r), susy_sector(8, r)
-        rows = dict(cod.parity_blocks)
-        M = np.zeros((cod.dim, dom.dim))
-        for p, value in values.items():
-            M[rows[-p][0], dict(dom.parity_blocks)[p][0]] = value
-        halves[r] = SectorOperator(domain=dom, codomain=cod, matrix=M)
+        blocks = []
+        for p, cols in dom.parity_blocks:
+            block = np.zeros((len(dict(cod.parity_blocks)[-p]), len(cols)))
+            block[0, 0] = values.get(p, 0.0)
+            blocks.append((p, block))
+        halves[r] = SectorOperator(dom, cod, lambda blocks=blocks: iter(blocks), -1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ranks = _block_ranks(halves, "Q_7")
+        ranks = _charge_ranks(halves, "Q_7")
     assert ranks == {(1, 1): 1, (-1, 1): 0, (1, -1): 0, (-1, -1): 1}
     assert [str(w.message) for w in caught] == [
         "ill-conditioned rank for Q_7: singular values 2.000e-10 / 5.000e-11 "
