@@ -41,7 +41,6 @@ from .spinchain import (
 
 @dataclass(frozen=True)
 class VertexWeights:
-    u: float
     a: float
     b: float
     c: float
@@ -63,7 +62,6 @@ def vertex_weights(u, ctx):
     rho, t1, t4 = _weight_normalization(ctx)
     um, up = u - eta, u + eta
     return VertexWeights(
-        u=u,
         a=rho * t4 * ctx.theta_sq(4, um) * ctx.theta_sq(1, up),
         b=rho * t4 * ctx.theta_sq(1, um) * ctx.theta_sq(4, up),
         c=rho * t1 * ctx.theta_sq(4, um) * ctx.theta_sq(4, up),

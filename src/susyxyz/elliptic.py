@@ -126,35 +126,24 @@ def _term_plan(table, y, finite, kind, nome, derivative=False):
 
 
 def _in_input_order(values, order, shape):
-    """values, summed in the given order (None: input order), back in the
-    input order and shape; a 0-d result as a numpy scalar."""
-    if order is not None:
-        values[order] = values.copy()
+    """values, summed in the given order, back in the input order and shape;
+    a 0-d result as a numpy scalar."""
+    values[order] = values.copy()
     values = values.reshape(shape)
     return values[()] if values.ndim == 0 else values
 
 
 def _series_sum(kind, z, nome):
     """theta_kind(z) of an array z, each element summed to its own term
-    count, that of `_term_plan` for the theta reach table of `_series`.
-
-    Real z has one count, that of y = 0, and is not reordered. Each element
-    gets exactly the arithmetic of a per-term loop run to its own count.
+    count, that of `_term_plan` for the theta reach table of `_series` (real
+    z has y = 0). Each element gets exactly the arithmetic of a per-term loop
+    run to its own count.
     """
     coefs, freqs, tables = _series(kind, nome)
     flat = z.ravel()
-    is_complex = np.iscomplexobj(flat)
-    if is_complex:
-        order, ends = _term_plan(tables[0], np.abs(flat.imag), np.isfinite(flat), kind, nome)
-        flat = flat[order]
-    else:
-        # one count for all, that of y = 0, which matters only if an element is finite
-        order = None
-        count = bisect.bisect_right(tables[0], 0.0) + 1
-        if count > _MAX_TERMS and np.isfinite(flat).any():
-            raise _out_of_reach(kind, nome, 0.0)
-        ends = [flat.size] * min(count, _MAX_TERMS)
-    total = np.zeros(flat.shape, dtype=complex if is_complex else float)
+    order, ends = _term_plan(tables[0], np.abs(flat.imag), np.isfinite(flat), kind, nome)
+    flat = flat[order]
+    total = np.zeros(flat.shape, dtype=complex if np.iscomplexobj(flat) else float)
     trig = np.sin if kind == 1 else np.cos
     for n, end in enumerate(ends):
         total[:end] += coefs[n] * trig(freqs[n] * flat[:end]) if freqs[n] else coefs[n]

@@ -2,27 +2,27 @@
 
 Spinless fermions on a ring with nearest-neighbour exclusion, built from the
 supercharge Q = sum_j lambda_j d_j^dag with d_j = (1-n_{j-1}) c_j (1-n_{j+1}).
-A hard-core state is an n_f-bit mask (site y is bit y-1), so one-site
-translation is a bit rotation and the exclusion rule is x & rotate_left(x) == 0;
-each particle-number basis is the ascending tuple of such masks, and every
-operator on it is assembled with vectorised bit operations. With period-3
-staggered couplings the Hamiltonian commutes with translation by three sites.
-T^3 is a signed permutation of the masks (a particle crossing the seam picks
-up the boundary sign), so its eigenspaces are `SectorBasis` objects from the
-spin chain's orbit-sum builder: their orbit tables run over the m-particle
-masks and t is the T^3 eigenvalue. The Hamiltonian is built on them as the
-spin chain's H is, from its terms applied to the orbit representatives alone
-and folded onto the columns, with no operator on all the masks, and is
-diagonalised by the spin chain's `spectrum`. The spectral-coincidence
-harness compares these sectors against the XYZ chain at momentum 0 or pi
-under the change of variables zeta^2 = 1 + 8 y^2.
+The ring of the paper has the couplings (y, 1, y, y, 1, y, ...), so it is
+built from (n_f, y, m, boundary) alone. A hard-core state is an n_f-bit mask
+(site y is bit y-1), and each particle-number basis is the ascending,
+read-only array of such masks; every operator on it is assembled with
+vectorised bit operations. The staggered couplings have period 3, so the
+Hamiltonian commutes with translation by three sites. T^3 is a rotation of
+the masks by three bits, signed by the boundary sign when an odd number of
+particles crosses the seam, so its eigenspaces are `SectorBasis` objects
+from the spin chain's orbit-sum builder: their orbit tables run over the
+m-particle masks and t is the T^3 eigenvalue. The Hamiltonian is built on
+them as the spin chain's H is, from its terms applied to the orbit
+representatives alone and folded onto the columns, with no operator on all
+the masks, and is diagonalised by the spin chain's `spectrum`. The
+spectral-coincidence harness compares these sectors against the XYZ chain at
+momentum 0 or pi under the change of variables zeta^2 = 1 + 8 y^2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -37,7 +37,6 @@ from .spinchain import (
     _orbit_sector,
     build_sector_basis,
     common_levels,
-    rotate_left,
     spectrum,
     xyz_hamiltonian,
 )
@@ -53,7 +52,7 @@ def hardcore_count(n_f, m):
 @lru_cache(maxsize=None)
 def hardcore_basis(n_f, m):
     """All m-particle hard-core states on the ring as ascending n_f-bit masks
-    (a cached tuple of ints)."""
+    (a cached, read-only int64 array)."""
     if not (0 <= m <= n_f // 2):
         raise DomainError(f"need 0 <= m <= n_f/2, got m={m}, n_f={n_f}")
     # the placements on the open chain: sites c_i + i for the combinations
@@ -73,33 +72,16 @@ def hardcore_basis(n_f, m):
             f"hard-core count mismatch at n_f={n_f}, m={m}: "
             f"{len(masks)} != {hardcore_count(n_f, m)}"
         )
-    return tuple(masks.tolist())
-
-
-@dataclass(frozen=True)
-class FermionModel:
-    """A staggered hard-core fermion ring in a fixed particle-number sector."""
-
-    n_f: int
-    couplings: tuple
-    boundary: str = "ramond"
-    m: int = 0
-
-    def __post_init__(self):
-        if len(self.couplings) != self.n_f:
-            raise DomainError("need one coupling per site")
-        if any(c == 0 for c in self.couplings):
-            raise DomainError("couplings must be nonzero")
-        if self.boundary not in ("ramond", "neveu-schwarz"):
-            raise DomainError(f"unknown boundary {self.boundary!r}")
+    masks.flags.writeable = False
+    return masks
 
 
 def staggered_couplings(n_f, y):
     """Period-3 couplings (y, 1, y, y, 1, y, ...)."""
     if n_f % 3 != 0:
         raise DomainError("staggered couplings need n_f to be a multiple of 3")
-    if y == 0:
-        raise DomainError("couplings must be nonzero")
+    if not (math.isfinite(y) and y != 0):
+        raise DomainError(f"the staggering y must be finite and nonzero, got {y}")
     return tuple(y if j % 3 in (0, 2) else 1.0 for j in range(n_f))
 
 
@@ -115,60 +97,58 @@ def y_of_zeta(zeta):
 def _seam_sign(boundary, m):
     """Sign of the particle crossing the seam N_f -> 1: it passes the other m-1
     fermions and picks up the boundary phase (antiperiodic for Neveu-Schwarz)."""
+    if boundary not in ("ramond", "neveu-schwarz"):
+        raise DomainError(f"unknown boundary {boundary!r}")
     return (1.0 if boundary == "ramond" else -1.0) * (-1.0) ** (m - 1)
 
 
-def _translate(x, n_f, seam):
-    """One-site translation of masks, site y -> y+1: (image, sign), the sign
-    being `seam` where site n_f is occupied."""
-    return rotate_left(x, n_f), np.where((x >> (n_f - 1)) & 1, seam, 1.0)
-
-
-def t3_sector_basis(n_f, m, sigma, boundary="ramond"):
+def t3_sector_basis(n_f, m, sigma, boundary):
     """The T^3 eigenspace with eigenvalue sigma = +-1, as a `SectorBasis`
     with n = n_f whose orbit table runs over the m-particle masks.
 
-    T^3 is a signed permutation of the hard-core masks; each basis vector is
-    the phased orbit sum of `spinchain._orbit_sector`, and an orbit
-    contributes iff the accumulated sign around it equals sigma^length.
+    T^3 rotates a mask by three bits, site y -> y+3; the particles on the
+    top three sites cross the seam, each with the seam sign, so an odd number
+    of them gives the mask that sign. Each basis vector is the phased orbit
+    sum of `spinchain._orbit_sector`, and an orbit contributes iff the
+    accumulated sign around it equals sigma^length.
     """
     if n_f % 3 != 0:
         raise DomainError("T^3 sectors need n_f to be a multiple of 3")
-    states = np.array(hardcore_basis(n_f, m))
     seam = _seam_sign(boundary, m)
+    states = hardcore_basis(n_f, m)
+    mask = (1 << n_f) - 1
 
     def step(x):
-        x1, s1 = _translate(x, n_f, seam)
-        x2, s2 = _translate(x1, n_f, seam)
-        x3, s3 = _translate(x2, n_f, seam)
-        return x3, s1 * s2 * s3
+        top = x >> (n_f - 3)
+        return (x << 3 | top) & mask, np.where(np.bitwise_count(top) & 1, seam, 1.0)
 
     return _orbit_sector(states, n_f, step, float(sigma))
 
 
-def fermion_hamiltonian(model, sigma):
-    """The ring's Hamiltonian on its T^3 = sigma sector (`t3_sector_basis`),
-    built in sector coordinates; the couplings must have period 3.
+def fermion_hamiltonian(n_f, y, m, boundary, sigma):
+    """The Hamiltonian of the m-particle ring of n_f sites with the
+    staggered couplings of y on its T^3 = sigma sector (`t3_sector_basis`),
+    built in sector coordinates.
 
     Ramond: H = {Q, Q^dag}; the hop across the seam then carries the string
     sign (-1)^(m-1). Neveu-Schwarz flips the sign of the seam hop, so it
-    carries (-1)^m. With period-3 couplings H commutes with T^3, so, as for
-    the XYZ H (`spinchain.xyz_hamiltonian`), <s~|H|r~> = sqrt(size_r) <s~|H|r>:
-    the diagonal and the hops in both directions act on the orbit
-    representatives r alone, and the hop images, found among the masks by
-    binary search, are folded onto the columns.
+    carries (-1)^m. The couplings have period 3, so H commutes with T^3 and,
+    as for the XYZ H (`spinchain.xyz_hamiltonian`), <s~|H|r~> =
+    sqrt(size_r) <s~|H|r>: the diagonal and the hops in both directions act
+    on the orbit representatives r alone, and the hop images, found among
+    the masks by binary search, are folded onto the columns.
     """
-    if model.couplings[3:] != model.couplings[:-3]:
-        raise DomainError("the T^3 sectors need couplings of period 3")
-    sector = t3_sector_basis(model.n_f, model.m, sigma, model.boundary)
-    return SectorOperator(sector, sector, blocks=partial(_fermion_blocks, model, sector), flip=1)
+    lam = staggered_couplings(n_f, y)
+    sector = t3_sector_basis(n_f, m, sigma, boundary)
+    return SectorOperator(sector, sector, partial(_fermion_blocks, lam, m, boundary, sector), 1)
 
 
-def _fermion_blocks(model, sector):
-    """The one parity block of `fermion_hamiltonian` (every mask has m bits)."""
-    n_f, lam = model.n_f, model.couplings
-    states = np.array(hardcore_basis(n_f, model.m))
-    seam = _seam_sign(model.boundary, model.m)
+def _fermion_blocks(lam, m, boundary, sector):
+    """The one parity block of `fermion_hamiltonian` (every mask has m bits),
+    for the couplings lam of its sites."""
+    n_f = sector.n
+    states = hardcore_basis(n_f, m)
+    seam = _seam_sign(boundary, m)
     reps, sizes = sector.reps, sector.periods
     weight = np.sqrt(sizes)
     for p, src in sector.parity_blocks:
@@ -194,10 +174,7 @@ def _fermion_blocks(model, sector):
 
 def fermion_spectrum(n_f, y, m, boundary, sigma):
     """Ascending spectrum of the staggered ring in the T^3 = sigma sector."""
-    model = FermionModel(
-        n_f=n_f, couplings=staggered_couplings(n_f, y), boundary=boundary, m=m
-    )
-    return spectrum(fermion_hamiltonian(model, sigma))
+    return spectrum(fermion_hamiltonian(n_f, y, m, boundary, sigma))
 
 
 def spectral_comparison(m, zeta, variant, tol=SPECTRAL_TOL):

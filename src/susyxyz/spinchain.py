@@ -412,15 +412,16 @@ def _eigh_checked(M):
     """Ascending eigenvalues of M: the one eigensolve of the package.
 
     Raises ContractError if M is not Hermitian to 1e-12 * scale, scale =
-    max(1, ||M||_F). The eigenvalues are checked by two moments: sum(lambda)
-    = tr M within 1e-9 * scale and sum(lambda^2) = ||M||_F^2 within
-    1e-9 * scale^2. They come from one triangle of M, which by Weyl's
-    inequality moves them by at most the asymmetry, so M is not symmetrised.
+    max(1, ||M||_F), or ||M||_F is not finite (a NaN or inf entry). The
+    eigenvalues are checked by two moments: sum(lambda) = tr M within
+    1e-9 * scale and sum(lambda^2) = ||M||_F^2 within 1e-9 * scale^2. They
+    come from one triangle of M, which by Weyl's inequality moves them by at
+    most the asymmetry, so M is not symmetrised.
     """
     norm = np.linalg.norm(M)
     scale = max(1.0, norm)
     adjoint = M.conj().T if np.iscomplexobj(M) else M.T
-    if np.linalg.norm(M - adjoint) > 1e-12 * scale:
+    if not (np.isfinite(norm) and np.linalg.norm(M - adjoint) <= 1e-12 * scale):
         raise ContractError("operator is not Hermitian within tolerance")
     evals = np.linalg.eigvalsh(M)
     if not (abs(evals.sum() - np.trace(M).real) <= 1e-9 * scale

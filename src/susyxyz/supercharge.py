@@ -55,7 +55,7 @@ def susy_sector(n, parity=None):
     """The momentum sector t_N = (-1)^{N+1} on which the supercharges act,
     or its reflection-`parity` refinement."""
     t = float((-1) ** (n + 1))
-    return build_sector_basis(n, t) if parity is None else build_sector_basis(n, t, parity=parity)
+    return build_sector_basis(n, t, parity)
 
 
 def _conjugated(Q, symmetry):

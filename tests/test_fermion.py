@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from susyxyz import fermion
 from susyxyz.elliptic import ThetaContext, w
 from susyxyz.errors import DomainError
 from susyxyz.fermion import (
-    FermionModel,
     _seam_sign,
-    _translate,
     fermion_hamiltonian,
     fermion_spectrum,
     hardcore_basis,
@@ -32,9 +31,10 @@ from susyxyz.spinchain import (
 from path_reference import path_states, path_to_hardcore, path_translate
 
 
-def test_hardcore_basis_is_cached_tuple():
+def test_hardcore_basis_is_cached_read_only_array():
     first = hardcore_basis(12, 4)
-    assert isinstance(first, tuple)
+    assert isinstance(first, np.ndarray) and first.dtype == np.int64
+    assert not first.flags.writeable
     assert hardcore_basis(12, 4) is first
     for n_f, m in ((12, 4), (18, 6), (7, 3)):
         assert len(hardcore_basis(n_f, m)) == hardcore_count(n_f, m)
@@ -44,14 +44,14 @@ def _hardcore_basis_filter(n_f, m):
     """Reference: every m-subset of the n_f ring sites, kept when no two
     occupied sites are neighbours on the ring."""
     masks = [sum(1 << y for y in sites) for sites in itertools.combinations(range(n_f), m)]
-    return tuple(sorted(x for x in masks if x & rotate_left(x, n_f) == 0))
+    return sorted(x for x in masks if x & rotate_left(x, n_f) == 0)
 
 
 def test_hardcore_basis_matches_the_filter_over_all_subsets():
     # the masks are generated from the placements on the open chain
     for n_f in range(2, 19):
         for m in range(n_f // 2 + 1):
-            assert hardcore_basis(n_f, m) == _hardcore_basis_filter(n_f, m), (n_f, m)
+            assert hardcore_basis(n_f, m).tolist() == _hardcore_basis_filter(n_f, m), (n_f, m)
 
 
 @pytest.mark.parametrize(
@@ -98,7 +98,7 @@ def test_ramond_hamiltonian_is_anticommutator(m):
             rhs = rhs + Q @ Q.T
         for sigma in (1, -1):
             _assert_sector_restriction(
-                rhs, fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, m=m), sigma))
+                rhs, fermion_hamiltonian(n_f, 0.58, m, "ramond", sigma))
 
 
 @pytest.mark.parametrize("boundary", ["ramond", "neveu-schwarz"])
@@ -113,15 +113,7 @@ def test_translation_symmetry(boundary):
     H = _hamiltonian_masks(n_f, m, lam, boundary)
     assert np.linalg.norm(H @ T3 - T3 @ H) < 1e-12 * max(1.0, np.linalg.norm(H))
     for sigma in (1, -1):
-        _assert_sector_restriction(
-            H, fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m),
-                                   sigma))
-
-
-def test_sector_hamiltonian_needs_period_3_couplings():
-    lam = (0.5, 1.0, 0.5, 0.5, 1.0, 0.7)
-    with pytest.raises(DomainError, match="period 3"):
-        fermion_hamiltonian(FermionModel(n_f=6, couplings=lam, m=2), 1)
+        _assert_sector_restriction(H, fermion_hamiltonian(n_f, 0.9, m, boundary, sigma))
 
 
 def test_t3_sector_bases_are_orthonormal_eigenbases():
@@ -168,8 +160,7 @@ def test_fermion_spectrum_is_spectrum_of_projection(boundary, sigma):
     # levels against the reference's within the eigensolver's own error
     for n_f, m in ((6, 2), (9, 3), (12, 4)):
         lam = staggered_couplings(n_f, 0.61)
-        op = fermion_hamiltonian(FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m),
-                                 sigma)
+        op = fermion_hamiltonian(n_f, 0.61, m, boundary, sigma)
         ref = _assert_matches_projected_loop(op, n_f, m, lam, boundary, sigma)
         levels = fermion_spectrum(n_f, 0.61, m, boundary, sigma)
         assert np.array_equal(levels, spectrum(op))
@@ -184,14 +175,12 @@ def test_t3_sectors_are_one_parity_block(n_f):
     # split leaves one block, and the spectrum is the whole matrix's
     for m in range(1, n_f // 2 + 1):
         for boundary in ("ramond", "neveu-schwarz"):
-            model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
-                                 boundary=boundary, m=m)
             for sigma in (1, -1):
                 basis = t3_sector_basis(n_f, m, sigma, boundary)
                 assert [p for p, _ in basis.parity_blocks] == ([(-1) ** m] if basis.dim else [])
                 if basis.dim:
                     assert np.array_equal(basis.parity_blocks[0][1], np.arange(basis.dim))
-                op = fermion_hamiltonian(model, sigma)
+                op = fermion_hamiltonian(n_f, 0.61, m, boundary, sigma)
                 assert np.array_equal(spectrum(op), _eigh_checked(op.matrix))
 
 
@@ -201,10 +190,8 @@ def test_t3_spectrum_matches_the_eigenpair_path(m):
     # eigenvalues against those of the eigenpairs of the symmetrised matrix
     n_f = 3 * m
     for boundary in ("ramond", "neveu-schwarz"):
-        model = FermionModel(n_f=n_f, couplings=staggered_couplings(n_f, 0.61),
-                             boundary=boundary, m=m)
         for sigma in (1, -1):
-            op = fermion_hamiltonian(model, sigma)
+            op = fermion_hamiltonian(n_f, 0.61, m, boundary, sigma)
             ref = np.linalg.eigh((op.matrix + op.matrix.T) / 2)[0]
             assert np.abs(spectrum(op) - ref).max(initial=0.0) <= 1e-12 * max(
                 1.0, np.linalg.norm(op.matrix))
@@ -304,7 +291,7 @@ def _t3_basis_loop(n_f, m, sigma, boundary):
 def _to_masks(n_f, m):
     """Position in hardcore_basis(n_f, m) of each reference tuple state."""
     masks = [sum(1 << (y - 1) for y in occ) for occ in _basis_loop(n_f, m)]
-    return np.searchsorted(np.array(hardcore_basis(n_f, m)), masks)
+    return np.searchsorted(hardcore_basis(n_f, m), masks)
 
 
 def _reorder(A, rows, cols):
@@ -314,10 +301,16 @@ def _reorder(A, rows, cols):
     return out
 
 
+def _translate(x, n_f, seam):
+    """One-site translation of masks, site y -> y+1: (image, sign), the sign
+    being `seam` where site n_f is occupied."""
+    return rotate_left(x, n_f), np.where((x >> (n_f - 1)) & 1, seam, 1.0)
+
+
 def _translation_masks(n_f, m, boundary):
-    """One-site translation on the m-particle masks, from the package's
-    `_translate` with the seam sign (+-1)(-1)^(m-1)."""
-    states = np.array(hardcore_basis(n_f, m))
+    """One-site translation on the m-particle masks, from `_translate` with
+    the package's seam sign (+-1)(-1)^(m-1)."""
+    states = hardcore_basis(n_f, m)
     image, sign = _translate(states, n_f, _seam_sign(boundary, m))
     T = np.zeros((len(states), len(states)))
     T[np.searchsorted(states, image), np.arange(len(states))] = sign
@@ -385,8 +378,7 @@ def test_t3_sectors_match_loop_reference(n_f):
                 dense = embed(basis, np.eye(basis.dim))
                 assert np.abs(dense.T @ dense - np.eye(basis.dim)).max(initial=0.0) <= 1e-12
                 assert np.abs(T3 @ dense - sigma * dense).max(initial=0.0) <= 1e-12
-                model = FermionModel(n_f=n_f, couplings=lam, boundary=boundary, m=m)
-                op = fermion_hamiltonian(model, sigma)
+                op = fermion_hamiltonian(n_f, 0.73, m, boundary, sigma)
                 ref = _assert_matches_projected_loop(op, n_f, m, lam, boundary, sigma)
                 ev_ref = np.linalg.eigvalsh(ref)
                 assert np.abs(spectrum(op) - ev_ref).max(initial=0.0) <= 1e-13 * max(
@@ -506,12 +498,40 @@ def test_theta_couplings_period_and_dependence():
 
 
 def test_model_validation():
-    lam = staggered_couplings(6, 0.5)
-    with pytest.raises(DomainError):
-        FermionModel(n_f=6, couplings=lam[:5], m=1)
-    with pytest.raises(DomainError):
-        FermionModel(n_f=6, couplings=(0.0,) + lam[1:], m=1)
-    with pytest.raises(DomainError):
-        FermionModel(n_f=6, couplings=lam, boundary="twisted", m=1)
+    with pytest.raises(DomainError, match="unknown boundary"):
+        fermion_hamiltonian(6, 0.5, 1, "twisted", 1)
     with pytest.raises(DomainError):
         staggered_couplings(7, 0.5)
+
+
+def test_t3_sector_rejects_an_unknown_boundary():
+    # the seam sign reads the boundary name
+    with pytest.raises(DomainError, match="unknown boundary"):
+        t3_sector_basis(6, 2, 1, "twisted")
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, 0.0])
+def test_staggering_must_be_finite_and_nonzero(y):
+    # rejected before the eigensolve, which fails on a NaN H with numpy's LinAlgError
+    with pytest.raises(DomainError, match="finite and nonzero"):
+        fermion_spectrum(6, y, 2, "ramond", -1)
+
+
+@pytest.mark.parametrize("boundary", ["ramond", "neveu-schwarz"])
+def test_t3_step_is_three_translations(boundary, monkeypatch):
+    # the one rotation by three bits, signed by the parity of the particles
+    # crossing the seam, equals three one-site translations bit for bit
+    steps = []
+    monkeypatch.setattr(fermion, "_orbit_sector", lambda states, n, step, t: steps.append(step))
+    cases = [(n_f, m) for n_f in range(3, 22, 3) for m in range(n_f // 2 + 1)]
+    assert len(cases) == 47
+    for n_f, m in cases:
+        t3_sector_basis(n_f, m, 1, boundary)
+        x = states = hardcore_basis(n_f, m)
+        sign = 1.0
+        for _ in range(3):
+            x, s = _translate(x, n_f, _seam_sign(boundary, m))
+            sign = sign * s
+        image, step_sign = steps.pop()(states)
+        assert image.dtype == x.dtype and np.array_equal(image, x), (n_f, m)
+        assert step_sign.dtype == np.float64 and np.array_equal(step_sign, sign), (n_f, m)

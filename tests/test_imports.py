@@ -123,15 +123,21 @@ def test_every_src_definition_is_used_outside_the_tests():
 
 
 def test_src_has_no_unused_knob_and_no_pseudo_inverse():
-    # no per-site inhomogeneities and no eigenpair mode, which no caller
-    # sets, and no dense pseudo-inverse
-    params = [(path.name, fn.name) for path in sorted((ROOT / "src").rglob("*.py"))
-              for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    # no per-site inhomogeneities or fermion couplings and no eigenpair mode,
+    # which no caller sets, and no dense pseudo-inverse; the fermion ring takes
+    # (n_f, y, m, boundary), and T^3 is one three-site rotation
+    trees = [(path.name, ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted((ROOT / "src").rglob("*.py"))]
+    params = [(name, fn.name) for name, tree in trees for fn in ast.walk(tree)
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for arg in ast.walk(fn.args)
-              if isinstance(arg, ast.arg) and arg.arg in ("inhomogeneities", "vectors")]
+              if isinstance(arg, ast.arg)
+              and arg.arg in ("inhomogeneities", "vectors", "couplings", "model")]
     assert params == []
     assert _src_callers("pinv") == []
+    assert [(name, node.name) for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in ("FermionModel", "_translate")] == []
 
 
 def test_eightvertex_does_not_import_supercharge():
@@ -225,9 +231,7 @@ def test_no_full_space_operator_in_src(monkeypatch):
 
     monkeypatch.setattr(fermion, "_add_images", recording)
     for m, boundary, sigma in ((3, "ramond", 1), (4, "ramond", 1), (5, "neveu-schwarz", -1)):
-        model = fermion.FermionModel(n_f=15, couplings=fermion.staggered_couplings(15, 0.6),
-                                     boundary=boundary, m=m)
-        op = fermion.fermion_hamiltonian(model, sigma)
+        op = fermion.fermion_hamiltonian(15, 0.6, m, boundary, sigma)
         assert op.blocks is not None and op.domain.dim > 0
         folded.clear()
         op.matrix  # builds the blocks

@@ -11,7 +11,7 @@ from susyxyz import spinchain
 from susyxyz.eightvertex import _path_blocks, _path_codes, _translate_path_codes, path_vectors
 from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import ContractError, DomainError
-from susyxyz.fermion import FermionModel, fermion_hamiltonian, staggered_couplings
+from susyxyz.fermion import fermion_hamiltonian
 from susyxyz.spinchain import (
     CouplingLine,
     SectorBasis,
@@ -162,6 +162,16 @@ def test_spectrum_requires_square_hermitian():
         spectrum(SectorOperator(dom, dom, lambda: iter(blocks), 1))
     with pytest.raises(ContractError, match="square"):
         spectrum(SectorOperator(dom, cod, lambda: iter(blocks), 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectrum_rejects_a_non_finite_operator(bad):
+    # rejected before the eigensolve, which fails on NaN with numpy's LinAlgError
+    sector = build_sector_basis(6, 1.0)
+    blocks = list(xyz_hamiltonian(6, CouplingLine(0.7), sector).blocks())
+    blocks[0][1][0, -1] = bad
+    with pytest.raises(ContractError, match="not Hermitian"):
+        spectrum(SectorOperator(sector, sector, lambda: iter(blocks), 1))
 
 
 def test_rescaled_spectrum_scaling():
@@ -499,9 +509,7 @@ def test_spectrum_computes_no_eigenvectors(monkeypatch):
     coupling = CouplingLine(0.7)
     ops = [xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0)),
            xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0, parity=-1))]
-    model = FermionModel(n_f=12, couplings=staggered_couplings(12, 0.61),
-                         boundary="ramond", m=4)
-    ops.append(fermion_hamiltonian(model, -1))
+    ops.append(fermion_hamiltonian(12, 0.61, 4, "ramond", -1))
 
     def no_eigh(M):
         raise AssertionError("spectrum computed eigenvectors")
