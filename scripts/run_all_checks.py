@@ -14,7 +14,7 @@ SUITES = [
     ["check", "conjectures", "--n", "3..7", "--zeta", "0.5,1.0"],
     ["check", "appendixB", "--nome", "0.2", "--s", "0.3", "--t", "-0.7"],
     ["check", "fermion-compare", "--m", "2..4", "--zeta", "1.2,1.8,3.0"],
-    ["transfer", "--n", "2..5", "--nome", "0.2"],
+    ["transfer", "--n", "2..10", "--nome", "0.2"],
 ]
 
 if __name__ == "__main__":

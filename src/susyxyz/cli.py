@@ -19,12 +19,14 @@ import numpy as np
 
 from .eightvertex import (
     _path_codes,
+    _require_transfer_args,
     appendixB_decomposition,
-    hamiltonian_from_transfer,
+    apply_vertex_tensor,
     path_rank,
     path_rank_complement,
     transfer_apply,
-    transfer_matrix,
+    vertex_weights,
+    weight_tensor,
 )
 from .elliptic import ThetaContext, h, zeta_of_nome
 from .errors import ConfigurationError, ContractError, DomainError, RangeError
@@ -279,28 +281,61 @@ def cmd_pathbasis(args):
     return 0
 
 
+def _orbit_norm(A, periods):
+    """||X||_F of an operator X that commutes with the translation S, from
+    A = X R, R the one-hot columns of the orbit representatives r:
+    X S^k|r> = S^k X|r>, so ||X||_F^2 = sum_r p_r ||X|r>||^2, p_r the periods."""
+    return np.linalg.norm(A * np.sqrt(periods))
+
+
 def check_transfer(args):
+    """T(eta) = h(2 eta)^n S, [T(u), T(u + 0.4)] = 0 and H from T'(eta), per n.
+
+    Every operator in these relations commutes with the translation S, so
+    each Frobenius norm is read from the columns of the orbit representatives
+    (`_orbit_norm`): T acts through `apply_vertex_tensor`, H through
+    `xyz_apply`, and no 2^n x 2^n matrix is formed. The third relation is
+    multiplied through by T(eta) instead of solved with it: with
+    b' H_T = n h' - h(eta) T(eta)^{-1} T'(eta),
+        T(eta) (b' H - n h') + h(eta) T'(eta) = b' T(eta) (H - H_T),
+    and where the first relation holds, T(eta) = h(2 eta)^n S, so the norm of
+    the left side over |b'| |h(2 eta)|^n is ||H - H_T||_F. T'(eta) is a
+    central difference with step 1e-5. Each vertex tensor is built once per
+    command, and T is applied once per spectral parameter to stacked columns.
+    """
     nome = args.nome if args.nome is not None else 0.2
     ctx = ThetaContext(nome=nome, s=args.s, t=args.t)
     tol = args.tol if args.tol is not None else 1e-9
-    checks = []
-    zeta = zeta_of_nome(nome)
     for n in args.n:
-        T_eta = transfer_matrix(n, ctx.eta, ctx)
-        states = np.arange(1 << n)
-        shift = np.zeros((1 << n, 1 << n))
-        shift[rotate_left(states, n), states] = 1.0
-        r = np.linalg.norm(T_eta - h(2 * ctx.eta, ctx) ** n * shift)
-        scale = max(1.0, np.linalg.norm(T_eta))
-        checks.append(_check_record("transfer_at_eta_is_translation", n, zeta, r / scale,
-                                    r / scale < 1e-10))
-        Tu = transfer_matrix(n, args.u, ctx)
-        Tv = transfer_matrix(n, args.u + 0.4, ctx)
-        r = np.linalg.norm(Tu @ Tv - Tv @ Tu) / max(1.0, np.linalg.norm(Tu) * np.linalg.norm(Tv))
+        _require_transfer_args(n, args.u)
+    zeta = zeta_of_nome(nome)
+    eta, step, u, v = ctx.eta, 1e-5, args.u, args.u + 0.4
+    tensors = {x: weight_tensor(x, ctx) for x in (eta, eta + step, eta - step, u, v)}
+    vp, vm = vertex_weights(eta + step, ctx), vertex_weights(eta - step, ctx)
+    bprime = (vp.b - vm.b) / (2 * step)
+    hprime = (vp.a + vp.b - vm.a - vm.b) / (2 * step)
+    a0, h2 = vertex_weights(eta, ctx).a, h(2 * eta, ctx)
+    checks = []
+    for n in args.n:
+        T = lambda x, V: apply_vertex_tensor(n, tensors[x], V)
+        sector = build_sector_basis(n, 1.0)
+        reps, periods = sector.reps, sector.periods
+        cols = np.arange(len(reps))
+        R = np.zeros((1 << n, len(reps)))
+        R[reps, cols] = 1.0
+        norm = lambda A: _orbit_norm(A, periods)
+        HR = xyz_apply(n, CouplingLine(zeta), R)
+        TR, THR = np.hsplit(T(eta, np.hstack([R, bprime * HR - n * hprime * R])), 2)
+        scale = max(1.0, norm(TR))
+        TR[rotate_left(reps, n), cols] -= h2 ** n  # now T(eta) R - h(2 eta)^n S R
+        r = norm(TR) / scale
+        checks.append(_check_record("transfer_at_eta_is_translation", n, zeta, r, r < 1e-10))
+        TvR = T(v, R)
+        TuR, TuTvR = np.hsplit(T(u, np.hstack([R, TvR])), 2)
+        r = norm(TuTvR - T(v, TuR)) / max(1.0, norm(TuR) * norm(TvR))
         checks.append(_check_record("commuting_family", n, zeta, r, r < tol))
-        Hd = xyz_apply(n, CouplingLine(zeta), np.eye(1 << n))
-        Ht = hamiltonian_from_transfer(n, ctx)
-        r = np.linalg.norm(Hd - Ht) / max(1.0, np.linalg.norm(Hd))
+        TpR = (T(eta + step, R) - T(eta - step, R)) / (2 * step)
+        r = norm(THR + a0 * TpR) / (abs(bprime) * abs(h2) ** n * max(1.0, norm(HR)))
         checks.append(_check_record("hamiltonian_from_transfer", n, zeta, r, r < 1e-5))
     return {"suite": "transfer", "nome": nome, "checks": checks,
             "pass": all(c["pass"] for c in checks)}

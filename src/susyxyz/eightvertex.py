@@ -111,47 +111,37 @@ def transfer_matrix(n, u, ctx):
 
 
 def transfer_apply(n, u, ctx, V):
-    """T(u) @ V for the homogeneous transfer matrix, without forming T.
-
-    V has 2^n rows. The bottom vertical indices are contracted one site at a
-    time, lowest bit first, while the first and the current horizontal bond
-    stay open; each new top index moves to the front, so after n sites the
-    rows are in the usual bit order again, and the last site closes the trace.
-    """
+    """T(u) @ V for the homogeneous transfer matrix, without forming T
+    (`apply_vertex_tensor` with the vertex tensor at u)."""
     _require_transfer_args(n, u)
     V = np.asarray(V)
     if V.shape[:1] != (1 << n,):
         raise DomainError(f"T acts on arrays with 2^{n} rows, got shape {V.shape}")
-    W = weight_tensor(u, ctx)
-    # X[x, m, r, a, k]: first bond x, current bond m, the other rows r (new
-    # top indices first) and the next bottom index a to contract
-    # (optimize=True contracts each site as one BLAS product)
-    shape = (2, 2, 1 << (n - 1), 2, V.size >> n)
-    X = np.einsum("rak,xanb->xnbrk", V.reshape(shape[2:]), W, optimize=True)
-    for _ in range(n - 2):
-        X = np.einsum("xmrak,manb->xnbrk", X.reshape(shape), W, optimize=True)
-    return np.einsum("xmrak,maxb->brk", X.reshape(shape), W, optimize=True).reshape(V.shape)
+    return apply_vertex_tensor(n, weight_tensor(u, ctx), V)
 
 
-def hamiltonian_from_transfer(n, ctx):
-    """XYZ Hamiltonian from the logarithmic derivative of the transfer matrix.
+def apply_vertex_tensor(n, W, V):
+    """T @ V for the row of n copies of the vertex tensor W (`weight_tensor`),
+    V with 2^n rows.
 
-    With the weight normalization a(u) + b(u) = h(u) and b(eta) = 0 used here,
-    H_N = [ n h'(eta) - h(eta) T(eta)^{-1} T'(eta) ] / b'(eta),
-    including the constant shift N (J_x + J_y + J_z)/2. Central differences
-    with step 1e-5.
+    The first horizontal bond x rides along as a column label, so the state
+    is X[m, r, a, c]: the current bond m, the other rows r (new top indices
+    first), the next bottom index a and the columns c = (column of V, x). Each
+    site copies X with r and a swapped and contracts (m, a) with W in one
+    matrix product written back into X; the new top index lands in front of
+    r, so after n sites the rows are in the usual bit order again, and the
+    trace sets the last bond equal to x. X and its swapped copy are the only
+    buffers, each 4x the size of V.
     """
-    eta = ctx.eta
-    step = 1e-5
-    T0 = transfer_matrix(n, eta, ctx)
-    Tp = (transfer_matrix(n, eta + step, ctx) - transfer_matrix(n, eta - step, ctx)) / (
-        2 * step
-    )
-    vp, vm = vertex_weights(eta + step, ctx), vertex_weights(eta - step, ctx)
-    bprime = (vp.b - vm.b) / (2 * step)
-    hprime = (vp.a + vp.b - vm.a - vm.b) / (2 * step)
-    a0 = vertex_weights(eta, ctx).a
-    return (n * hprime * np.eye(1 << n) - a0 * np.linalg.solve(T0, Tp)) / bprime
+    R, K = 1 << (n - 1), V.size >> n
+    Wt = W.reshape(4, 4).T  # [(bond out, top), (bond in, bottom)]
+    X = np.zeros((2, R, 2, K, 2), dtype=np.result_type(W, V))
+    X[0, ..., 0] = X[1, ..., 1] = V.reshape(R, 2, K)  # the first bond is x
+    swapped = np.empty((2, 2, R, K, 2), dtype=X.dtype)
+    for _ in range(n):
+        np.copyto(swapped, X.swapaxes(1, 2))
+        np.matmul(Wt, swapped.reshape(4, -1), out=X.reshape(4, -1))
+    return (X[0, ..., 0] + X[1, ..., 1]).reshape(V.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -560,19 +550,28 @@ def _start_grid(m):
     return (9, 5) if m == 2 else (13, 7)
 
 
+def _start_rows(points, m):
+    """The grid points of every start row, (K, m) indices into the `points`
+    grid points: each point for m = 1, and for m = 2 every pair i < j, in the
+    order of itertools.combinations."""
+    return np.arange(points)[:, None] if m == 1 else np.stack(np.triu_indices(points, 1), axis=1)
+
+
+@functools.lru_cache(maxsize=None)
 def _newton_starts(m):
-    """Start rows (K, m) of the Newton scan: a grid over 0 <= Re u < pi,
-    |Im u| <= _IMAG_WINDOW (13 x 7 points for m = 1), and for m = 2 every
-    pair of the points of a 9 x 5 grid. Re u -> pi - Re u (on Re u > 0) and
-    Im u -> -Im u map each grid onto itself, so the symmetries of
-    `find_bethe_roots` map start rows onto start rows (`_start_orbits`)."""
+    """Read-only start rows (K, m) of the Newton scan: a grid over
+    0 <= Re u < pi, |Im u| <= _IMAG_WINDOW (13 x 7 points for m = 1), and for
+    m = 2 every pair of the points of a 9 x 5 grid. Re u -> pi - Re u (on
+    Re u > 0) and Im u -> -Im u map each grid onto itself, so the symmetries
+    of `find_bethe_roots` map start rows onto start rows (`_start_orbits`)."""
     n_re, n_im = _start_grid(m)
-    res = np.linspace(0.0, math.pi, n_re, endpoint=False)
-    ims = np.linspace(-_IMAG_WINDOW, _IMAG_WINDOW, n_im)
-    starts = [complex(x, y) for x in res for y in ims]
-    if m == 1:
-        return np.array([[s] for s in starts])
-    return np.array([[s1, s2] for s1, s2 in itertools.combinations(starts, 2)])
+    a, b = np.divmod(np.arange(n_re * n_im), n_im)  # point a * n_im + b
+    points = np.empty(n_re * n_im, dtype=complex)
+    points.real = np.linspace(0.0, math.pi, n_re, endpoint=False)[a]
+    points.imag = np.linspace(-_IMAG_WINDOW, _IMAG_WINDOW, n_im)[b]
+    starts = points[_start_rows(len(points), m)]
+    starts.flags.writeable = False
+    return starts
 
 
 @functools.lru_cache(maxsize=None)
@@ -596,8 +595,7 @@ def _start_orbits(m, real_omega):
     n_re, n_im = _start_grid(m)
     points = n_re * n_im
     a, b = np.divmod(np.arange(points), n_im)
-    # pts[r]: the grid points of row r, in the order of itertools.combinations
-    pts = np.arange(points)[:, None] if m == 1 else np.stack(np.triu_indices(points, 1), axis=1)
+    pts = _start_rows(points, m)  # pts[r]: the grid points of row r
     row_of = np.full((points, points), -1)
     row_of[pts[:, 0], pts[:, -1]] = np.arange(len(pts))
     maps = [(False, False), (True, False)]  # (flip_re, flip_im): u -> u, -conj(u)
@@ -629,7 +627,7 @@ def _scan_on_orbits(n, m, omega, ctx):
     `_start_orbits` alone, and every other row is the exact image of its
     representative's row (a representative maps to itself)."""
     rep, flip_re, flip_im, shift, swap = _start_orbits(m, omega.imag == 0.0)
-    U = _newton_starts(m)
+    U = _newton_starts(m).copy()
     own = rep == np.arange(len(rep))
     U[own] = _newton_polish(U[own], n, omega, ctx)
     V = U[rep]

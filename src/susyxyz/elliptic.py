@@ -137,7 +137,7 @@ def _series_sum(kind, z, nome):
     """theta_kind(z) of an array z, each element summed to its own term
     count, that of `_term_plan` for the theta reach table of `_series` (real
     z has y = 0). Each element gets exactly the arithmetic of a per-term loop
-    run to its own count.
+    run to its own count. A non-finite element sums to NaN without a warning.
     """
     coefs, freqs, tables = _series(kind, nome)
     flat = z.ravel()
@@ -145,8 +145,9 @@ def _series_sum(kind, z, nome):
     flat = flat[order]
     total = np.zeros(flat.shape, dtype=complex if np.iscomplexobj(flat) else float)
     trig = np.sin if kind == 1 else np.cos
-    for n, end in enumerate(ends):
-        total[:end] += coefs[n] * trig(freqs[n] * flat[:end]) if freqs[n] else coefs[n]
+    with np.errstate(invalid="ignore"):
+        for n, end in enumerate(ends):
+            total[:end] += coefs[n] * trig(freqs[n] * flat[:end]) if freqs[n] else coefs[n]
     return _in_input_order(total, order, z.shape)
 
 

@@ -8,16 +8,17 @@ out over all 2^n states, and the translation, parity and spin-reversal
 permutations. `project` restricts a full-space operator to sector
 coordinates, the dense matrix B_cod^H A B_dom, through the orbit tables; the
 tests check the sector operators of the package against these projections.
-The inhomogeneous transfer matrix, the intertwining of the transfer matrix
-with the supercharges and the quadruplet count are computed here from the
-public operators of the package.
+The inhomogeneous transfer matrix, the Hamiltonian from the dense transfer
+matrix, the intertwining of the transfer matrix with the supercharges and
+the quadruplet count are computed here from the public operators of the
+package.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from susyxyz.eightvertex import transfer_matrix, weight_tensor
+from susyxyz.eightvertex import transfer_matrix, vertex_weights, weight_tensor
 from susyxyz.elliptic import h, zeta_of_nome
 from susyxyz.errors import DomainError
 from susyxyz.spinchain import (
@@ -30,6 +31,7 @@ from susyxyz.spinchain import (
     reverse_spins,
     rotate_left,
     spectrum,
+    xyz_apply,
     xyz_hamiltonian,
 )
 from susyxyz.supercharge import build_supercharges, susy_sector
@@ -126,6 +128,44 @@ def transfer_matrix_reference(n, u, ctx, inhomogeneities=None):
         dim = G.shape[3] * 2
         G = G.reshape(2, 2, dim, dim)
     return np.einsum("xxpq->pq", G)
+
+
+def hamiltonian_from_transfer(n, ctx):
+    """XYZ Hamiltonian from the logarithmic derivative of the dense transfer
+    matrix, the reference of `susy-xyz transfer`'s third record.
+
+    With the weight normalization a(u) + b(u) = h(u) and b(eta) = 0 used here,
+    H_N = [ n h'(eta) - h(eta) T(eta)^{-1} T'(eta) ] / b'(eta),
+    including the constant shift N (J_x + J_y + J_z)/2. Central differences
+    with step 1e-5.
+    """
+    eta = ctx.eta
+    step = 1e-5
+    T0 = transfer_matrix(n, eta, ctx)
+    Tp = (transfer_matrix(n, eta + step, ctx) - transfer_matrix(n, eta - step, ctx)) / (
+        2 * step
+    )
+    vp, vm = vertex_weights(eta + step, ctx), vertex_weights(eta - step, ctx)
+    bprime = (vp.b - vm.b) / (2 * step)
+    hprime = (vp.a + vp.b - vm.a - vm.b) / (2 * step)
+    a0 = vertex_weights(eta, ctx).a
+    return (n * hprime * np.eye(1 << n) - a0 * np.linalg.solve(T0, Tp)) / bprime
+
+
+def transfer_residuals(n, u, ctx):
+    """The residuals of the three records of `susy-xyz transfer` at size n,
+    from dense 2^n x 2^n matrices: T(eta) against h(2 eta)^n S, the
+    commutator of T(u) and T(u + 0.4), and H against
+    `hamiltonian_from_transfer`, each over the scale the command uses."""
+    norm = np.linalg.norm
+    T_eta = transfer_matrix(n, ctx.eta, ctx)
+    shift = symmetry_operator("translation", n).toarray()
+    translation = norm(T_eta - h(2 * ctx.eta, ctx) ** n * shift) / max(1.0, norm(T_eta))
+    Tu, Tv = transfer_matrix(n, u, ctx), transfer_matrix(n, u + 0.4, ctx)
+    commutator = norm(Tu @ Tv - Tv @ Tu) / max(1.0, norm(Tu) * norm(Tv))
+    Hd = xyz_apply(n, CouplingLine(zeta_of_nome(ctx.nome)), np.eye(1 << n))
+    hamiltonian = norm(Hd - hamiltonian_from_transfer(n, ctx)) / max(1.0, norm(Hd))
+    return translation, commutator, hamiltonian
 
 
 def intertwining_residual(n, u, ctx, charge):

@@ -14,7 +14,6 @@ from susyxyz.eightvertex import (
     bethe_residual,
     extend_by_pi,
     find_bethe_roots,
-    hamiltonian_from_transfer,
     hatQ_dagger,
     path_rank,
     path_rank_complement,
@@ -46,6 +45,7 @@ from susyxyz.supercharge import (
 )
 
 from operator_reference import (
+    hamiltonian_from_transfer,
     intertwining_residual,
     quadruplet_counts,
     symmetry_operator,

@@ -23,6 +23,7 @@ from susyxyz.eightvertex import BetheRoots
 from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import DomainError
 
+from operator_reference import transfer_residuals
 from path_reference import path_states
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -250,8 +251,9 @@ def test_conjectures_build_no_dense_transfer_matrix(capsys, monkeypatch):
     def no_transfer_matrix(*args, **kwargs):
         raise AssertionError("dense transfer matrix built")
 
+    # cli binds no transfer_matrix of its own; a binding it gained would be patched too
     monkeypatch.setattr(eightvertex, "transfer_matrix", no_transfer_matrix)
-    monkeypatch.setattr(cli, "transfer_matrix", no_transfer_matrix)
+    monkeypatch.setattr(cli, "transfer_matrix", no_transfer_matrix, raising=False)
     code, out, _ = run(capsys, "check", "conjectures", "--n", "3,5", "--nomes", "0.2")
     assert code == 0
     relations = [c["relation"] for c in json.loads(out)["checks"]]
@@ -372,6 +374,79 @@ def test_transfer_checks(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True
+
+
+TRANSFER_RELATIONS = ("transfer_at_eta_is_translation", "commuting_family",
+                      "hamiltonian_from_transfer")
+
+
+@pytest.mark.parametrize("nome", [0.0873, 0.228, 0.3569, 0.2, 0.45])
+def test_transfer_records_match_the_dense_reference(capsys, nome):
+    # the orbit-weighted norms equal the dense Frobenius norms, and the third
+    # record multiplied through by T(eta) equals the dense solve, to rounding
+    code, out, _ = run(capsys, "transfer", "--n", "2..10", "--nome", f"{nome:g}")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [(c["n"], c["relation"]) for c in checks] == [
+        (n, relation) for n in range(2, 11) for relation in TRANSFER_RELATIONS]
+    ctx = ThetaContext(nome=nome)
+    for n in range(2, 11):
+        got = [c["residual"] for c in checks if c["n"] == n]
+        ref = transfer_residuals(n, 0.45, ctx)
+        assert abs(got[0] - ref[0]) <= 1e-15
+        assert abs(got[1] - ref[1]) <= 1e-15
+        assert abs(got[2] - ref[2]) <= 1e-11
+        passes = [c["pass"] for c in checks if c["n"] == n]
+        assert passes == [ref[0] < 1e-10, ref[1] < 1e-9, ref[2] < 1e-5] == [True] * 3
+
+
+def test_transfer_builds_no_dense_matrix_and_solves_nothing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense transfer matrix built or solved")
+
+    monkeypatch.setattr(eightvertex, "transfer_matrix", refuse)
+    monkeypatch.setattr(cli, "transfer_matrix", refuse, raising=False)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    code, out, _ = run(capsys, "transfer", "--n", "2..8", "--nome", "0.2")
+    assert code == 0
+    assert len(json.loads(out)["checks"]) == 3 * 7
+
+
+def _transfer_failures(capsys):
+    code, out, _ = run(capsys, "transfer", "--n", "2..6", "--nome", "0.2")
+    checks = json.loads(out)["checks"]
+    assert code == (1 if any(not c["pass"] for c in checks) else 0)
+    return {c["relation"] for c in checks if not c["pass"]}
+
+
+def _perturb_weight_tensor(monkeypatch, at):
+    # the weight a of the all-up vertex, at the spectral parameter `at` only
+    real = cli.weight_tensor
+
+    def perturbed(u, ctx):
+        W = real(u, ctx)
+        if u == at:
+            W = W.copy()
+            W[0, 0, 0, 0] *= 1 + 1e-3
+        return W
+
+    monkeypatch.setattr(cli, "weight_tensor", perturbed)
+
+
+def test_transfer_fails_on_a_weight_tensor_perturbed_at_eta(capsys, monkeypatch):
+    _perturb_weight_tensor(monkeypatch, ThetaContext.eta)
+    assert "transfer_at_eta_is_translation" in _transfer_failures(capsys)
+
+
+def test_transfer_fails_on_a_weight_tensor_perturbed_at_u(capsys, monkeypatch):
+    _perturb_weight_tensor(monkeypatch, 0.45)
+    assert _transfer_failures(capsys) == {"commuting_family"}
+
+
+def test_transfer_fails_on_a_hamiltonian_at_another_zeta(capsys, monkeypatch):
+    real = cli.CouplingLine
+    monkeypatch.setattr(cli, "CouplingLine", lambda zeta: real(zeta * (1 + 1e-3)))
+    assert _transfer_failures(capsys) == {"hamiltonian_from_transfer"}
 
 
 def test_output_file(tmp_path, capsys):

@@ -27,7 +27,6 @@ from susyxyz.eightvertex import (
     bethe_vector,
     extend_by_pi,
     find_bethe_roots,
-    hamiltonian_from_transfer,
     hatQ_dagger,
     path_rank,
     path_rank_complement,
@@ -45,6 +44,7 @@ from susyxyz.errors import DomainError, InvariantViolation, PoleError
 from susyxyz.spinchain import CouplingLine, xyz_apply
 
 from operator_reference import (
+    hamiltonian_from_transfer,
     intertwining_residual,
     symmetry_operator,
     transfer_matrix_reference,
@@ -991,6 +991,20 @@ def _orbit_image(row, flip_re, flip_im, shift, swap):
              for u in map(complex, row)]
     roots = [complex(u.real + math.pi, u.imag) if s else u for u, s in zip(roots, shift)]
     return np.array(roots[::-1] if swap else roots)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_newton_starts_are_the_grid_points_and_pairs(m):
+    # the start rows, built from index arrays, are those of a loop over the
+    # grid points and their pairs, bit for bit, and read-only
+    n_re, n_im = (13, 7) if m == 1 else (9, 5)
+    points = [complex(x, y) for x in np.linspace(0.0, math.pi, n_re, endpoint=False)
+              for y in np.linspace(-1.2, 1.2, n_im)]
+    rows = [[p] for p in points] if m == 1 else list(itertools.combinations(points, 2))
+    starts = _newton_starts(m)
+    assert starts.shape == (len(rows), m)
+    assert starts.tobytes() == np.array(rows).tobytes()
+    assert not starts.flags.writeable
 
 
 @pytest.mark.parametrize("nome", [0.2, 0.45])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,24 @@ def test_nan_entries_do_not_change_finite_entries(kind):
     with np.errstate(invalid="ignore", over="ignore"):
         for zs in scalars:
             assert np.isnan(theta(kind, zs, 0.3))
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_non_finite_entries_raise_no_warning(kind):
+    # a non-finite entry sums to NaN quietly, and the finite entries keep
+    # the arithmetic of an array without it
+    finite = np.array([0.3, -1.1, 0.7 + 0.4j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = theta(kind, np.array([0.3, np.inf, -1.1]), 0.2)
+        assert np.array_equal(out[[0, 2]], theta(kind, finite[:2].real, 0.2))
+        assert np.isnan(out[1])
+        mixed = np.array([0.3, complex(0.2, np.inf), -1.1, complex(np.inf, 0.1), 0.7 + 0.4j])
+        out = theta(kind, mixed, 0.2)
+        assert np.array_equal(out[[0, 2, 4]], theta(kind, finite + 0j, 0.2))
+        assert np.all(np.isnan(out[[1, 3]]))
+        for z in (np.inf, -np.inf, complex(np.inf, 0.0), np.float64(np.inf)):
+            assert np.isnan(theta(kind, z, 0.2))
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
