@@ -26,11 +26,10 @@ from .errors import (
     PoleError,
 )
 from .spinchain import (
-    _block_ranks,
+    _cut_ranks,
     _orbit_sector,
     build_sector_basis,
     embed,
-    restrict,
     rotate_left,
 )
 
@@ -219,58 +218,93 @@ def path_vectors(codes, n, ctx):
 
 
 def _path_blocks(n, ctx):
-    """The path matrix M as blocks [(sector, M_B)], with
-    M M^H = sum_B B M_B M_B^H B^H for the embedding B of the sector.
+    """The momentum blocks M_k of the path matrix M for k = 0 .. n // 2, with
+    M M^H = sum_k B_k M_k M_k^H B_k^H over all n momenta k, B_k the embedding
+    of the momentum sector t = e^{2 pi i k / n}, and M_{n-k} = conj(M_k).
 
-    A one-site translation S permutes the paths, S|p> = |Sp>,
-    so M M^H commutes with S and splits over its eigenspaces: the sector is
-    the momentum sector with S = t, and M_B = B^H [sqrt(p_r) |r>] over the
-    representatives r of the path orbits whose period p_r has t^{p_r} = 1
-    (an orbit of another period has no component at t). Only the
-    representatives' path vectors are built.
+    A one-site translation S permutes the paths, S|p> = |Sp>, so M M^H
+    commutes with S and splits over its eigenspaces. M_k = B_k^H Y over the
+    columns of Y = [sqrt(p_r) |r>] whose path orbit has k p_r = 0 mod n (an
+    orbit of another period has no component at t), r the orbit
+    representatives and p_r their periods; only their path vectors are
+    built. Its rows are the spin orbits c with k p_c = 0 mod n, and row c is
+    (sqrt(p_c) / n) sum_{j<n} t^j Y[S^j c]: a full turn of the orbit sums
+    n / p_c copies of the orbit sum B_k^H takes. So every block comes from
+    one gather G[j] = Y[S^j c] over the representatives of the momentum-0
+    sector and one product with the n x n real DFT matrix, its cos rows
+    for k = 0 .. n // 2 and its sin rows for 0 < k < n / 2 (Sandvik,
+    arXiv:1101.3281, section 4.1). Y is real, since s, t and the nome are,
+    so M_{n-k} = conj(M_k) and is not built; M_0 and, at even n, M_{n/2}
+    are float64.
     """
     if n < 2:
         raise DomainError(f"the path basis needs n >= 2, got {n}")
     step = lambda codes: (_translate_path_codes(codes, n), 1.0)
-    orbits = _orbit_sector(_path_codes(n), n, step, 1.0)
-    reps, periods = orbits.reps, orbits.periods
-    R = path_vectors(reps, n, ctx) * np.sqrt(periods)
-    blocks = [None] * n
-    for g in sorted({math.gcd(k, n) for k in range(n)}):
-        # the orbits admitted at k depend on k through g = gcd(k, n) alone
-        admitted = R.compress(g * periods % n == 0, axis=1)
-        for k in range(n):
-            if math.gcd(k, n) == g:
-                sector = build_sector_basis(n, cmath.exp(2j * math.pi * k / n))
-                blocks[k] = (sector, restrict(sector, admitted))
+    paths = _orbit_sector(_path_codes(n), n, step, 1.0)
+    Y = path_vectors(paths.reps, n, ctx) * np.sqrt(paths.periods)
+    if Y.dtype != np.float64:
+        raise InvariantViolation(f"path vectors of dtype {Y.dtype}, not float64: "
+                                 "M_(n-k) = conj(M_k) needs real ones")
+    spins = build_sector_basis(n, 1.0)
+    turns = np.empty((n, spins.dim), dtype=np.intp)  # turns[j] = S^j c
+    turns[0] = spins.reps
+    for j in range(1, n):
+        turns[j] = rotate_left(turns[j - 1], n)
+    half = n // 2 + 1
+    freq = np.concatenate([np.arange(half), np.arange(1, n - half + 1)])
+    # jk reduced mod n in integers, so every angle lies in [0, 2 pi)
+    angle = (2 * math.pi / n) * (np.outer(freq, np.arange(n)) % n)
+    dft = np.concatenate([np.cos(angle[:half]), np.sin(angle[half:])])
+    # Y, G and the sums are each about 2^n x #orbits: hold two at a time
+    G = Y[turns].reshape(n, -1)
+    del Y
+    sums = (dft @ G).reshape(n, spins.dim, -1)
+    del G
+    blocks = []
+    for k in range(half):
+        rows = np.flatnonzero(k * spins.periods % n == 0)
+        at = np.ix_(rows, np.flatnonzero(k * paths.periods % n == 0))
+        M = sums[k][at] if 2 * k in (0, n) else sums[k][at] + 1j * sums[half + k - 1][at]
+        M *= np.sqrt(spins.periods[rows, None]) / n
+        blocks.append(M)
     return blocks
 
 
 def path_rank_complement(n, ctx, complement=True):
     """(rank, complement) of the path matrix from the SVDs of its blocks.
 
-    The singular values of M are the union of those of the blocks
-    (`_path_blocks`), so one cut against the largest of them all gives the
-    rank, with a warning when the singular values straddle it
-    (`_block_ranks`). With complement=False the complement is None. The
-    complement is the orthonormal basis of the orthogonal complement of the
-    path span, the union over the blocks of the embedded left singular
-    vectors past the block's count above the cut; it exists only for odd n,
-    where it must have dimension 2. Singular vectors are computed only for the blocks with fewer counts than
-    rows, the only ones that contribute to it.
+    The singular values of M are the union of those of its n momentum
+    blocks, and M_{n-k} = conj(M_k) has those of M_k (`_path_blocks`): one
+    SVD per conjugate pair gives them all, and one cut against the largest
+    of them all gives the rank, with a warning when the singular values
+    straddle it (`_cut_ranks`). With complement=False the complement is
+    None. The complement is the orthonormal basis of the orthogonal
+    complement of the path span, the union over the blocks of the embedded
+    left singular vectors past the block's count above the cut; it exists
+    only for odd n, where it must have dimension 2. Singular vectors are
+    computed only for the blocks with fewer counts than rows, the only ones
+    that contribute to it, and those U of M_k give conj(U) of M_{n-k}, whose
+    embedding is conj(B_k U).
     """
     if complement and n % 2 == 0:
         raise DomainError("the path span has a complement only for odd n")
     blocks = _path_blocks(n, ctx)
-    ranks = _block_ranks(enumerate(M for _, M in blocks), f"the path matrix at n={n}")
-    counts = list(ranks.values())
-    rank = sum(counts)
+    svals = {}
+    for k, M in enumerate(blocks):
+        svals[k] = svals[-k % n] = np.linalg.svd(M, compute_uv=False)
+    counts = _cut_ranks(svals, f"the path matrix at n={n}")
+    rank = sum(counts.values())
     if not complement:
         return rank, None
     # only blocks that miss some direction join, so the complement is float64
-    # when those blocks are real; with fewer paths than states, one always does
-    comp = np.hstack([embed(sector, np.linalg.svd(M)[0][:, c:])
-                      for (sector, M), c in zip(blocks, counts) if c < M.shape[0]])
+    # when only M_0 does; with fewer paths than states, one always does
+    parts = []
+    for k, M in enumerate(blocks):
+        if counts[k] < M.shape[0]:
+            sector = build_sector_basis(n, cmath.exp(2j * math.pi * k / n))
+            E = embed(sector, np.linalg.svd(M)[0][:, counts[k]:])
+            parts += [E] if k == 0 else [E, E.conj()]
+    comp = np.hstack(parts)
     if comp.shape[1] != 2:
         raise InvariantViolation(
             f"path complement at n={n} has dimension {comp.shape[1]}, expected 2"
@@ -414,13 +448,14 @@ def _h_minus_2eta(ctx):
 
 def _bethe_entire(U, n, omega, ctx):
     """Entire form of the Bethe system on a batch of candidate root tuples,
-    and its exact Jacobian.
+    its exact Jacobian, and the size of its terms: (F, J, size).
 
     U has shape (K, m); F has the same shape, with F = 0 exactly on solutions
     (common-denominator form, no poles):
         F_j = h(u_j + eta)^n prod_k h(u_j - u_k - 2 eta)
               + omega^2 h(u_j - eta)^n prod_k h(u_j - u_k + 2 eta),
-    the products over every k, k = j included. J[:, j, l] = dF_j/du_l, from
+    the products over every k, k = j included, and size_j the sum of the
+    moduli of its two terms. J[:, j, l] = dF_j/du_l, from
     h and h' by the product rule over the factors; the k = j factor
     h(-+2 eta) is a constant. h is odd and h' even, so h and h' at
     u_j - u_k + 2 eta are -h and h' at u_k - u_j - 2 eta, and only the
@@ -447,6 +482,7 @@ def _bethe_entire(U, n, omega, ctx):
     dD = np.zeros((K, m, m), dtype=complex)
     D[:, rows, cols], dD[:, rows, cols] = val[:, 2 * m:], der[:, 2 * m:]
     F = np.zeros((K, m), dtype=complex)
+    size = np.zeros((K, m))
     J = np.zeros((K, m, m), dtype=complex)
     E = np.empty((K, m, m), dtype=complex)
     diag = np.arange(m)
@@ -463,10 +499,12 @@ def _bethe_entire(U, n, omega, ctx):
         for k in range(m):
             E[:, :, k] = functools.reduce(
                 np.multiply, [d[:, :, l] for l in range(m) if l != k] + [dd[:, :, k]])
-        F += phase * (power * prod)
+        term = power * prod
+        F += phase * term
+        size += np.abs(term)
         J -= phase * (power[:, :, None] * E)
         J[:, diag, diag] += phase * (n * v ** (n - 1) * dv * prod + power * E.sum(axis=2))
-    return F, J
+    return F, J, size
 
 
 def _on_discard_line(U, eta):
@@ -500,7 +538,11 @@ def _newton_polish(U, n, omega, ctx):
     `_on_discard_line`, which `_root_sets` drops, ends the row there (a start
     row on that line is still stepped, and may leave it). Most m = 2 rows
     crawl along u_1 - u_2 = +-2 eta towards spurious zeros of F, so retiring
-    them saves a third of the evaluations without changing a root set.
+    them saves a third of the evaluations without changing a root set. A row
+    is also finished when stuck: it has a root outside the strip
+    |Im u| <= _IMAG_WINDOW + 0.2, which `_root_sets` drops too, and every
+    |F_j| is at the rounding floor of its equation, 1e-14 times the sum of
+    the moduli of its two terms, where a Newton step is rounding noise.
     """
     m = U.shape[1]
     # the reach of h', which never exceeds that of h
@@ -521,8 +563,11 @@ def _newton_polish(U, n, omega, ctx):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(60):
             V = U[live]
-            F, J = _bethe_entire(V, n, omega, ctx)
-            keep = np.all(np.isfinite(F), axis=1) & (np.max(np.abs(F), axis=1) >= _NEWTON_TOL)
+            F, J, size = _bethe_entire(V, n, omega, ctx)
+            stuck = (np.any(np.abs(V.imag) > _IMAG_WINDOW + 0.2, axis=1)
+                     & np.all(np.abs(F) <= 1e-14 * size, axis=1))
+            keep = (np.all(np.isfinite(F), axis=1) & (np.max(np.abs(F), axis=1) >= _NEWTON_TOL)
+                    & ~stuck)
             if not np.any(keep):
                 break
             live, V, F, J = live[keep], V[keep], F[keep], J[keep]

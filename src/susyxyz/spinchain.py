@@ -7,11 +7,10 @@ t: each basis vector is the phased orbit sum of a representative state, and
 the sector is its orbit table, which gives every state of the model's basis
 the orbit sum that holds it and its amplitude there (Lin, PRB 42, 6561 (1990);
 Sandvik, arXiv:1101.3281, section 4). The embedding B has one nonzero per
-row, so `embed` (B X) and `restrict` (B^H Y) act through the table in
-O(rows * columns of X). The same orbit-sum builder, for any signed
-permutation of bitmask states, gives the hard-core fermion ring its T^3
-sectors over the hard-core masks, and, run on the columns of a real-t
-momentum sector, which the reflection maps to +- columns, its parity
+row, so `embed` (B X) acts through the table. The same orbit-sum builder,
+for any signed permutation of bitmask states, gives the hard-core fermion
+ring its T^3 sectors over the hard-core masks, and, run on the columns of a
+real-t momentum sector, which the reflection maps to +- columns, its parity
 refinements. Translation and reflection keep the number of down spins, so
 every orbit sum has a definite spin parity P = (-1)^{#down}; a sector records
 which columns have which P. The sector operators, the XYZ H (which keeps P),
@@ -105,20 +104,6 @@ class SectorBasis:
         return tuple((p, np.flatnonzero(parity == p)) for p in (1, -1) if np.any(parity == p))
 
     @cached_property
-    def orbit_members(self):
-        """(states, weights), two dim x (largest period) arrays: row c holds
-        the states of orbit sum c, ascending, and their conj(amplitude),
-        padded with state 0 and weight 0 past the orbit's period."""
-        periods = self.periods
-        rows = np.argsort(self.column, kind="stable")[len(self.column) - int(periods.sum()):]
-        cols = self.column[rows]
-        place = (cols, np.arange(len(rows)) - (np.cumsum(periods) - periods)[cols])
-        states = np.zeros((self.dim, periods.max(initial=0)), dtype=np.intp)
-        weights = np.zeros(states.shape, dtype=self.amplitude.dtype)
-        states[place], weights[place] = rows, np.conj(self.amplitude[rows])
-        return states, weights
-
-    @cached_property
     def block_position(self):
         """The position of every column within its spin parity block."""
         position = np.empty(self.dim, dtype=np.intp)
@@ -130,21 +115,10 @@ class SectorBasis:
 def embed(basis, X):
     """B X: the columns of X (dim rows of sector coordinates) as vectors on
     the model's basis, amplitude * X[column] per state (0 outside the
-    admitted orbits)."""
+    admitted orbits), in O(rows * columns of X)."""
     rows = np.flatnonzero(basis.column >= 0)
     out = np.zeros((len(basis.column), X.shape[1]), dtype=np.result_type(basis.amplitude, X))
     out[rows] = basis.amplitude[rows, None] * X[basis.column[rows]]
-    return out
-
-
-def restrict(basis, Y):
-    """B^H Y: the sector coordinates of the columns of Y (one row per state
-    of the model's basis), conj(amplitude) * Y summed over each orbit, one
-    position in the orbits at a time."""
-    states, weights = basis.orbit_members
-    out = np.zeros((basis.dim, Y.shape[1]), dtype=np.result_type(weights, Y))
-    for j in range(states.shape[1]):
-        out += weights[:, j, None] * Y[states[:, j]]
     return out
 
 
@@ -507,13 +481,20 @@ def _rank(s, s_max=None):
 def _block_ranks(blocks, context):
     """{key: rank of the block} for the blocks of one block-diagonal matrix,
     given as (key, block) pairs: one SVD per block, each block dropped after
-    its SVD. The cut is the whole matrix's, _RANK_CUT times the largest
-    singular value over all its blocks, and the whole matrix's singular
-    values are checked for honesty: warn when they straddle the cut."""
+    its SVD, and one cut over them all (`_cut_ranks`)."""
     svals = {}
     for key, block in blocks:
         svals[key] = np.linalg.svd(block, compute_uv=False)
         del block  # freed before the next block is built
+    return _cut_ranks(svals, context)
+
+
+def _cut_ranks(svals, context):
+    """{key: rank of the block} from {key: singular values of the block}
+    for the blocks of one block-diagonal matrix. The cut is the whole
+    matrix's, _RANK_CUT times the largest singular value over all its
+    blocks, and the whole matrix's singular values are checked for honesty:
+    warn when they straddle the cut."""
     s = np.sort(np.concatenate([np.zeros(0), *svals.values()]))[::-1]
     rank = _rank(s)
     if 0 < rank < len(s):

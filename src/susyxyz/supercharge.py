@@ -71,15 +71,16 @@ def _conjugated(Q, symmetry):
 
 def _conjugated_blocks(Q, symmetry, s_in, s_out):
     """The blocks of `_conjugated`: its block on the domain parity s_in * q
-    is the block q of Q, read through the signed orbit maps of S."""
+    is the block q of Q, read through the signed orbit maps of S out of Q's
+    kept matrix, so a reader of both Q and S Q S builds Q's blocks once."""
     dom, cod = Q.domain, Q.codomain
     perm_in, sign_in = _signed_orbit_map(dom, symmetry)
     perm_out, sign_out = _signed_orbit_map(cod, symmetry)
-    for q, block in Q.blocks():
+    M = Q.matrix
+    for q, _ in dom.parity_blocks:
         cols = _parity_columns(dom, s_in * q)
         rows = _parity_columns(cod, s_out * Q.flip * q)
-        moved = block[np.ix_(cod.block_position[perm_out[rows]],
-                             dom.block_position[perm_in[cols]])]
+        moved = M[np.ix_(perm_out[rows], perm_in[cols])]
         yield s_in * q, sign_out[rows, None] * moved * sign_in[cols]
 
 
@@ -87,7 +88,8 @@ def _conjugated_blocks(Q, symmetry, s_in, s_out):
 class SuperchargePair:
     """Q_N and its spin-reversed partner Qt_N = R_{N+1} Q_N R_N on the momentum
     sectors. Both are held as parity blocks; each block of Qt_N is a block of
-    Q_N with its rows and columns permuted and signed (`_conjugated`). R_N
+    Q_N with its rows and columns permuted and signed (`_conjugated`), read
+    out of the matrix of Q_N, which is built and kept when Qt_N is read. R_N
     maps spin parity P to (-1)^N P, so Qt_N maps P to P."""
 
     n: int

@@ -8,6 +8,10 @@ out over all 2^n states, and the translation, parity and spin-reversal
 permutations. `project` restricts a full-space operator to sector
 coordinates, the dense matrix B_cod^H A B_dom, through the orbit tables; the
 tests check the sector operators of the package against these projections.
+`restrict` takes arrays with 2^n rows to sector coordinates (B^H Y), one
+position in the orbits at a time, and gives the momentum blocks of the path
+matrix one sector walk per momentum (`path_blocks_reference`), against
+which the half-spectrum blocks of the package are checked.
 The inhomogeneous transfer matrix, the Hamiltonian from the dense transfer
 matrix, the intertwining of the transfer matrix with the supercharges and
 the quadruplet count are computed here from the public operators of the
@@ -18,15 +22,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from susyxyz.eightvertex import transfer_matrix, vertex_weights, weight_tensor
+from susyxyz.eightvertex import (
+    _path_blocks,
+    _path_codes,
+    _translate_path_codes,
+    path_vectors,
+    transfer_matrix,
+    vertex_weights,
+    weight_tensor,
+)
 from susyxyz.elliptic import h, zeta_of_nome
 from susyxyz.errors import DomainError
 from susyxyz.spinchain import (
     CouplingLine,
     _add_images,
+    _orbit_sector,
     _rank,
+    build_sector_basis,
     embed,
-    restrict,
     reverse_bits,
     reverse_spins,
     rotate_left,
@@ -75,6 +88,52 @@ def project(full_op, domain, codomain=None):
     _add_images(matrix, np.arange(codomain.dim), codomain, src[keep], full_op.rows[keep],
                 full_op.vals[keep] * domain.amplitude[full_op.cols[keep]])
     return matrix
+
+
+def orbit_members(basis):
+    """(states, weights), two dim x (largest period) arrays: row c holds
+    the states of orbit sum c, ascending, and their conj(amplitude),
+    padded with state 0 and weight 0 past the orbit's period."""
+    periods = basis.periods
+    rows = np.argsort(basis.column, kind="stable")[len(basis.column) - int(periods.sum()):]
+    cols = basis.column[rows]
+    place = (cols, np.arange(len(rows)) - (np.cumsum(periods) - periods)[cols])
+    states = np.zeros((basis.dim, periods.max(initial=0)), dtype=np.intp)
+    weights = np.zeros(states.shape, dtype=basis.amplitude.dtype)
+    states[place], weights[place] = rows, np.conj(basis.amplitude[rows])
+    return states, weights
+
+
+def restrict(basis, Y):
+    """B^H Y: the sector coordinates of the columns of Y (one row per state
+    of the model's basis), conj(amplitude) * Y summed over each orbit, one
+    position in the orbits at a time."""
+    states, weights = orbit_members(basis)
+    out = np.zeros((basis.dim, Y.shape[1]), dtype=np.result_type(weights, Y))
+    for j in range(states.shape[1]):
+        out += weights[:, j, None] * Y[states[:, j]]
+    return out
+
+
+def path_blocks_reference(n, ctx):
+    """[(sector, M_k)] for every momentum k = 0 .. n - 1 of the path matrix:
+    M_k = B_k^H [sqrt(p_r) |r>] over the representatives r of the path
+    orbits with k p_r = 0 mod n, one sector walk and `restrict` per k."""
+    step = lambda codes: (_translate_path_codes(codes, n), 1.0)
+    orbits = _orbit_sector(_path_codes(n), n, step, 1.0)
+    Y = path_vectors(orbits.reps, n, ctx) * np.sqrt(orbits.periods)
+    blocks = []
+    for k in range(n):
+        sector = build_sector_basis(n, np.exp(2j * np.pi * k / n))
+        blocks.append((sector, restrict(sector, Y[:, k * orbits.periods % n == 0])))
+    return blocks
+
+
+def all_path_blocks(n, ctx):
+    """The n momentum blocks of the path matrix from the half spectrum of
+    `_path_blocks`, with M_{n-k} = conj(M_k)."""
+    half = _path_blocks(n, ctx)
+    return half + [half[n - k].conj() for k in range(len(half), n)]
 
 
 def xyz_hamiltonian_full(n, coupling):

@@ -15,7 +15,6 @@ from susyxyz.eightvertex import (
     _newton_polish,
     _newton_starts,
     _on_discard_line,
-    _path_blocks,
     _path_codes,
     _root_sets,
     _scan_on_orbits,
@@ -44,8 +43,10 @@ from susyxyz.errors import DomainError, InvariantViolation, PoleError
 from susyxyz.spinchain import CouplingLine, xyz_apply
 
 from operator_reference import (
+    all_path_blocks,
     hamiltonian_from_transfer,
     intertwining_residual,
+    path_blocks_reference,
     symmetry_operator,
     transfer_matrix_reference,
 )
@@ -415,7 +416,7 @@ def test_path_blocks_match_dense_svd(n, nome):
     ctx = ThetaContext(nome=nome)
     rank, s_dense, comp_dense = _dense_path_svd(n, ctx)
     s_blocks = np.concatenate([np.linalg.svd(Mb, compute_uv=False)
-                               for _, Mb in _path_blocks(n, ctx)])
+                               for Mb in all_path_blocks(n, ctx)])
     s_blocks = np.pad(np.sort(s_blocks)[::-1], (0, (1 << n) - len(s_blocks)))
     assert np.max(np.abs(s_blocks - s_dense)) <= 1e-13 * s_dense[0]
     got, comp = path_rank_complement(n, ctx, complement=n % 2 == 1)
@@ -452,14 +453,61 @@ def test_block_ranks_of_the_path_blocks(n):
     # path block is cut at 1e-10 times the largest singular value of them
     # all, and at that cut no path rank is a close call (full, or at odd n
     # two singular values at rounding level)
-    blocks = _path_blocks(n, CTX)
+    blocks = all_path_blocks(n, CTX)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ranks = spinchain._block_ranks(((k, M) for k, (_, M) in enumerate(blocks)), "paths")
-    s_max = max(np.linalg.norm(M, 2) for _, M in blocks)
-    assert list(ranks) == list(range(len(blocks)))
-    assert list(ranks.values()) == [np.linalg.matrix_rank(M, tol=1e-10 * s_max) for _, M in blocks]
+        ranks = spinchain._block_ranks(enumerate(blocks), "paths")
+    s_max = max(np.linalg.norm(M, 2) for M in blocks)
+    assert list(ranks) == list(range(n))
+    assert list(ranks.values()) == [np.linalg.matrix_rank(M, tol=1e-10 * s_max) for M in blocks]
     assert sum(ranks.values()) == path_rank(n, CTX) == (1 << n) - 2 * (n % 2)
+
+
+@pytest.mark.parametrize("nome", [0.2, 0.4])
+@pytest.mark.parametrize("n", range(2, 12))
+def test_half_spectrum_path_blocks_match_the_sector_walks(n, nome):
+    # M_k for k <= n / 2 from one orbit gather and a real DFT against one
+    # sector walk and restrict per momentum, and M_{n-k} = conj(M_k); the
+    # blocks of the real momenta 0 and n / 2 are float64
+    ctx = ThetaContext(nome=nome)
+    ref = [M for _, M in path_blocks_reference(n, ctx)]
+    half = eightvertex._path_blocks(n, ctx)
+    bound = 1e-14 * max(np.abs(M).max(initial=0.0) for M in ref)
+    assert len(half) == n // 2 + 1
+    for k, M in enumerate(half):
+        assert M.dtype == (np.float64 if 2 * k in (0, n) else np.complex128)
+        assert M.shape == ref[k].shape == ref[-k % n].shape
+        assert np.abs(M - ref[k]).max(initial=0.0) <= bound
+        assert np.abs(M.conj() - ref[-k % n]).max(initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("n", [2, 7, 10, 11])
+def test_path_rank_takes_one_svd_per_conjugate_pair(monkeypatch, n):
+    # floor(n / 2) + 1 SVDs, and no momentum sector but t = 1 is built
+    svds, sectors = [], []
+    real_svd, real_build = np.linalg.svd, eightvertex.build_sector_basis
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    def recording_build(n, t, *args):
+        sectors.append(complex(t))
+        return real_build(n, t, *args)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(eightvertex, "build_sector_basis", recording_build)
+    assert path_rank(n, CTX) == (1 << n) - 2 * (n % 2)
+    assert len(svds) == n // 2 + 1
+    assert sectors == [1.0]
+
+
+def test_path_blocks_require_real_path_vectors(monkeypatch):
+    # M_{n-k} = conj(M_k) holds for real path vectors only
+    monkeypatch.setattr(eightvertex, "path_vectors",
+                        lambda codes, n, ctx: path_vectors(codes, n, ctx) + 0j)
+    with pytest.raises(InvariantViolation, match="not float64"):
+        path_rank(5, CTX)
 
 
 def test_homogeneous_path_rank_builds_no_path_matrix(monkeypatch):
@@ -767,7 +815,7 @@ def _newton_all_rows(U, n, omega, ctx, tol=1e-11):
     m = U.shape[1]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(60):
-            F, J = _bethe_entire(U, n, omega, ctx)
+            F, J, _ = _bethe_entire(U, n, omega, ctx)
             done = ~np.all(np.isfinite(F), axis=1) | (np.max(np.abs(F), axis=1) < tol)
             if np.all(done):
                 break
@@ -803,11 +851,13 @@ def test_live_row_newton_matches_all_rows_loop(nome, cases):
         for omega in OMEGAS:
             got = _newton_polish(start, n, complex(omega), ctx)
             ref = _newton_all_rows(start, n, complex(omega), ctx)
-            # a retired row ends on the discard line; every other row has the
-            # same iterates bit for bit, including which rows diverged
+            # a retired row ends on the discard line, a stuck one with a root
+            # outside the strip; every other row has the same iterates bit for
+            # bit, including which rows diverged
             retired = ~np.all((got == ref) | (np.isnan(got) & np.isnan(ref)), axis=1)
-            assert np.any(retired) == (m == 2)
-            assert np.all(_on_discard_line(got[retired], ctx.eta))
+            stuck = np.any(np.abs(got.imag) > eightvertex._IMAG_WINDOW + 0.2, axis=1)
+            assert np.any(retired & ~stuck) == (m == 2)
+            assert np.all(_on_discard_line(got[retired & ~stuck], ctx.eta))
             assert np.array_equal(got[~retired], ref[~retired], equal_nan=True)
             # so the same root sets, in the same order, with the same
             # representatives
@@ -866,19 +916,22 @@ def test_bethe_kernel_matches_the_former_kernel_bit_for_bit(nome):
                             + 1j * rng.uniform(-window, window, (200, m))])
         for n in (4, 5, 7, 10, 13):
             for omega in OMEGAS:
-                F, J = _bethe_entire(U, n, complex(omega), ctx)
+                F, J = _bethe_entire(U, n, complex(omega), ctx)[:2]
                 F_ref, J_ref = _bethe_entire_reference(U, n, complex(omega), ctx)
                 assert np.array_equal(F, F_ref) and np.array_equal(J, J_ref)
 
 
-@pytest.mark.parametrize("omega,rows", zip(OMEGAS, (3462, 6052, 6049)),
+@pytest.mark.parametrize("omega,evaluated",
+                         zip(OMEGAS, ((50, 3426), (45, 5988), (45, 5985))),
                          ids=("omega0", "omega1", "omega2"))
-def test_newton_scan_evaluates_no_retired_row(monkeypatch, omega, rows):
+def test_newton_scan_evaluates_no_retired_row(monkeypatch, omega, evaluated):
     # a row retired on the discard line is never passed to the kernel again:
     # every row after the start rows is the iterate of a row off the line.
-    # Newton runs on one start row per symmetry orbit; on the full grid the
-    # scan evaluated 13060, 11864 and 11860 rows in the same 60 calls, and the
-    # former loop on live rows 19538, 19643 and 19639
+    # Newton runs on one start row per symmetry orbit, and a row stuck outside
+    # the strip at the rounding floor of F is finished; without that rule the
+    # scan evaluated 3462, 6052 and 6049 rows in 60 calls, on the full grid
+    # 13060, 11864 and 11860, and the former loop on live rows 19538, 19643
+    # and 19639
     calls = []
     real_entire = eightvertex._bethe_entire
 
@@ -890,7 +943,66 @@ def test_newton_scan_evaluates_no_retired_row(monkeypatch, omega, rows):
     ctx = ThetaContext(nome=0.2)
     assert find_bethe_roots(4, 2, omega, ctx)
     assert not any(np.any(_on_discard_line(U, ctx.eta)) for U in calls[1:])
-    assert (len(calls), sum(map(len, calls))) == (60, rows)
+    assert (len(calls), sum(map(len, calls))) == evaluated
+
+
+def _newton_without_floor_rule(U, n, omega, ctx):
+    """The Newton scan of `_newton_polish` without its rule for stuck rows:
+    a row with a root outside the strip at the rounding floor of F is
+    stepped on until it converges, freezes, is retired or the 60 calls end."""
+    m = U.shape[1]
+    reach = elliptic.theta_reach(1, ctx.nome, derivative=True)
+
+    def freeze(V):
+        args = np.concatenate([V, V[:, :1] - V[:, 1:]], axis=1)
+        far = np.any(np.abs(V.imag) > eightvertex._IMAG_WINDOW + 5.2, axis=1)
+        V[far | np.any(np.abs(args.imag) >= reach, axis=1)] = np.nan
+
+    U = U.copy()
+    freeze(U)
+    live = np.arange(len(U))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(60):
+            V = U[live]
+            F, J, _ = _bethe_entire(V, n, omega, ctx)
+            keep = np.all(np.isfinite(F), axis=1) & (np.max(np.abs(F), axis=1) >= 1e-11)
+            if not np.any(keep):
+                break
+            live, V, F, J = live[keep], V[keep], F[keep], J[keep]
+            if m == 1:
+                step = F / np.where(J[:, :, 0] == 0, np.nan, J[:, :, 0])
+            else:
+                det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+                det = np.where(np.abs(det) < 1e-30, np.nan, det)
+                step = np.empty_like(V)
+                step[:, 0] = (J[:, 1, 1] * F[:, 0] - J[:, 0, 1] * F[:, 1]) / det
+                step[:, 1] = (J[:, 0, 0] * F[:, 1] - J[:, 1, 0] * F[:, 0]) / det
+            step = np.where(np.abs(step) > 5.0, np.nan, step)
+            V = V - step
+            freeze(V)
+            U[live] = V
+            live = live[~_on_discard_line(V, ctx.eta)]
+    return U
+
+
+@pytest.mark.parametrize("nome,s,t", [(0.05, 0.3, -0.7), (0.2, 0.44, -0.667), (0.45, 0.3, -0.7)])
+def test_stuck_rows_leave_every_root_set_unchanged(monkeypatch, nome, s, t):
+    # finishing the rows stuck outside the strip changes no root set, bit for
+    # bit and in order, against the loop without that rule; a subset of a
+    # sweep over nomes 0.05 to 0.45, two (s, t), seven (n, m) and every omega
+    ctx = ThetaContext(nome=nome, s=s, t=t)
+    finished = 0
+    for n, m in ((5, 1), (4, 2), (7, 2)):
+        for omega in OMEGAS:
+            got = find_bethe_roots(n, m, omega, ctx)
+            with monkeypatch.context() as patched:
+                patched.setattr(eightvertex, "_newton_polish", _newton_without_floor_rule)
+                assert find_bethe_roots(n, m, omega, ctx) == got
+            start = _newton_starts(m)
+            a = _newton_polish(start, n, complex(omega), ctx)
+            b = _newton_without_floor_rule(start, n, complex(omega), ctx)
+            finished += np.count_nonzero(~np.all((a == b) | (np.isnan(a) & np.isnan(b)), axis=1))
+    assert finished > 0
 
 
 @pytest.mark.parametrize("nome", [0.2, 0.45])

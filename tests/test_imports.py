@@ -83,15 +83,35 @@ for argv in {_CLI_RUNS!r}:
     report.append((" ".join(argv), code, scipy_modules()))
 print(json.dumps(report))
 """
+    report = _run_fresh(script)
+    assert [step for step, _, _ in report] == ["import"] + [" ".join(a) for a in _CLI_RUNS]
+    assert [(step, code, loaded) for step, code, loaded in report
+            if code != 0 or loaded] == []
+
+
+def _run_fresh(script):
+    """The JSON that `script` prints, run in a fresh interpreter on src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
-    report = json.loads(run.stdout)
-    assert [step for step, _, _ in report] == ["import"] + [" ".join(a) for a in _CLI_RUNS]
-    assert [(step, code, loaded) for step, code, loaded in report
-            if code != 0 or loaded] == []
+    return json.loads(run.stdout)
+
+
+def test_path_ops_load_no_lazy_numpy_submodule(tmp_path):
+    # numpy imports numpy.fft, numpy.random and numpy.polynomial on first
+    # use; the path blocks take their DFT as one product with a cos/sin
+    # matrix, so the conjectures and pathbasis ops of the benchmark load none
+    runs = [["check", "conjectures", "--n", "9", "--nomes", "0.2"], ["pathbasis", "--n", "10"]]
+    script = f"""
+import json, sys
+import susyxyz.cli as cli
+lazy = ("numpy.fft", "numpy.random", "numpy.polynomial")
+codes = [cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) for argv in {runs!r}]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith(lazy))]))
+"""
+    assert _run_fresh(script) == [[0, 0], []]
 
 
 def _referenced_names(path):
@@ -250,13 +270,15 @@ def test_a_sector_operator_is_its_parity_blocks():
     assert [ast.unparse(call) for call in calls
             if len(call.args) + len(call.keywords) != 4
             or {kw.arg for kw in call.keywords} - set(fields)] == []
-    # Qt and P Q P are read from the blocks of Q, not from its whole matrix
+    # Qt and P Q P are read out of the kept matrix of Q, so a reader of both
+    # builds the blocks of Q once; the conjugation builds none of them again
     tree = ast.parse((ROOT / "src/susyxyz/supercharge.py").read_text())
     conjugation = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
                    and fn.name in ("_conjugated", "_conjugated_blocks")]
     assert len(conjugation) == 2
-    assert [node.lineno for fn in conjugation for node in ast.walk(fn)
-            if isinstance(node, ast.Attribute) and node.attr == "matrix"] == []
+    read = [node.attr for fn in conjugation for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr in ("matrix", "blocks")]
+    assert read == ["matrix"]
 
 
 def test_bethe_system_takes_h_from_exponentials():
@@ -269,3 +291,18 @@ def test_bethe_system_takes_h_from_exponentials():
               for call in ast.walk(entire) if isinstance(call, ast.Call)}
     assert "theta1_from_exp" in called
     assert called & {"theta", "theta_and_derivative", "h", "sin", "cos", "tan"} == set()
+
+
+def test_sector_coordinates_of_full_space_arrays_are_a_test_reference():
+    # the path blocks come from one orbit gather and a cos/sin product: src/
+    # defines no restriction B^H Y nor an orbit member table, and uses no FFT
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src").rglob("*.py"))]
+    names = {node.name for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert names & {"restrict", "orbit_members"} == set()
+    assert _src_callers("restrict") == []
+    assert [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            and "fft" in (getattr(node, "id", None) or getattr(node, "attr", None)
+                          or getattr(node, "name", ""))] == []

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from susyxyz import spinchain
-from susyxyz.eightvertex import _path_blocks, _path_codes, _translate_path_codes, path_vectors
+from susyxyz.eightvertex import _path_codes, _translate_path_codes, path_vectors
 from susyxyz.elliptic import ThetaContext
 from susyxyz.errors import ContractError, DomainError
 from susyxyz.fermion import fermion_hamiltonian
@@ -25,7 +25,6 @@ from susyxyz.spinchain import (
     common_levels,
     embed,
     rescaled_spectrum,
-    restrict,
     reverse_bits,
     rotate_left,
     spectrum,
@@ -35,7 +34,13 @@ from susyxyz.spinchain import (
 )
 from susyxyz.supercharge import build_supercharges, susy_sector
 
-from operator_reference import project, symmetry_operator, xyz_hamiltonian_full
+from operator_reference import (
+    all_path_blocks,
+    project,
+    restrict,
+    symmetry_operator,
+    xyz_hamiltonian_full,
+)
 
 
 def test_coupling_line_identity():
@@ -346,15 +351,16 @@ def _scipy_embedding(basis):
 
 
 def test_table_products_match_scipy_references():
-    # the path blocks restricted through the momentum tables against B^H R
+    # the path blocks, M_{n-k} = conj(M_k) expanded, against B^H R
     ctx = ThetaContext(nome=0.3)
     for n in range(2, 10):
         codes = _path_codes(n)
         orbits = _orbit_sector(codes, n, lambda c: (_translate_path_codes(c, n), 1.0), 1.0)
         reps, periods = orbits.reps, orbits.periods
         R = path_vectors(reps, n, ctx) * np.sqrt(periods)
-        for k, (sector, M) in enumerate(_path_blocks(n, ctx)):
+        for k, M in enumerate(all_path_blocks(n, ctx)):
             t = np.exp(2j * np.pi * k / n)
+            sector = build_sector_basis(n, t)
             ref = _scipy_embedding(sector).conj().T @ R[:, np.abs(t ** periods - 1) < 1e-9]
             assert M.shape == ref.shape
             assert _max_abs(M - ref) <= 1e-12 * max(1.0, _max_abs(ref))
@@ -528,7 +534,6 @@ def test_parity_refinement_needs_no_eigensolve_or_projection(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(spinchain, "embed", forbidden)
-    monkeypatch.setattr(spinchain, "restrict", forbidden)
     build_sector_basis.cache_clear()
     coupling = CouplingLine(0.7)
     dims = [len(spectrum(xyz_hamiltonian(9, coupling, build_sector_basis(9, 1.0, parity=p))))

@@ -131,13 +131,13 @@ def test_cohomology_builds_no_tilde_charge(monkeypatch):
     monkeypatch.undo()
     # read on demand, Qt is R Q R on the same sectors: R is a signed
     # permutation of the orbit sums, so each block of Qt is a block of Q with
-    # its rows and columns permuted and signed, exactly; the whole Q is not
-    # assembled for it
+    # its rows and columns permuted and signed, exactly, read out of the
+    # matrix of Q, which is kept for the reader of both
     for n in (4, 5):
         pair = build_supercharges(n, 0.7)
         assert "q_tilde" not in vars(pair)
         Qt = pair.q_tilde.matrix
-        assert pair.q_tilde.flip == 1 and "matrix" not in vars(pair.q_plain)
+        assert pair.q_tilde.flip == 1 and "matrix" in vars(pair.q_plain)
         S_out, S_in = (np.rint(project(symmetry_operator("spin_reversal", b.n), b))
                        for b in (pair.q_plain.codomain, pair.q_plain.domain))
         for S in (S_out, S_in):
@@ -398,6 +398,20 @@ def test_refined_cohomology_equals_the_whole_sector_count(n):
     # n = 2 has no r = +1 columns, n = 3 and 5 no r = -1 columns
     for zeta in (0.05, 0.7, 1.0, 2.3, 3.0):
         assert cohomology_dimension(n, zeta) == _whole_sector_dims(n, zeta)
+
+
+def test_algebra_builds_the_blocks_of_each_charge_once(monkeypatch):
+    # Q and Qt of a pair come from one build of the blocks of Q
+    built = []
+    real_blocks = supercharge._q_blocks
+
+    def counting_blocks(*args):
+        built.append(args)
+        return real_blocks(*args)
+
+    monkeypatch.setattr(supercharge, "_q_blocks", counting_blocks)
+    assert all(record["pass"] for record in verify_algebra(13, 0.7))
+    assert built == [(13, 0.7), (12, 0.7)]
 
 
 @pytest.mark.parametrize("n", range(1, 12))
