@@ -21,7 +21,7 @@ from susyxyz.eightvertex import (
     extend_by_pi,
     find_bethe_roots,
     tq_eigenvalue,
-    transfer_matrix,
+    transfer_apply,
     translation_eigenvalue,
 )
 from susyxyz.elliptic import ThetaContext, h
@@ -53,7 +53,6 @@ def main(argv=None):
     except (DomainError, RangeError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    transfer = {}  # T(u) per probe point, built when first needed
     for k, found in enumerate(scans):
         print(f"omega = exp({2 * k}i pi/3)")
         for br in found:
@@ -67,10 +66,8 @@ def main(argv=None):
                     f"  probe u {u_probe:.3f}")
             if nv > 1e-7:
                 v = v / nv
-                if u_probe not in transfer:
-                    transfer[u_probe] = transfer_matrix(args.n, u_probe, ctx)
-                T = transfer[u_probe]
-                line += f"  eigvec resid {np.linalg.norm(T @ v - lam * v):.1e}"
+                Tv = transfer_apply(args.n, u_probe, ctx, v)
+                line += f"  eigvec resid {np.linalg.norm(Tv - lam * v):.1e}"
             try:
                 ext = extend_by_pi(br, ctx)
                 lam_e = tq_eigenvalue(u_probe, ext, ctx)

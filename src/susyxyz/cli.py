@@ -1,10 +1,11 @@
 """Command-line front end: spectra, Figure-1 style data, and check suites.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error. Each command declares only the options it reads, and
-options must be spelled out in full, so an option a command does not read is
-a usage error. Sub-checks run one after another in one thread; BLAS threads
-the linear algebra inside each of them.
+Each `check` command and `transfer` calls one suite of the library and
+prints its report. Exit codes: 0 all checks pass, 1 at least one check
+failed, 2 usage or configuration error. Each command declares only the
+options it reads, and options must be spelled out in full, so an option a
+command does not read is a usage error. Sub-checks run one after another in
+one thread; BLAS threads the linear algebra inside each of them.
 """
 
 from __future__ import annotations
@@ -15,42 +16,18 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .eightvertex import (
-    _path_codes,
-    _require_transfer_args,
-    appendixB_decomposition,
-    apply_vertex_tensor,
-    path_rank,
-    path_rank_complement,
-    transfer_apply,
-    vertex_weights,
-    weight_tensor,
-)
-from .elliptic import ThetaContext, h, zeta_of_nome
+from .eightvertex import appendixB_decomposition, path_rank, transfer_suite
+from .elliptic import ThetaContext, zeta_of_nome
 from .errors import ConfigurationError, ContractError, DomainError, RangeError
-from .fermion import spectral_comparison
+from .fermion import comparison_suite
 from .spinchain import (
-    SPECTRAL_TOL,
     CouplingLine,
-    _check_record,
-    _xyz_terms,
     build_sector_basis,
     rescaled_spectrum,
-    rotate_left,
     spectrum,
-    spectrum_csv_rows,
-    xyz_apply,
     xyz_hamiltonian,
 )
-from .supercharge import (
-    ALGEBRA_TOL,
-    cohomology_dimension,
-    parity_spectral_inclusion,
-    susy_sector,
-    verify_algebra,
-)
+from .supercharge import algebra_suite, cohomology_suite, conjectures_suite, susy_sector
 
 DEFAULT_ZETAS = (0.0, 0.3, 1.0, 2.5)
 
@@ -145,7 +122,8 @@ def cmd_spectrum(args):
         sector, tag = _sector_from_tag(n, args.sector)
         for zeta in zetas:
             evals = spectrum(xyz_hamiltonian(n, CouplingLine(zeta), sector))
-            rows.extend(spectrum_csv_rows(zeta, n, tag, evals))
+            rows.extend((f"{zeta:.10g}", str(n), tag, str(i), f"{e:.12g}")
+                        for i, e in enumerate(evals))
     if args.format == "json":
         payload = [dict(zip(rows[0], r)) for r in rows[1:]]
         _emit([json.dumps(payload, indent=2)], args.out)
@@ -171,103 +149,30 @@ def _check_output(report, out):
     return 0 if report["pass"] else 1
 
 
-def check_algebra(args):
-    zetas = _resolve_zetas(args)
-    tol = args.tol if args.tol is not None else ALGEBRA_TOL
-    pairs = {}  # each supercharge pair is built once per command
-    checks = [c for n in args.n for z in zetas for c in verify_algebra(n, z, tol, pairs)]
-    return {"suite": "algebra", "tol": tol, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+def _tol(args):
+    """{"tol": --tol} when given; without it a suite applies its own bound."""
+    return {} if args.tol is None else {"tol": args.tol}
 
 
-def check_cohomology(args):
-    """dim H per n, in total and per spin parity (P = +1, P = -1); a pass
-    needs the same split at every zeta, (1, 1) at odd n and (0, 0) at even n."""
-    zetas = _resolve_zetas(args)
-    dims, by_parity = {}, {}
-    ok = True
-    for n in args.n:
-        vals = [cohomology_dimension(n, z) for z in zetas]
-        if len(set(vals)) != 1:
-            ok = False
-        dims[str(n)] = sum(vals[0])
-        by_parity[str(n)] = list(vals[0])
-        if vals[0] != ((1, 1) if n % 2 else (0, 0)):
-            ok = False
-    return {"suite": "cohomology", "zetas": list(zetas), "dims": dims,
-            "dims_by_parity": by_parity, "pass": ok}
+def _context(args):
+    """The ThetaContext of --nome (0.2 when not given), --s and --t."""
+    return ThetaContext(nome=args.nome if args.nome is not None else 0.2, s=args.s, t=args.t)
 
 
-def check_conjectures(args):
-    zetas = _resolve_zetas(args)
-    tol = args.tol if args.tol is not None else SPECTRAL_TOL
-    checks = []
-    for n in args.n:
-        if n % 2 == 0:
-            continue
-        for z in zetas:
-            r, ok = parity_spectral_inclusion(n, z, tol)
-            checks.append(_check_record("parity_spectral_inclusion", n, z, r, ok))
-    for nome in args.nomes:
-        ctx = ThetaContext(nome=nome, s=args.s, t=args.t)
-        zeta = zeta_of_nome(nome)
-        for n in args.n:
-            count = len(_path_codes(n))
-            expected = 2 ** n + 2 * (-1) ** n
-            checks.append(_check_record("path_count", n, zeta, abs(count - expected),
-                                        count == expected))
-            rank, comp = path_rank_complement(n, ctx, complement=n % 2 == 1)
-            exp_rank = 2 ** n if n % 2 == 0 else 2 ** n - 2
-            checks.append(_check_record("path_rank", n, zeta, abs(rank - exp_rank),
-                                        rank == exp_rank))
-            if n % 2 == 1:
-                # the complement lives in the full space; apply H bond by bond,
-                # whose Frobenius norm is that of its (duplicate-free at n >= 3)
-                # bond coefficients and diagonal
-                coupling = CouplingLine(zeta)
-                r_energy = np.linalg.norm(xyz_apply(n, coupling, comp))
-                diag, _, coeff = _xyz_terms(n, coupling, np.arange(1 << n))
-                scale = np.linalg.norm(np.concatenate([coeff.ravel(), diag]))
-                checks.append(_check_record("complement_zero_energy", n, zeta, r_energy,
-                                            r_energy < tol * max(1.0, scale)))
-                r_transfer = 0.0
-                for u in (0.35, 0.8, 1.3):
-                    lam = h(u, ctx) ** n
-                    r_transfer = max(
-                        r_transfer,
-                        np.linalg.norm(transfer_apply(n, u, ctx, comp) - lam * comp)
-                        / max(1.0, abs(lam)),
-                    )
-                checks.append(_check_record("complement_transfer_eigenvalue", n, zeta,
-                                            r_transfer, r_transfer < tol))
-    return {"suite": "conjectures", "tol": tol, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
-
-
-def check_appendixB(args):
+def _appendixB(args):
     if args.nome is None:
         raise ConfigurationError("check appendixB requires --nome")
-    ctx = ThetaContext(nome=args.nome, s=args.s, t=args.t)
-    report = appendixB_decomposition(ctx)
-    report["suite"] = "appendixB"
-    return report
+    return appendixB_decomposition(_context(args))
 
 
-def check_fermion_compare(args):
+def _fermion_compare(args):
     zetas = args.zeta if args.zeta is not None else (1.2, 1.8, 3.0)
-    variants = (
-        ("ramond_vs_kpi", "ns_vs_k0") if args.variant == "both" else (args.variant,)
-    )
-    tol = args.tol if args.tol is not None else SPECTRAL_TOL
-    reports = [spectral_comparison(m, z, v, tol=tol)
-               for m in args.m for z in zetas for v in variants]
-    return {"suite": "fermion-compare", "tol": tol, "reports": reports,
-            "pass": all(r["pass"] for r in reports)}
+    variants = ("ramond_vs_kpi", "ns_vs_k0") if args.variant == "both" else (args.variant,)
+    return comparison_suite(args.m, zetas, variants, **_tol(args))
 
 
 def cmd_pathbasis(args):
-    nome = args.nome if args.nome is not None else 0.2
-    ctx = ThetaContext(nome=nome, s=args.s, t=args.t)
+    ctx = _context(args)
     lines = []
     for n in args.n:
         # every admissible path (n - 2m = 0 mod 3), by m, then ell, then positions
@@ -279,66 +184,6 @@ def cmd_pathbasis(args):
         lines.extend(paths)
     _emit(lines, args.out)
     return 0
-
-
-def _orbit_norm(A, periods):
-    """||X||_F of an operator X that commutes with the translation S, from
-    A = X R, R the one-hot columns of the orbit representatives r:
-    X S^k|r> = S^k X|r>, so ||X||_F^2 = sum_r p_r ||X|r>||^2, p_r the periods."""
-    return np.linalg.norm(A * np.sqrt(periods))
-
-
-def check_transfer(args):
-    """T(eta) = h(2 eta)^n S, [T(u), T(u + 0.4)] = 0 and H from T'(eta), per n.
-
-    Every operator in these relations commutes with the translation S, so
-    each Frobenius norm is read from the columns of the orbit representatives
-    (`_orbit_norm`): T acts through `apply_vertex_tensor`, H through
-    `xyz_apply`, and no 2^n x 2^n matrix is formed. The third relation is
-    multiplied through by T(eta) instead of solved with it: with
-    b' H_T = n h' - h(eta) T(eta)^{-1} T'(eta),
-        T(eta) (b' H - n h') + h(eta) T'(eta) = b' T(eta) (H - H_T),
-    and where the first relation holds, T(eta) = h(2 eta)^n S, so the norm of
-    the left side over |b'| |h(2 eta)|^n is ||H - H_T||_F. T'(eta) is a
-    central difference with step 1e-5. Each vertex tensor is built once per
-    command, and T is applied once per spectral parameter to stacked columns.
-    """
-    nome = args.nome if args.nome is not None else 0.2
-    ctx = ThetaContext(nome=nome, s=args.s, t=args.t)
-    tol = args.tol if args.tol is not None else 1e-9
-    for n in args.n:
-        _require_transfer_args(n, args.u)
-    zeta = zeta_of_nome(nome)
-    eta, step, u, v = ctx.eta, 1e-5, args.u, args.u + 0.4
-    tensors = {x: weight_tensor(x, ctx) for x in (eta, eta + step, eta - step, u, v)}
-    vp, vm = vertex_weights(eta + step, ctx), vertex_weights(eta - step, ctx)
-    bprime = (vp.b - vm.b) / (2 * step)
-    hprime = (vp.a + vp.b - vm.a - vm.b) / (2 * step)
-    a0, h2 = vertex_weights(eta, ctx).a, h(2 * eta, ctx)
-    checks = []
-    for n in args.n:
-        T = lambda x, V: apply_vertex_tensor(n, tensors[x], V)
-        sector = build_sector_basis(n, 1.0)
-        reps, periods = sector.reps, sector.periods
-        cols = np.arange(len(reps))
-        R = np.zeros((1 << n, len(reps)))
-        R[reps, cols] = 1.0
-        norm = lambda A: _orbit_norm(A, periods)
-        HR = xyz_apply(n, CouplingLine(zeta), R)
-        TR, THR = np.hsplit(T(eta, np.hstack([R, bprime * HR - n * hprime * R])), 2)
-        scale = max(1.0, norm(TR))
-        TR[rotate_left(reps, n), cols] -= h2 ** n  # now T(eta) R - h(2 eta)^n S R
-        r = norm(TR) / scale
-        checks.append(_check_record("transfer_at_eta_is_translation", n, zeta, r, r < 1e-10))
-        TvR = T(v, R)
-        TuR, TuTvR = np.hsplit(T(u, np.hstack([R, TvR])), 2)
-        r = norm(TuTvR - T(v, TuR)) / max(1.0, norm(TuR) * norm(TvR))
-        checks.append(_check_record("commuting_family", n, zeta, r, r < tol))
-        TpR = (T(eta + step, R) - T(eta - step, R)) / (2 * step)
-        r = norm(THR + a0 * TpR) / (abs(bprime) * abs(h2) ** n * max(1.0, norm(HR)))
-        checks.append(_check_record("hamiltonian_from_transfer", n, zeta, r, r < 1e-5))
-    return {"suite": "transfer", "nome": nome, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +209,9 @@ _OPTIONS = {
 }
 
 
-def _suite(check):
-    return lambda a: _check_output(check(a), a.out)
+def _suite(run):
+    """The command that prints the JSON report `run(args)` of one suite."""
+    return lambda a: _check_output(run(a), a.out)
 
 
 # name: (the options it reads, the default of --n (required when None),
@@ -379,15 +225,17 @@ _COMMANDS = {
     "pathbasis": ("n nome s t out", (4,), dict(help="enumerate height-path states"),
                   cmd_pathbasis),
     "transfer": ("n nome s t tol out u", (3, 4), dict(help="transfer-matrix consistency checks"),
-                 _suite(check_transfer)),
+                 _suite(lambda a: transfer_suite(a.n, _context(a), a.u, **_tol(a)))),
 }
 _SUITES = {
-    "algebra": ("n zeta nome tol out", tuple(range(2, 9)), {}, _suite(check_algebra)),
-    "cohomology": ("n zeta nome out", tuple(range(3, 12)), {}, _suite(check_cohomology)),
-    "conjectures": ("n zeta nome s t tol out nomes", tuple(range(3, 8)), {},
-                    _suite(check_conjectures)),
-    "appendixB": ("nome s t out", None, {}, _suite(check_appendixB)),
-    "fermion-compare": ("m zeta variant tol out", None, {}, _suite(check_fermion_compare)),
+    "algebra": ("n zeta nome tol out", tuple(range(2, 9)), {}, _suite(
+        lambda a: algebra_suite(a.n, _resolve_zetas(a), **_tol(a)))),
+    "cohomology": ("n zeta nome out", tuple(range(3, 12)), {}, _suite(
+        lambda a: cohomology_suite(a.n, _resolve_zetas(a)))),
+    "conjectures": ("n zeta nome s t tol out nomes", tuple(range(3, 8)), {}, _suite(
+        lambda a: conjectures_suite(a.n, _resolve_zetas(a), a.nomes, a.s, a.t, **_tol(a)))),
+    "appendixB": ("nome s t out", None, {}, _suite(_appendixB)),
+    "fermion-compare": ("m zeta variant tol out", None, {}, _suite(_fermion_compare)),
 }
 
 

@@ -26,11 +26,16 @@ from .errors import (
     PoleError,
 )
 from .spinchain import (
+    CouplingLine,
+    _check_record,
     _cut_ranks,
     _orbit_sector,
+    _require_tol,
+    _suite_report,
     build_sector_basis,
     embed,
     rotate_left,
+    xyz_apply,
 )
 
 
@@ -141,6 +146,58 @@ def apply_vertex_tensor(n, W, V):
         np.copyto(swapped, X.swapaxes(1, 2))
         np.matmul(Wt, swapped.reshape(4, -1), out=X.reshape(4, -1))
     return (X[0, ..., 0] + X[1, ..., 1]).reshape(V.shape)
+
+
+def transfer_suite(ns, ctx, u, tol=1e-9):
+    """T(eta) = h(2 eta)^n S, [T(u), T(u + 0.4)] = 0 and H from T'(eta), per n.
+
+    Every operator in these relations commutes with the translation S, so
+    each Frobenius norm is read from A = X R, R the one-hot columns of the
+    orbit representatives r: X S^k|r> = S^k X|r>, so ||X||_F^2 = sum_r p_r
+    ||X|r>||^2, p_r the periods. T acts through `apply_vertex_tensor`, H
+    through `xyz_apply`, and no 2^n x 2^n matrix is formed. The third
+    relation is multiplied through by T(eta) instead of solved with it: with
+    b' H_T = n h' - h(eta) T(eta)^{-1} T'(eta),
+        T(eta) (b' H - n h') + h(eta) T'(eta) = b' T(eta) (H - H_T),
+    and where the first relation holds, T(eta) = h(2 eta)^n S, so the norm of
+    the left side over |b'| |h(2 eta)|^n is ||H - H_T||_F. T'(eta) is a
+    central difference with step 1e-5. The bounds are 1e-10, tol and 1e-5.
+    Each vertex tensor is built once per call, and T is applied once per
+    spectral parameter to stacked columns.
+    """
+    _require_tol(tol)
+    for n in ns:
+        _require_transfer_args(n, u)
+    zeta = zeta_of_nome(ctx.nome)
+    eta, step, v = ctx.eta, 1e-5, u + 0.4
+    tensors = {x: weight_tensor(x, ctx) for x in (eta, eta + step, eta - step, u, v)}
+    vp, vm = vertex_weights(eta + step, ctx), vertex_weights(eta - step, ctx)
+    bprime = (vp.b - vm.b) / (2 * step)
+    hprime = (vp.a + vp.b - vm.a - vm.b) / (2 * step)
+    a0, h2 = vertex_weights(eta, ctx).a, h(2 * eta, ctx)
+    checks = []
+    for n in ns:
+        T = lambda x, V: apply_vertex_tensor(n, tensors[x], V)
+        sector = build_sector_basis(n, 1.0)
+        reps, weights = sector.reps, np.sqrt(sector.periods)
+        cols = np.arange(len(reps))
+        R = np.zeros((1 << n, len(reps)))
+        R[reps, cols] = 1.0
+        norm = lambda A: np.linalg.norm(A * weights)
+        HR = xyz_apply(n, CouplingLine(zeta), R)
+        TR, THR = np.hsplit(T(eta, np.hstack([R, bprime * HR - n * hprime * R])), 2)
+        scale = max(1.0, norm(TR))
+        TR[rotate_left(reps, n), cols] -= h2 ** n  # now T(eta) R - h(2 eta)^n S R
+        r = norm(TR) / scale
+        checks.append(_check_record("transfer_at_eta_is_translation", n, zeta, r, r < 1e-10))
+        TvR = T(v, R)
+        TuR, TuTvR = np.hsplit(T(u, np.hstack([R, TvR])), 2)
+        r = norm(TuTvR - T(v, TuR)) / max(1.0, norm(TuR) * norm(TvR))
+        checks.append(_check_record("commuting_family", n, zeta, r, r < tol))
+        TpR = (T(eta + step, R) - T(eta - step, R)) / (2 * step)
+        r = norm(THR + a0 * TpR) / (abs(bprime) * abs(h2) ** n * max(1.0, norm(HR)))
+        checks.append(_check_record("hamiltonian_from_transfer", n, zeta, r, r < 1e-5))
+    return _suite_report("transfer", nome=ctx.nome, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -951,4 +1008,5 @@ def appendixB_decomposition(ctx):
             and decomp_resid < 1e-9 * max(1.0, float(np.linalg.norm(v)))
             and off_span < 1e-9
         ),
+        "suite": "appendixB",
     }

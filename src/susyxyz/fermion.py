@@ -35,6 +35,8 @@ from .spinchain import (
     _add_images,
     _group_levels,
     _orbit_sector,
+    _require_tol,
+    _suite_report,
     build_sector_basis,
     common_levels,
     spectrum,
@@ -221,3 +223,11 @@ def spectral_comparison(m, zeta, variant, tol=SPECTRAL_TOL):
         "fermion_only": ferm_only,
         "pass": not xyz_only and not ferm_only,
     }
+
+
+def comparison_suite(ms, zetas, variants, tol=SPECTRAL_TOL):
+    """The `spectral_comparison` reports at every m of ms, zeta of zetas and
+    variant of variants, in that order."""
+    _require_tol(tol)
+    reports = [spectral_comparison(m, z, v, tol=tol) for m in ms for z in zetas for v in variants]
+    return _suite_report("fermion-compare", tol=tol, reports=reports)

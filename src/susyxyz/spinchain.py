@@ -520,9 +520,15 @@ def _check_record(relation, n, zeta, residual, ok):
     }
 
 
-def spectrum_csv_rows(zeta, n, sector, energies):
-    """Rows for the CSV export with header zeta,n,sector,index,energy."""
-    return [
-        (f"{zeta:.10g}", str(n), sector, str(i), f"{e:.12g}")
-        for i, e in enumerate(energies)
-    ]
+def _suite_report(suite, **fields):
+    """A suite's JSON report {suite, **fields, pass}: its last field holds the
+    records, and the suite passes iff every one of them does."""
+    *_, records = fields.values()
+    return {"suite": suite, **fields, "pass": all(r["pass"] for r in records)}
+
+
+def _require_tol(tol):
+    """A suite's bound must be finite and positive: at inf every record
+    bounded by it passes, and at nan or below 0 every one fails."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"the tolerance must be finite and positive, got {tol}")

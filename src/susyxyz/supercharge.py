@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .errors import DomainError
+from .eightvertex import _path_codes, path_rank_complement, transfer_apply
+from .elliptic import ThetaContext, h, zeta_of_nome
+from .errors import ContractError, DomainError
 from .spinchain import (
     SPECTRAL_TOL,
     CouplingLine,
@@ -39,12 +41,16 @@ from .spinchain import (
     _fold,
     _parity_blocks,
     _parity_columns,
+    _require_tol,
     _signed_orbit_map,
     _spin_parity,
+    _suite_report,
+    _xyz_terms,
     build_sector_basis,
     common_levels,
     reverse_spins,
     spectrum,
+    xyz_apply,
     xyz_hamiltonian,
 )
 
@@ -145,24 +151,18 @@ def _q_blocks(n, zeta, reflection=None):
         del block  # once the reader drops it too, freed before the next block
 
 
-def verify_algebra(n, zeta, tol=ALGEBRA_TOL, pairs=None):
+def verify_algebra(up, dn, tol=ALGEBRA_TOL):
     """Residuals of the nilpotency, cross and Hamiltonian relations between
-    Q and Qt.
+    Q and Qt, for the pairs up = Q_n and dn = Q_{n-1} (`build_supercharges`)
+    at one zeta.
 
     Returns a list of {relation, n, zeta, residual, pass} records; a relation
     passes iff its residual is below max(tol, 1e-16). The adjoint halves of
-    each relation are exact transposes and are not repeated. The pairs
-    Q_n and Q_{n-1} are looked up in, or built into, the dict `pairs` keyed
-    by (n, zeta), so that checks of consecutive n sharing one dict build
-    each pair once.
+    each relation are exact transposes and are not repeated.
     """
-    if n < 2:
-        raise DomainError("the algebra check needs n >= 2")
-    pairs = {} if pairs is None else pairs
-    for key in ((n, zeta), (n - 1, zeta)):
-        if key not in pairs:
-            pairs[key] = build_supercharges(*key)
-    up, dn = pairs[(n, zeta)], pairs[(n - 1, zeta)]
+    n, zeta = up.n, up.zeta
+    if (dn.n, dn.zeta) != (n - 1, zeta):
+        raise ContractError(f"Q_{dn.n} at zeta={dn.zeta} is not the pair below Q_{n} at {zeta}")
     Q, Qt = up.q_plain.matrix, up.q_tilde.matrix
     q, qt = dn.q_plain.matrix, dn.q_tilde.matrix
     H = xyz_hamiltonian(n, CouplingLine(zeta), susy_sector(n)).matrix
@@ -176,6 +176,20 @@ def verify_algebra(n, zeta, tol=ALGEBRA_TOL, pairs=None):
         ("hamiltonian_tilde", np.linalg.norm(H - (Qt.conj().T @ Qt + qt @ qt.conj().T))),
     ]
     return [_check_record(name, n, zeta, r, r < max(tol, 1e-16)) for name, r in checks]
+
+
+def algebra_suite(ns, zetas, tol=ALGEBRA_TOL):
+    """The `verify_algebra` records at every n of ns and zeta of zetas, n
+    first. verify_algebra(n) reads Q_n and Q_{n-1}, so each pair is built
+    once and shared by consecutive n."""
+    _require_tol(tol)
+    pair, checks = cache(build_supercharges), []
+    for n in ns:
+        if n < 2:
+            raise DomainError("the algebra check needs n >= 2")
+        for zeta in zetas:
+            checks.extend(verify_algebra(pair(n, zeta), pair(n - 1, zeta), tol))
+    return _suite_report("algebra", tol=tol, checks=checks)
 
 
 def _charge_ranks(halves, context):
@@ -216,3 +230,64 @@ def parity_spectral_inclusion(n, zeta, tol=SPECTRAL_TOL):
     _, odd_only, even_only = common_levels(odd, even, tol)
     gaps = [min((abs(f - e) for f in even_only), default=np.inf) for e in odd_only]
     return max(gaps, default=0.0), not odd_only
+
+
+def cohomology_suite(ns, zetas):
+    """dim H per n, in total and per spin parity (P = +1, P = -1); a pass
+    needs the same split at every zeta, (1, 1) at odd n and (0, 0) at even n."""
+    dims, by_parity, ok = {}, {}, True
+    for n in ns:
+        vals = [cohomology_dimension(n, z) for z in zetas]
+        dims[str(n)] = sum(vals[0])
+        by_parity[str(n)] = list(vals[0])
+        ok = ok and set(vals) == {(1, 1) if n % 2 else (0, 0)}
+    return {"suite": "cohomology", "zetas": list(zetas), "dims": dims,
+            "dims_by_parity": by_parity, "pass": ok}
+
+
+def conjectures_suite(ns, zetas, nomes, s, t, tol=SPECTRAL_TOL):
+    """The odd-n conjectures: at odd n the odd-parity levels lie among the
+    even ones (`parity_spectral_inclusion`); per nome, the path count and
+    rank, and at odd n the complement of the paths' span has zero energy and
+    the transfer eigenvalue h(u)^n at three u, both bounded by tol."""
+    _require_tol(tol)
+    checks = []
+    for n in ns:
+        if n % 2 == 0:
+            continue
+        for z in zetas:
+            r, ok = parity_spectral_inclusion(n, z, tol)
+            checks.append(_check_record("parity_spectral_inclusion", n, z, r, ok))
+    for nome in nomes:
+        ctx = ThetaContext(nome=nome, s=s, t=t)
+        zeta = zeta_of_nome(nome)
+        for n in ns:
+            count = len(_path_codes(n))
+            expected = 2 ** n + 2 * (-1) ** n
+            checks.append(_check_record("path_count", n, zeta, abs(count - expected),
+                                        count == expected))
+            rank, comp = path_rank_complement(n, ctx, complement=n % 2 == 1)
+            exp_rank = 2 ** n if n % 2 == 0 else 2 ** n - 2
+            checks.append(_check_record("path_rank", n, zeta, abs(rank - exp_rank),
+                                        rank == exp_rank))
+            if n % 2 == 1:
+                # the complement lives in the full space; apply H bond by bond,
+                # whose Frobenius norm is that of its (duplicate-free at n >= 3)
+                # bond coefficients and diagonal
+                coupling = CouplingLine(zeta)
+                r_energy = np.linalg.norm(xyz_apply(n, coupling, comp))
+                diag, _, coeff = _xyz_terms(n, coupling, np.arange(1 << n))
+                scale = np.linalg.norm(np.concatenate([coeff.ravel(), diag]))
+                checks.append(_check_record("complement_zero_energy", n, zeta, r_energy,
+                                            r_energy < tol * max(1.0, scale)))
+                r_transfer = 0.0
+                for u in (0.35, 0.8, 1.3):
+                    lam = h(u, ctx) ** n
+                    r_transfer = max(
+                        r_transfer,
+                        np.linalg.norm(transfer_apply(n, u, ctx, comp) - lam * comp)
+                        / max(1.0, abs(lam)),
+                    )
+                checks.append(_check_record("complement_transfer_eigenvalue", n, zeta,
+                                            r_transfer, r_transfer < tol))
+    return _suite_report("conjectures", tol=tol, checks=checks)

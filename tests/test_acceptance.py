@@ -38,10 +38,10 @@ from susyxyz.spinchain import (
     xyz_hamiltonian,
 )
 from susyxyz.supercharge import (
+    algebra_suite,
     cohomology_dimension,
     parity_spectral_inclusion,
     susy_sector,
-    verify_algebra,
 )
 
 from operator_reference import (
@@ -65,11 +65,9 @@ def _verdict(label, failures):
 def test_criterion_01_supersymmetry_algebra():
     t0 = time.time()
     failures = []
-    for n in range(2, 9):
-        for zeta in ZETAS:
-            for check in verify_algebra(n, zeta):
-                if not check["pass"]:
-                    failures.append(check)
+    for check in algebra_suite(range(2, 9), ZETAS)["checks"]:
+        if not check["pass"]:
+            failures.append(check)
     elapsed = time.time() - t0
     if elapsed > 60:
         failures.append(f"runtime {elapsed:.1f}s exceeds 1 minute")

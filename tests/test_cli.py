@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import runpy
 import threading
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyxyz import cli, eightvertex, supercharge
+from susyxyz import cli, eightvertex, fermion, supercharge
 from susyxyz.cli import (
     build_parser,
     main,
@@ -20,7 +21,7 @@ from susyxyz.cli import (
     thread_cap,
 )
 from susyxyz.eightvertex import BetheRoots
-from susyxyz.elliptic import ThetaContext
+from susyxyz.elliptic import ThetaContext, zeta_of_nome
 from susyxyz.errors import DomainError
 
 from operator_reference import transfer_residuals
@@ -79,6 +80,13 @@ def test_spectrum_n2_momentum_pi(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "zeta,n,sector,index,energy"
     assert lines[1] == "1,2,t=-1,0,4"
+
+
+def test_spectrum_csv_rows_deterministic(capsys):
+    # zeta as %.10g and energies as %.12g: no trailing zeros, and no rounding
+    # noise (3 + 0.3^2 is 3.0899999999999999 in float64)
+    code, out, _ = run(capsys, "spectrum", "--n", "2", "--zeta", "0.3,1", "--sector", "t=-1")
+    assert (code, out.splitlines()[1:]) == (0, ["0.3,2,t=-1,0,3.09", "1,2,t=-1,0,4"])
 
 
 def test_spectrum_rejects_n0():
@@ -251,9 +259,10 @@ def test_conjectures_build_no_dense_transfer_matrix(capsys, monkeypatch):
     def no_transfer_matrix(*args, **kwargs):
         raise AssertionError("dense transfer matrix built")
 
-    # cli binds no transfer_matrix of its own; a binding it gained would be patched too
+    # supercharge binds no transfer_matrix of its own; a binding it gained
+    # would be patched too
     monkeypatch.setattr(eightvertex, "transfer_matrix", no_transfer_matrix)
-    monkeypatch.setattr(cli, "transfer_matrix", no_transfer_matrix, raising=False)
+    monkeypatch.setattr(supercharge, "transfer_matrix", no_transfer_matrix, raising=False)
     code, out, _ = run(capsys, "check", "conjectures", "--n", "3,5", "--nomes", "0.2")
     assert code == 0
     relations = [c["relation"] for c in json.loads(out)["checks"]]
@@ -309,7 +318,8 @@ def test_check_cohomology_splits_by_spin_parity(capsys, monkeypatch):
     assert list(report) == ["suite", "zetas", "dims", "dims_by_parity", "pass"]
     assert report["dims_by_parity"] == {"3": [1, 1], "4": [0, 0], "5": [1, 1], "6": [0, 0]}
     # the right total with both states in one block fails
-    monkeypatch.setattr(cli, "cohomology_dimension", lambda n, zeta: (2, 0) if n % 2 else (0, 0))
+    monkeypatch.setattr(supercharge, "cohomology_dimension",
+                        lambda n, zeta: (2, 0) if n % 2 else (0, 0))
     code, out, _ = run(capsys, "check", "cohomology", "--n", "3..4", "--zeta", "0.7")
     report = json.loads(out)
     assert code == 1 and not report["pass"]
@@ -421,7 +431,7 @@ def _transfer_failures(capsys):
 
 def _perturb_weight_tensor(monkeypatch, at):
     # the weight a of the all-up vertex, at the spectral parameter `at` only
-    real = cli.weight_tensor
+    real = eightvertex.weight_tensor
 
     def perturbed(u, ctx):
         W = real(u, ctx)
@@ -430,7 +440,7 @@ def _perturb_weight_tensor(monkeypatch, at):
             W[0, 0, 0, 0] *= 1 + 1e-3
         return W
 
-    monkeypatch.setattr(cli, "weight_tensor", perturbed)
+    monkeypatch.setattr(eightvertex, "weight_tensor", perturbed)
 
 
 def test_transfer_fails_on_a_weight_tensor_perturbed_at_eta(capsys, monkeypatch):
@@ -444,9 +454,69 @@ def test_transfer_fails_on_a_weight_tensor_perturbed_at_u(capsys, monkeypatch):
 
 
 def test_transfer_fails_on_a_hamiltonian_at_another_zeta(capsys, monkeypatch):
-    real = cli.CouplingLine
-    monkeypatch.setattr(cli, "CouplingLine", lambda zeta: real(zeta * (1 + 1e-3)))
+    real = eightvertex.CouplingLine
+    monkeypatch.setattr(eightvertex, "CouplingLine", lambda zeta: real(zeta * (1 + 1e-3)))
     assert _transfer_failures(capsys) == {"hamiltonian_from_transfer"}
+
+
+# (argv, the library call whose report it must print): every suite at a small
+# size; the last fermion case fails at a tolerance below the levels' rounding
+SUITE_CALLS = [
+    (("check", "algebra", "--n", "2..4", "--zeta", "0.5,1.5"),
+     lambda: supercharge.algebra_suite((2, 3, 4), (0.5, 1.5))),
+    (("check", "cohomology", "--n", "3..6", "--nome", "0.25"),
+     lambda: supercharge.cohomology_suite((3, 4, 5, 6), (zeta_of_nome(0.25),))),
+    (("check", "conjectures", "--n", "3..5", "--zeta", "0.5", "--nomes", "0.2,0.3",
+      "--s", "0.35", "--t", "-0.6", "--tol", "1e-7"),
+     lambda: supercharge.conjectures_suite((3, 4, 5), (0.5,), (0.2, 0.3), 0.35, -0.6, 1e-7)),
+    (("check", "appendixB", "--nome", "0.2", "--s", "0.3", "--t", "-0.7"),
+     lambda: eightvertex.appendixB_decomposition(ThetaContext(nome=0.2, s=0.3, t=-0.7))),
+    (("check", "fermion-compare", "--m", "2,3", "--zeta", "2"),
+     lambda: fermion.comparison_suite((2, 3), (2.0,), ("ramond_vs_kpi", "ns_vs_k0"))),
+    (("check", "fermion-compare", "--m", "2", "--zeta", "2", "--variant", "ns_vs_k0",
+      "--tol", "1e-16"),
+     lambda: fermion.comparison_suite((2,), (2.0,), ("ns_vs_k0",), 1e-16)),
+    (("transfer", "--n", "2..5", "--nome", "0.3", "--u", "0.7"),
+     lambda: eightvertex.transfer_suite((2, 3, 4, 5), ThetaContext(nome=0.3), 0.7)),
+]
+
+
+@pytest.mark.parametrize("argv, suite", SUITE_CALLS, ids=[" ".join(a) for a, _ in SUITE_CALLS])
+def test_cli_prints_the_report_of_one_suite_call(capsys, argv, suite):
+    # a check command parses its options, calls one suite and prints its
+    # report; it exits 0 exactly when the report passes, 1 otherwise
+    code, out, err = run(capsys, *argv)
+    report = suite()
+    assert out == json.dumps(report, indent=2, default=float) + "\n"
+    assert report["suite"] == (argv[1] if argv[0] == "check" else argv[0])
+    assert (code, err) == (0 if report["pass"] else 1, "")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("check", "algebra", "--n", "3"),
+    ("check", "conjectures", "--n", "3"),
+    ("check", "fermion-compare", "--m", "2"),
+    ("transfer", "--n", "3"),
+], ids=" ".join)
+def test_tol_that_is_not_finite_and_positive_is_a_usage_error(capsys, argv, tol):
+    # at inf every bounded record would pass, at nan, 0 or below every one fail
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"error: the tolerance must be finite and positive, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_suites_reject_a_tol_that_is_not_finite_and_positive(tol):
+    calls = [
+        lambda: supercharge.algebra_suite((3,), (0.5,), tol),
+        lambda: supercharge.conjectures_suite((3,), (0.5,), (0.2,), 0.3, -0.7, tol),
+        lambda: fermion.comparison_suite((2,), (2.0,), ("ns_vs_k0",), tol),
+        lambda: eightvertex.transfer_suite((3,), ThetaContext(nome=0.2), 0.45, tol),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite and positive"):
+            call()
 
 
 def test_output_file(tmp_path, capsys):

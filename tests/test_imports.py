@@ -160,6 +160,19 @@ def test_src_has_no_unused_knob_and_no_pseudo_inverse():
             and node.name in ("FermionModel", "_translate")] == []
 
 
+def test_cli_imports_no_numpy_and_no_private_name():
+    # cli parses the options, calls one suite and prints its report; the
+    # arithmetic of the suites, and the names private to their modules, stay
+    # in the library
+    tree = ast.parse((ROOT / "src/susyxyz/cli.py").read_text())
+    imported = [(getattr(node, "module", None) or "", alias.name) for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert ("supercharge", "algebra_suite") in imported
+    assert [(module, name) for module, name in imported
+            if "numpy" in (module.split(".")[0], name.split(".")[0])
+            or name.startswith("_") or module.startswith("_") and module != "__future__"] == []
+
+
 def test_eightvertex_does_not_import_supercharge():
     tree = ast.parse((ROOT / "src/susyxyz/eightvertex.py").read_text())
     imported = [f"{getattr(node, 'module', None) or ''}:{alias.name}" for node in ast.walk(tree)

@@ -28,7 +28,6 @@ from susyxyz.spinchain import (
     reverse_bits,
     rotate_left,
     spectrum,
-    spectrum_csv_rows,
     xyz_apply,
     xyz_hamiltonian,
 )
@@ -235,11 +234,6 @@ def test_common_levels_matching():
     assert matched == [(2.0, 2.0)]
     assert only1 == [1.0, 2.0]
     assert only2 == [3.0]
-
-
-def test_csv_rows_deterministic():
-    rows = spectrum_csv_rows(0.3, 4, "t=-1", np.array([1.0, 2.5]))
-    assert rows == [("0.3", "4", "t=-1", "0", "1"), ("0.3", "4", "t=-1", "1", "2.5")]
 
 
 def test_bad_sector_size():

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from susyxyz import supercharge
-from susyxyz.errors import DomainError
+from susyxyz.errors import ContractError, DomainError
 from susyxyz.spinchain import (
     CouplingLine,
     SectorOperator,
@@ -26,6 +26,7 @@ from susyxyz.supercharge import (
     _charge_ranks,
     _conjugated,
     _refined_supercharge,
+    algebra_suite,
     build_supercharges,
     cohomology_dimension,
     parity_spectral_inclusion,
@@ -71,7 +72,7 @@ def supercharge_full(n, zeta):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("zeta", [0.0, 0.7, 1.0])
 def test_algebra_relations(n, zeta):
-    for check in verify_algebra(n, zeta):
+    for check in algebra_suite((n,), (zeta,))["checks"]:
         assert check["pass"], check
 
 
@@ -92,9 +93,16 @@ def test_supercharges_on_real_sectors_are_float64(n):
 
 
 def test_anticommutator_reproduces_hamiltonian():
-    residuals = {c["relation"]: c["residual"] for c in verify_algebra(5, 1.3)}
+    checks = verify_algebra(build_supercharges(5, 1.3), build_supercharges(4, 1.3))
+    residuals = {c["relation"]: c["residual"] for c in checks}
     assert residuals["hamiltonian_plain"] < 1e-11
     assert residuals["hamiltonian_tilde"] < 1e-11
+
+
+def test_algebra_needs_the_pair_below_at_the_same_zeta():
+    for dn in (build_supercharges(3, 1.3), build_supercharges(4, 0.7)):
+        with pytest.raises(ContractError):
+            verify_algebra(build_supercharges(5, 1.3), dn)
 
 
 def test_conserved_charge_square_zero_and_commutes():
@@ -410,7 +418,7 @@ def test_algebra_builds_the_blocks_of_each_charge_once(monkeypatch):
         return real_blocks(*args)
 
     monkeypatch.setattr(supercharge, "_q_blocks", counting_blocks)
-    assert all(record["pass"] for record in verify_algebra(13, 0.7))
+    assert all(record["pass"] for record in algebra_suite((13,), (0.7,))["checks"])
     assert built == [(13, 0.7), (12, 0.7)]
 
 
